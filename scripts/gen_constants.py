@@ -104,7 +104,7 @@ def hc3_sections():
 
     m5e_rows = bytes(rotl8(0x5E, i) for i in range(8))
     mb3_rows = bytes(gf2.invert(m5e_rows))
-    assert gf2.is_identity(gf2.mat_mul(mb3_rows, m5e_rows))
+    assert gf2.is_identity(gf2.apply_rows(mb3_rows, m5e_rows))
 
     mds_h_rows = []
     for i in range(4):
@@ -115,7 +115,7 @@ def hc3_sections():
                     if k != i and l != j:
                         mask |= 1 << (4 * k + l)
             mds_h_rows.append(mask)
-    assert gf2.is_identity(gf2.mat_mul(mds_h_rows, mds_h_rows))
+    assert gf2.is_identity(gf2.apply_rows(mds_h_rows, mds_h_rows))
     mds_h = b"".join(m.to_bytes(2, "big") for m in mds_h_rows)
 
     return [

@@ -14,6 +14,7 @@ kept verbatim on the profiles and surfaced as flagged deviations.
 
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -464,48 +465,69 @@ def render_csv(rows) -> str:
 
 # --- profile files ---------------------------------------------------------
 
+def _positive(text: str, what: str, where: str, kind=float):
+    """A finite number > 0 from a profile, else a ValueError naming `where`."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not (math.isfinite(value) and value > 0):
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{where}: {what} must be a finite {noun} > 0, got {text!r}")
+    return value
+
+
 def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
     """Read a profile description (see README for the grammar)."""
-    fields: dict = {}
+    fields: dict[str, str] = {}
+    where_is: dict[str, str] = {}   # keyword -> "source:line"
     setup: list[MicroOp] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
+        where = f"{source}:{lineno}"
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             parts = shlex.split(line)
         except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: {exc}") from exc
+            raise ValueError(f"{where}: {exc}") from exc
         keyword, args = parts[0], parts[1:]
         if keyword == "setup":
             if not args:
-                raise ValueError(f"{source}:{lineno}: setup needs a label")
-            ns = float(args[1]) if len(args) > 1 else None
+                raise ValueError(f"{where}: setup needs a label")
+            ns = _positive(args[1], "setup latency", where) if len(args) > 1 else None
             setup.append(MicroOp(args[0], ns))
             continue
         if len(args) != 1:
-            raise ValueError(f"{source}:{lineno}: '{keyword}' takes one value")
+            raise ValueError(f"{where}: '{keyword}' takes one value")
         fields[keyword] = args[0]
+        where_is[keyword] = where
+
+    def number(keyword, default, kind=float):
+        if keyword not in fields:
+            return default
+        return _positive(fields[keyword], keyword, where_is[keyword], kind)
 
     if "variant" not in fields:
         raise ValueError(f"{source}: missing 'variant'")
     datapath = fields.get("datapath", fields["variant"])
     base = PROFILES.get(datapath)
     if base is None:
+        where = where_is.get("datapath", where_is["variant"])
         raise ValueError(
-            f"{source}: unknown datapath {datapath!r}; known: "
+            f"{where}: unknown datapath {datapath!r}; known: "
             f"{', '.join(sorted(PROFILES))}"
         )
-    work = int(fields.get("work-cycles", base.work_cycles_per_block))
+    work = number("work-cycles", base.work_cycles_per_block, int)
     if work != base.work_cycles_per_block:
         raise ValueError(
-            f"{source}: work-cycles {work} does not match datapath "
+            f"{where_is['work-cycles']}: work-cycles {work} does not match datapath "
             f"{datapath!r} ({base.work_cycles_per_block})"
         )
     cipher = fields.get("cipher", base.cipher)
     if cipher != base.cipher:
         raise ValueError(
-            f"{source}: cipher {cipher!r} does not match datapath "
+            f"{where_is['cipher']}: cipher {cipher!r} does not match datapath "
             f"{datapath!r} ({base.cipher})"
         )
     return ArchProfile(
@@ -514,14 +536,11 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
         datapath=datapath,
         work_cycles_per_block=work,
         setup_schedule=tuple(setup) or base.setup_schedule,
-        clock_mhz=float(fields["clock-mhz"]) if "clock-mhz" in fields else base.clock_mhz,
-        paper_throughput_mbps=(float(fields["paper-throughput-mbps"])
-                               if "paper-throughput-mbps" in fields
-                               else base.paper_throughput_mbps),
+        clock_mhz=number("clock-mhz", base.clock_mhz),
+        paper_throughput_mbps=number("paper-throughput-mbps", base.paper_throughput_mbps),
         resources=fields.get("resources", base.resources),
         critical_path_label=fields.get("critical-path", base.critical_path_label),
-        critical_path_ns=(float(fields["critical-path-ns"])
-                          if "critical-path-ns" in fields else base.critical_path_ns),
+        critical_path_ns=number("critical-path-ns", base.critical_path_ns),
     )
 
 

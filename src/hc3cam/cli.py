@@ -14,6 +14,7 @@ final block is an error, never padded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -55,18 +56,10 @@ def _block_fns(cipher: str):
     raise CliError(f"unknown cipher {cipher!r}; choose hc3 or camellia")
 
 
-def cmd_encrypt(args) -> int:
-    return cmd_crypt(args, decrypt=False)
-
-
-def cmd_decrypt(args) -> int:
-    return cmd_crypt(args, decrypt=True)
-
-
-def cmd_crypt(args, decrypt: bool) -> int:
+def cmd_crypt(args) -> int:
     key = _parse_key(args.key)
     enc, dec = _block_fns(args.cipher)(key)
-    fn = dec if decrypt else enc
+    fn = dec if args.command == "decrypt" else enc
     try:
         with open(args.infile, "rb") as fh:
             data = fh.read()
@@ -205,6 +198,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not args.variant and not args.profile_file:
+        raise CliError("simulate needs --variant or --profile-file; valid "
+                       "variants: " + ", ".join(sorted(archsim.PROFILES)))
     if args.profile_file:
         try:
             with open(args.profile_file, "r", encoding="ascii") as fh:
@@ -222,8 +218,9 @@ def cmd_simulate(args) -> int:
                 f"unknown variant {args.variant!r}; valid: "
                 + ", ".join(sorted(archsim.PROFILES))
             )
-    if args.clock_mhz is not None and args.clock_mhz <= 0:
-        raise CliError("--clock-mhz must be positive")
+    if args.clock_mhz is not None and not (math.isfinite(args.clock_mhz)
+                                           and args.clock_mhz > 0):
+        raise CliError("--clock-mhz must be finite and positive")
     if args.blocks < 0:
         raise CliError("--blocks must be non-negative")
 
@@ -297,20 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encrypt", help="encrypt a file of 16-byte blocks")
     p_dec = sub.add_parser("decrypt", help="decrypt a file of 16-byte blocks")
     for p in (p_enc, p_dec):
+        p.set_defaults(func=cmd_crypt)
         add_cipher(p)
         p.add_argument("--key", required=True, help="32 hex digits")
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", dest="outfile", required=True)
 
     p_kat = sub.add_parser("kat", help="run a known-answer vector file")
+    p_kat.set_defaults(func=cmd_kat)
     add_cipher(p_kat)
     p_kat.add_argument("--vectors", required=True)
 
     p_bench = sub.add_parser("bench", help="time software block encryption")
+    p_bench.set_defaults(func=cmd_bench)
     add_cipher(p_bench)
     p_bench.add_argument("--blocks", type=int, default=10000)
 
     p_sim = sub.add_parser("simulate", help="run the datapath model")
+    p_sim.set_defaults(func=cmd_simulate)
     p_sim.add_argument("--variant", default=None,
                        help=", ".join(sorted(archsim.PROFILES)))
     p_sim.add_argument("--blocks", type=int, default=1)
@@ -326,22 +327,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "encrypt":
-            return cmd_encrypt(args)
-        if args.command == "decrypt":
-            return cmd_decrypt(args)
-        if args.command == "kat":
-            return cmd_kat(args)
-        if args.command == "bench":
-            if args.blocks is None:
-                raise CliError("--blocks required")
-            return cmd_bench(args)
-        if args.command == "simulate":
-            if not args.variant and not args.profile_file:
-                raise CliError("simulate needs --variant or --profile-file; valid "
-                               "variants: " + ", ".join(sorted(archsim.PROFILES)))
-            return cmd_simulate(args)
-        raise CliError(f"unknown command {args.command!r}")
+        return args.func(args)
     except (CliError, ConstantsError, ValueError) as exc:
         print(f"hc3cam: error: {exc}", file=sys.stderr)
         return 2

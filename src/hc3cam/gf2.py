@@ -12,7 +12,11 @@ from typing import Sequence
 
 
 def apply_rows(rows: Sequence[int], lanes: Sequence[int]) -> tuple[int, ...]:
-    """XOR-combine input lanes per row mask; returns one lane per row."""
+    """XOR-combine input lanes per row mask; returns one lane per row.
+
+    With the rows of a matrix b as the lanes, this is the product a*b,
+    i.e. the map 'apply b, then a'.
+    """
     out = []
     for mask in rows:
         acc = 0
@@ -28,21 +32,6 @@ def apply_rows(rows: Sequence[int], lanes: Sequence[int]) -> tuple[int, ...]:
 
 def identity(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(n))
-
-
-def mat_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Rows of a*b, i.e. the map 'apply b, then a'."""
-    out = []
-    for row in a:
-        acc = 0
-        j = 0
-        while row:
-            if row & 1:
-                acc ^= b[j]
-            row >>= 1
-            j += 1
-        out.append(acc)
-    return tuple(out)
 
 
 def invert(rows: Sequence[int], n: int | None = None) -> tuple[int, ...]:

@@ -14,12 +14,11 @@ from typing import NamedTuple
 
 from .constants import Hc3Constants, get_constants
 from .keyschedule import Hc3KeySchedule, RoundKey256, T_ROUNDS
-from .linear import mds_h, mds_h_inv
+from .linear import check_block, lanes, mds_h, mds_h_inv
+
 
 def _block_int(block: bytes) -> int:
-    if len(block) != 16:
-        raise ValueError(f"hc3 block must be 16 bytes, got {len(block)}")
-    return int.from_bytes(block, "big")
+    return int.from_bytes(check_block(block), "big")
 
 
 def xs(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
@@ -27,24 +26,15 @@ def xs(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> byt
     consts = consts or get_constants()
     x = _block_int(block) ^ (rk.k1 << 64 | rk.k2)
     b = x.to_bytes(16, "big").translate(consts.sbox)
-    t0, t1, t2, t3 = consts.mdsl_tables
-    acc = 0
-    for w in range(0, 16, 4):
-        acc = (acc << 32) | (t0[b[w]] ^ t1[b[w + 1]] ^ t2[b[w + 2]] ^ t3[b[w + 3]])
-    acc ^= rk.k3 << 64 | rk.k4
-    return acc.to_bytes(16, "big").translate(consts.sbox)
+    y = lanes(consts.mdsl_tables, b) ^ (rk.k3 << 64 | rk.k4)
+    return y.to_bytes(16, "big").translate(consts.sbox)
 
 
 def xs_inv(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
     consts = consts or get_constants()
-    b = block.translate(consts.sbox_inv)
-    acc = int.from_bytes(b, "big") ^ (rk.k3 << 64 | rk.k4)
-    b = acc.to_bytes(16, "big")
-    t0, t1, t2, t3 = consts.mdsl_inv_tables
-    acc = 0
-    for w in range(0, 16, 4):
-        acc = (acc << 32) | (t0[b[w]] ^ t1[b[w + 1]] ^ t2[b[w + 2]] ^ t3[b[w + 3]])
-    b = acc.to_bytes(16, "big").translate(consts.sbox_inv)
+    b = check_block(block).translate(consts.sbox_inv)
+    b = (int.from_bytes(b, "big") ^ (rk.k3 << 64 | rk.k4)).to_bytes(16, "big")
+    b = lanes(consts.mdsl_inv_tables, b).to_bytes(16, "big").translate(consts.sbox_inv)
     return (int.from_bytes(b, "big") ^ (rk.k1 << 64 | rk.k2)).to_bytes(16, "big")
 
 
@@ -106,7 +96,8 @@ class MergedSboxTables(NamedTuple):
 
 def build_merged_sboxes(consts: Hc3Constants | None = None) -> MergedSboxTables:
     consts = consts or get_constants()
-    return MergedSboxTables(consts.merged_tables)
+    # the last word's positions carry the column tables unshifted
+    return MergedSboxTables(consts.merged_tables[12:])
 
 
 def merged_xs(block: bytes, rk: RoundKey256,
@@ -114,9 +105,5 @@ def merged_xs(block: bytes, rk: RoundKey256,
     """XS via the fused tables; same function as xs, different datapath."""
     consts = consts or get_constants()
     b = (_block_int(block) ^ (rk.k1 << 64 | rk.k2)).to_bytes(16, "big")
-    t0, t1, t2, t3 = consts.merged_tables
-    acc = 0
-    for w in range(0, 16, 4):
-        acc = (acc << 32) | (t0[b[w]] ^ t1[b[w + 1]] ^ t2[b[w + 2]] ^ t3[b[w + 3]])
-    acc ^= rk.k3 << 64 | rk.k4
-    return acc.to_bytes(16, "big").translate(consts.sbox)
+    y = lanes(consts.merged_tables, b) ^ (rk.k3 << 64 | rk.k4)
+    return y.to_bytes(16, "big").translate(consts.sbox)

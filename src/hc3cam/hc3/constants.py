@@ -18,6 +18,8 @@ from ..ctab import ConstantsError
 
 ENV_CONSTANTS_DIR = "HC3CAM_CONSTANTS_DIR"
 
+IDENTITY = bytes(range(256))
+
 
 class Hc3Constants:
     """Validated constant set plus lookup tables derived from it."""
@@ -50,51 +52,55 @@ class Hc3Constants:
             self.mds_h_inv_rows = gf2.invert(self.mds_h_rows)
         except ValueError as exc:
             raise ConstantsError(f"singular linear layer: {exc}") from exc
-        if not gf2.is_identity(gf2.mat_mul(self.mb3_rows, self.m5e_rows)):
+        if not gf2.is_identity(gf2.apply_rows(self.mb3_rows, self.m5e_rows)):
             raise ConstantsError("mb3 . m5e is not the identity")
 
         self._build_tables()
 
     def _build_tables(self):
+        built = {}
+
+        def position_tables(layer, src=IDENTITY):
+            # tables[pos][x]: the layer's output for byte src[x] at input
+            # position pos, for the `lanes` kernel.  layer is a GF(2^8)
+            # MdsMatrix4 applied to every 32-bit word, or (rows, width): a
+            # lane-selection row set over width-bit lanes.  Each distinct
+            # set is built once, so an involution's inverse shares them.
+            key = (layer, src)
+            if key not in built:
+                if isinstance(layer, gf256.MdsMatrix4):
+                    # the four 32-bit column tables, shifted into each word
+                    m = layer.entries
+                    products = {c: [gf256.gf_mul(c, x, layer.params) for x in range(256)]
+                                for c in set().union(*m)}
+                    cols = [[sum(products[m[i][j]][x] << 8 * (3 - i) for i in range(4))
+                             for x in range(256)] for j in range(4)]
+                    parts = [(cols[j], 1 << 32 * (3 - w)) for w in range(4) for j in range(4)]
+                else:
+                    # one multiply by a mask of 1-bits puts the byte at every
+                    # output byte it feeds; exact as the bytes never overlap
+                    rows, width = layer
+                    n, per = len(rows), width // 8
+                    parts = [(IDENTITY, sum(1 << width * (n - 1 - i) + 8 * (per - 1 - k)
+                                            for i, row in enumerate(rows) if row >> j & 1))
+                             for j in range(n) for k in range(per)]
+                built[key] = tuple(tuple(base[s] * mult for s in src) for base, mult in parts)
+            return built[key]
+
         mdsl = gf256.MDS_L
-        mdsl_inv = gf256.mds_l_inverse(mdsl)
-
-        def word_tables(matrix):
-            # tables[j][x]: 32-bit contribution of input byte x at column j
-            tables = []
-            for j in range(4):
-                col = [matrix.entries[i][j] for i in range(4)]
-                tables.append(tuple(
-                    sum(gf256.gf_mul(col[i], x) << (8 * (3 - i)) for i in range(4))
-                    for x in range(256)
-                ))
-            return tuple(tables)
-
-        self.mdsl_tables = word_tables(mdsl)
-        self.mdsl_inv_tables = word_tables(mdsl_inv)
+        self.mdsl_tables = position_tables(mdsl)
+        self.mdsl_inv_tables = position_tables(gf256.mds_l_inverse(mdsl))
         # s-box folded into the column products; the "one bijective sbox
         # per constant" datapath.
-        self.merged_tables = tuple(
-            tuple(tab[self.sbox[x]] for x in range(256))
-            for tab in self.mdsl_tables
-        )
-
-        def spread_tables(rows, nbytes):
-            # tables[pos][v]: value with v at every output byte whose
-            # selection row includes input byte pos.
-            tables = []
-            for pos in range(nbytes):
-                shifts = [8 * (nbytes - 1 - p) for p in range(nbytes)
-                          if rows[p] >> pos & 1]
-                tables.append(tuple(
-                    sum(v << s for s in shifts) for v in range(256)
-                ))
-            return tuple(tables)
-
-        self.mds_h_tables = spread_tables(self.mds_h_rows, 16)
-        self.mds_h_inv_tables = spread_tables(self.mds_h_inv_rows, 16)
-        self.m5e_tables = spread_tables(self.m5e_rows, 8)
-        self.mb3_tables = spread_tables(self.mb3_rows, 8)
+        self.merged_tables = position_tables(mdsl, self.sbox)
+        self.mds_h_tables = position_tables((self.mds_h_rows, 8))
+        self.mds_h_inv_tables = position_tables((self.mds_h_inv_rows, 8))
+        self.m5e_tables = position_tables((self.m5e_rows, 8))
+        self.mb3_tables = position_tables((self.mb3_rows, 8))
+        self.p32_tables = position_tables((self.p32_rows, 32))
+        self.p32_inv_tables = position_tables((self.p32_inv_rows, 32))
+        # F-sigma: the s-box fused into P(16)
+        self.f_sigma_tables = position_tables((self.p16_rows, 16), self.sbox)
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,11 @@
 """Keyless building blocks of HIEROCRYPT-3: the word/byte XOR selection
-layers P(n), M_5E, M_B3, MDS higher level, and the F-sigma mixer."""
+layers P(n), M_5E, M_B3, MDS higher level, and the F-sigma mixer.
+
+Every linear layer runs through one kernel, `lanes`, over the
+per-byte-position tables that `Hc3Constants` builds; `p_n` keeps the
+bit-serial row definition as the reference the tables are checked
+against.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,25 @@ from .. import gf2
 from .constants import Hc3Constants, get_constants
 
 MASK64 = (1 << 64) - 1
-MASK32 = (1 << 32) - 1
+
+
+def lanes(tables, data) -> int:
+    """XOR of tables[pos][data[pos]] over the bytes of data.
+
+    data must hold one byte per table.  The length is not checked here
+    (a strict zip costs a sixth of the call); the layers build data at
+    their fixed width, and the block layers check it with check_block.
+    """
+    acc = 0
+    for table, byte in zip(tables, data):
+        acc ^= table[byte]
+    return acc
+
+
+def check_block(block: bytes) -> bytes:
+    if len(block) != 16:
+        raise ValueError(f"hc3 block must be 16 bytes, got {len(block)}")
+    return block
 
 
 def p_n(rows, words):
@@ -16,61 +40,37 @@ def p_n(rows, words):
     return gf2.apply_rows(rows, words)
 
 
-def _bytelane(tables, x: int, nbytes: int) -> int:
-    acc = 0
-    for pos in range(nbytes):
-        acc ^= tables[pos][(x >> (8 * (nbytes - 1 - pos))) & 0xFF]
-    return acc
-
-
 def m5e(x: int, consts: Hc3Constants | None = None) -> int:
     consts = consts or get_constants()
-    return _bytelane(consts.m5e_tables, x, 8)
+    return lanes(consts.m5e_tables, x.to_bytes(8, "big"))
 
 
 def mb3(x: int, consts: Hc3Constants | None = None) -> int:
     consts = consts or get_constants()
-    return _bytelane(consts.mb3_tables, x, 8)
+    return lanes(consts.mb3_tables, x.to_bytes(8, "big"))
 
 
 def f_sigma(x: int, consts: Hc3Constants | None = None) -> int:
     """Eight parallel s-boxes followed by the 16-bit-word P layer."""
     consts = consts or get_constants()
-    b = (x & MASK64).to_bytes(8, "big").translate(consts.sbox)
-    words = (
-        int.from_bytes(b[0:2], "big"),
-        int.from_bytes(b[2:4], "big"),
-        int.from_bytes(b[4:6], "big"),
-        int.from_bytes(b[6:8], "big"),
-    )
-    y = p_n(consts.p16_rows, words)
-    return y[0] << 48 | y[1] << 32 | y[2] << 16 | y[3]
+    return lanes(consts.f_sigma_tables, (x & MASK64).to_bytes(8, "big"))
 
 
 def p32_pair(hi: int, lo: int, consts: Hc3Constants | None = None,
              inverse: bool = False) -> tuple[int, int]:
     """P(32) over a 128-bit value given as two 64-bit halves."""
     consts = consts or get_constants()
-    rows = consts.p32_inv_rows if inverse else consts.p32_rows
-    words = (hi >> 32, hi & MASK32, lo >> 32, lo & MASK32)
-    a, b, c, d = p_n(rows, words)
-    return (a << 32 | b, c << 32 | d)
+    tables = consts.p32_inv_tables if inverse else consts.p32_tables
+    y = lanes(tables, hi.to_bytes(8, "big") + lo.to_bytes(8, "big"))
+    return y >> 64, y & MASK64
 
 
 def mds_h(block: bytes, consts: Hc3Constants | None = None) -> bytes:
     """128-bit byte-XOR diffusion layer."""
     consts = consts or get_constants()
-    t = consts.mds_h_tables
-    acc = 0
-    for pos in range(16):
-        acc ^= t[pos][block[pos]]
-    return acc.to_bytes(16, "big")
+    return lanes(consts.mds_h_tables, check_block(block)).to_bytes(16, "big")
 
 
 def mds_h_inv(block: bytes, consts: Hc3Constants | None = None) -> bytes:
     consts = consts or get_constants()
-    t = consts.mds_h_inv_tables
-    acc = 0
-    for pos in range(16):
-        acc ^= t[pos][block[pos]]
-    return acc.to_bytes(16, "big")
+    return lanes(consts.mds_h_inv_tables, check_block(block)).to_bytes(16, "big")

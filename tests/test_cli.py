@@ -192,6 +192,10 @@ def test_simulate_clock_override(capsys):
     assert code == 0
     assert "clock: 16.00 MHz" in out
     assert "modeled throughput: 256.00 Mb/s" in out
+    for bad in ("0", "-1", "nan", "inf"):
+        code, out, err = run(["simulate", "--variant", "hc3-long",
+                              "--clock-mhz", bad], capsys)
+        assert code == 2 and "--clock-mhz must be finite and positive" in err
 
 
 def test_simulate_profile_file(tmp_path, capsys):
@@ -203,6 +207,13 @@ def test_simulate_profile_file(tmp_path, capsys):
     code, out, _ = run(["simulate", "--profile-file", str(f)], capsys)
     assert code == 0
     assert "variant: custom-board (hc3)" in out
+    # a bad number is a usage error naming its file:line
+    for line in ("critical-path-ns 0", "clock-mhz nan", "clock-mhz inf",
+                 'setup "a" fast', "work-cycles x"):
+        f.write_text(text + line + "\n")
+        code, out, err = run(["simulate", "--profile-file", str(f)], capsys)
+        assert code == 2
+        assert f"{f}:{len(text.splitlines()) + 1}: " in err
 
 
 def test_simulate_requires_variant_or_profile(capsys):

@@ -1,3 +1,4 @@
+import random
 import shutil
 from pathlib import Path
 
@@ -71,3 +72,33 @@ def test_camellia_rejects_wrong_name():
     text = ctab.write("hc3", list(tab.sections.items()))
     with pytest.raises(ConstantsError, match="expected a 'camellia' ctab"):
         cam_constants.CamelliaConstants(ctab.parse(text))
+
+
+def test_non_involution_override_inverts(tmp_path, monkeypatch):
+    # The packaged mds_h and p32 are involutions, so their inverse layers
+    # share tables with the forward ones.  Rotated rows are still valid
+    # but no longer self-inverse: the inverses must get their own tables.
+    tab = ctab.parse((DATA / "hc3.ctab").read_text())
+    rotated = {"mds_h": lambda p: p[2:] + p[:2], "p32": lambda p: p[1:] + p[:1]}
+    sections = [(n, rotated[n](p) if n in rotated else p) for n, p in tab.sections.items()]
+    (tmp_path / "hc3.ctab").write_text(ctab.write("hc3", sections))
+    monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+    consts = hc3_constants.load_constants()
+    assert consts.mds_h_inv_rows != consts.mds_h_rows
+    assert consts.p32_inv_rows != consts.p32_rows
+
+    from hc3cam import gf2, hc3
+    rng = random.Random(41)
+    for _ in range(200):
+        block = rng.randbytes(16)
+        assert hc3.mds_h(block) == bytes(gf2.apply_rows(consts.mds_h_rows, block))
+        assert hc3.mds_h_inv(hc3.mds_h(block)) == block
+        hi, lo = rng.getrandbits(64), rng.getrandbits(64)
+        assert hc3.p32_pair(*hc3.p32_pair(hi, lo), inverse=True) == (hi, lo)
+        z = hc3.IntermediateKey(*(rng.getrandbits(64) for _ in range(4)))
+        g = consts.g0[rng.randrange(6)]
+        # sigma feeds P(32) from z1/z2, so sigma_inv hands those back in
+        # z3/z4 once P(32)^-1 and M_B3 have undone P(32) and M_5E
+        assert hc3.sigma_inv(hc3.sigma(z, g), g) == (z.z1, z.z2, z.z1, z.z2)
+        ks = hc3.key_schedule(rng.randbytes(16))
+        assert hc3.decrypt(hc3.encrypt(block, ks), ks) == block

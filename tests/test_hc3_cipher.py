@@ -12,6 +12,7 @@ from hc3cam.hc3 import (
     get_constants,
     key_schedule,
     mds_h,
+    mds_h_inv,
     merged_xs,
     rho,
     rho_inv,
@@ -66,6 +67,12 @@ def test_block_length_checked():
     ks = key_schedule(bytes(16))
     with pytest.raises(ValueError, match="16 bytes"):
         encrypt(b"short", ks)
+    rk = ks.round_keys[0]
+    for layer in (lambda b: xs_inv(b, rk, C), lambda b: mds_h(b, C),
+                  lambda b: mds_h_inv(b, C)):
+        for bad in (b"short", bytes(17)):
+            with pytest.raises(ValueError, match="16 bytes"):
+                layer(bad)
 
 
 def test_encrypt_decrypt_roundtrip():
