@@ -229,9 +229,10 @@ class BlockTrace(NamedTuple):
     ciphertext: bytes
 
 
-def _run_hc3_short(key: bytes, block: bytes, consts) -> BlockTrace:
+def _run_hc3_short(key: bytes, block: bytes) -> BlockTrace:
     # Subkeys are regenerated alongside the rounds for every block; the
     # last cycle restores the round-1 state for the next one.
+    consts = hc3.get_constants()
     z0 = hc3.pad_and_prewhiten(key, consts)
     steps = hc3.iter_schedule(z0, consts)
     keys = {1: next(steps).round_key}
@@ -258,8 +259,9 @@ def _run_hc3_short(key: bytes, block: bytes, consts) -> BlockTrace:
     return BlockTrace("hc3-short", tuple(cycles), x)
 
 
-def _run_hc3_cached(variant: str, key: bytes, block: bytes, consts,
+def _run_hc3_cached(variant: str, key: bytes, block: bytes,
                     merged: bool, merge_xs_ak: bool) -> BlockTrace:
+    consts = hc3.get_constants()
     ks = hc3.key_schedule(key, "cached_1600", consts)
     keys = ks.round_keys
     via = " via fused tables" if merged else ""
@@ -286,7 +288,20 @@ def _run_hc3_cached(variant: str, key: bytes, block: bytes, consts,
     return BlockTrace(variant, tuple(cycles), x)
 
 
-def _run_camellia_lu3(key: bytes, block: bytes, consts) -> BlockTrace:
+def _run_hc3_long(key: bytes, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-long", key, block, merged=False, merge_xs_ak=False)
+
+
+def _run_hc3_verylong(key: bytes, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-verylong", key, block, merged=False, merge_xs_ak=True)
+
+
+def _run_hc3_extensive(key: bytes, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-extensive", key, block, merged=True, merge_xs_ak=True)
+
+
+def _run_camellia_lu3(key: bytes, block: bytes) -> BlockTrace:
+    consts = cam.get_constants()
     sk = cam.key_schedule(key, consts)
     m = int.from_bytes(block, "big")
     left = (m >> 64) ^ sk.kw[0]
@@ -322,16 +337,12 @@ def _run_camellia_lu3(key: bytes, block: bytes, consts) -> BlockTrace:
     return BlockTrace("camellia-lu3", tuple(cycles), ct)
 
 
-_DATAPATHS: dict[str, Callable] = {
-    "hc3-short": lambda key, block: _run_hc3_short(key, block, hc3.get_constants()),
-    "hc3-long": lambda key, block: _run_hc3_cached(
-        "hc3-long", key, block, hc3.get_constants(), merged=False, merge_xs_ak=False),
-    "hc3-verylong": lambda key, block: _run_hc3_cached(
-        "hc3-verylong", key, block, hc3.get_constants(), merged=False, merge_xs_ak=True),
-    "hc3-extensive": lambda key, block: _run_hc3_cached(
-        "hc3-extensive", key, block, hc3.get_constants(), merged=True, merge_xs_ak=True),
-    "camellia-lu3": lambda key, block: _run_camellia_lu3(
-        key, block, cam.get_constants()),
+_DATAPATHS: dict[str, Callable[[bytes, bytes], BlockTrace]] = {
+    "hc3-short": _run_hc3_short,
+    "hc3-long": _run_hc3_long,
+    "hc3-verylong": _run_hc3_verylong,
+    "hc3-extensive": _run_hc3_extensive,
+    "camellia-lu3": _run_camellia_lu3,
 }
 
 
@@ -477,6 +488,12 @@ def _positive(text: str, what: str, where: str, kind=float):
     return value
 
 
+# keywords of a profile file that take one value; `setup` may repeat
+PROFILE_KEYWORDS = ("variant", "datapath", "cipher", "work-cycles", "clock-mhz",
+                    "paper-throughput-mbps", "resources", "critical-path",
+                    "critical-path-ns")
+
+
 def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
     """Read a profile description (see README for the grammar)."""
     fields: dict[str, str] = {}
@@ -498,6 +515,12 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
             ns = _positive(args[1], "setup latency", where) if len(args) > 1 else None
             setup.append(MicroOp(args[0], ns))
             continue
+        if keyword not in PROFILE_KEYWORDS:
+            raise ValueError(f"{where}: unknown keyword {keyword!r}; known: setup, "
+                             + ", ".join(PROFILE_KEYWORDS))
+        if keyword in fields:
+            raise ValueError(f"{where}: '{keyword}' given twice "
+                             f"(first at {where_is[keyword]})")
         if len(args) != 1:
             raise ValueError(f"{where}: '{keyword}' takes one value")
         fields[keyword] = args[0]

@@ -4,7 +4,9 @@ from .cipher import (
     MergedSboxTables,
     build_merged_sboxes,
     decrypt,
+    decrypt_blocks,
     encrypt,
+    encrypt_blocks,
     key_addition,
     merged_xs,
     rho,
@@ -36,8 +38,9 @@ from .keyschedule import (
 from .linear import f_sigma, m5e, mb3, mds_h, mds_h_inv, p32_pair, p_n
 
 __all__ = [
-    "MergedSboxTables", "build_merged_sboxes", "decrypt", "encrypt",
-    "key_addition", "merged_xs", "rho", "rho_inv", "xs", "xs_inv",
+    "MergedSboxTables", "build_merged_sboxes", "decrypt", "decrypt_blocks",
+    "encrypt", "encrypt_blocks", "key_addition", "merged_xs", "rho", "rho_inv",
+    "xs", "xs_inv",
     "ENV_CONSTANTS_DIR", "Hc3Constants", "get_constants", "load_constants",
     "MODES", "SCHEDULE_ROWS", "T_ROUNDS", "T_TURN", "Cache1600",
     "Hc3KeySchedule", "IntermediateKey", "RoundKey256", "ScheduleRow",

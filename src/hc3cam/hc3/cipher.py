@@ -12,13 +12,23 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constants import Hc3Constants, get_constants
+from .. import gf2
+from .constants import IDENTITY, Hc3Constants, get_constants
 from .keyschedule import Hc3KeySchedule, RoundKey256, T_ROUNDS
 from .linear import check_block, lanes, mds_h, mds_h_inv
+
+BLOCK_BYTES = 16
 
 
 def _block_int(block: bytes) -> int:
     return int.from_bytes(check_block(block), "big")
+
+
+def _bound_consts(ks: Hc3KeySchedule, consts: Hc3Constants | None) -> Hc3Constants:
+    """The constants ks was built with; an explicit other set is an error."""
+    if consts is not None and consts is not ks.consts:
+        raise ValueError("hc3 constants differ from the set the key schedule was built with")
+    return ks.consts
 
 
 def xs(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
@@ -58,7 +68,7 @@ def key_addition(block: bytes, rk: RoundKey256) -> bytes:
 def encrypt(block: bytes, ks: Hc3KeySchedule,
             consts: Hc3Constants | None = None) -> bytes:
     """Five rounds of rho, one XS, final key addition with K(7)."""
-    consts = consts or get_constants()
+    consts = _bound_consts(ks, consts)
     keys = ks.round_keys
     x = block
     for t in range(T_ROUNDS - 1):
@@ -69,7 +79,7 @@ def encrypt(block: bytes, ks: Hc3KeySchedule,
 
 def decrypt(block: bytes, ks: Hc3KeySchedule,
             consts: Hc3Constants | None = None) -> bytes:
-    consts = consts or get_constants()
+    consts = _bound_consts(ks, consts)
     keys = ks.round_keys
     x = key_addition(block, keys[T_ROUNDS])
     x = xs_inv(x, keys[T_ROUNDS - 1], consts)
@@ -90,8 +100,13 @@ class MergedSboxTables(NamedTuple):
 
     def row_table(self, class_index: int, row: int) -> bytes:
         """One fused 8-bit s-box: byte `row` of every packed entry."""
-        shift = 8 * (3 - row)
-        return bytes((v >> shift) & 0xFF for v in self.classes[class_index])
+        return _row_table(self.classes[class_index], row)
+
+
+def _row_table(column, row: int) -> bytes:
+    """Byte `row` (0 = most significant) of every packed 32-bit entry."""
+    shift = 8 * (3 - row)
+    return bytes((v >> shift) & 0xFF for v in column)
 
 
 def build_merged_sboxes(consts: Hc3Constants | None = None) -> MergedSboxTables:
@@ -107,3 +122,103 @@ def merged_xs(block: bytes, rk: RoundKey256,
     b = (_block_int(block) ^ (rk.k1 << 64 | rk.k2)).to_bytes(16, "big")
     y = lanes(consts.merged_tables, b) ^ (rk.k3 << 64 | rk.k4)
     return y.to_bytes(16, "big").translate(consts.sbox)
+
+
+# --- byte-plane batch engine ------------------------------------------------
+#
+# Byte j of every block of a batch forms plane j (data[j::16]).  Every layer
+# of the cipher maps single bytes or XORs whole bytes, so across the batch an
+# s-box with its key addition is one translate per plane, MDS-lower one
+# translate per (input byte, output byte) pair whose results XOR as big
+# ints, and MDS-higher an XOR of whole planes: the byte-level form of
+# bitslicing.
+
+def _sub(planes, tables):
+    return [plane.translate(table) for plane, table in zip(planes, tables)]
+
+
+def _mds_l(planes, columns):
+    """columns[j][i]: the product table of input byte j into output byte i
+    of a 32-bit word."""
+    n = len(planes[0])
+    out = []
+    for w in range(0, 16, 4):
+        acc = [0, 0, 0, 0]
+        for plane, products in zip(planes[w:w + 4], columns):
+            for i, table in enumerate(products):
+                acc[i] ^= int.from_bytes(plane.translate(table), "little")
+        out += [a.to_bytes(n, "little") for a in acc]
+    return out
+
+
+def _mds_h(planes, rows):
+    n = len(planes[0])
+    ints = [int.from_bytes(plane, "little") for plane in planes]
+    return [v.to_bytes(n, "little") for v in gf2.apply_rows(rows, ints)]
+
+
+def _keyed_tables(box: bytes, key: int, inverse: bool) -> tuple[bytes, ...]:
+    """Per-plane tables of an s-box layer with a 128-bit key addition:
+    box[x ^ k] (key added before, encryption) or box[x] ^ k (after,
+    decryption)."""
+    xors = [bytes(x ^ k for x in range(256)) for k in key.to_bytes(16, "big")]
+    if inverse:
+        return tuple(box.translate(xor) for xor in xors)
+    return tuple(xor.translate(box) for xor in xors)
+
+
+def _plane_program(ks: Hc3KeySchedule, inverse: bool):
+    """The layers of one direction as (function, per-key argument) steps."""
+    c = ks.consts
+    if inverse:
+        box, products, rows = c.sbox_inv, c.mdsl_inv_tables, c.mds_h_inv_rows
+    else:
+        box, products, rows = c.sbox, c.mdsl_tables, c.mds_h_rows
+    # the last word's positions carry the four column tables unshifted
+    mdsl = tuple(tuple(_row_table(col, i) for i in range(4)) for col in products[12:])
+    rounds = []
+    for rk in ks.round_keys[:T_ROUNDS]:
+        k12, k34 = rk.k1 << 64 | rk.k2, rk.k3 << 64 | rk.k4
+        # XS; decryption runs it backwards, each key added after its s-box
+        first, second = (k34, k12) if inverse else (k12, k34)
+        rounds.append([(_sub, _keyed_tables(box, first, inverse)), (_mds_l, mdsl),
+                       (_sub, _keyed_tables(box, second, inverse))])
+    if inverse:
+        rounds.reverse()
+    steps = rounds[0]
+    for xs_steps in rounds[1:]:
+        steps += [(_mds_h, rows), *xs_steps]
+    last = ks.round_keys[T_ROUNDS]
+    whiten = (_sub, _keyed_tables(IDENTITY, last.k1 << 64 | last.k2, inverse))
+    return [whiten, *steps] if inverse else [*steps, whiten]
+
+
+def _run_planes(data: bytes, ks: Hc3KeySchedule, consts: Hc3Constants | None,
+                inverse: bool) -> bytes:
+    _bound_consts(ks, consts)
+    if len(data) % BLOCK_BYTES:
+        raise ValueError(f"hc3 data length {len(data)} is not a multiple of {BLOCK_BYTES} bytes")
+    steps = ks.batch_tables.get(inverse)
+    if steps is None:
+        steps = ks.batch_tables[inverse] = _plane_program(ks, inverse)
+    planes = [data[j::BLOCK_BYTES] for j in range(BLOCK_BYTES)]
+    for layer, arg in steps:
+        planes = layer(planes, arg)
+    out = bytearray(len(data))
+    for j, plane in enumerate(planes):
+        out[j::BLOCK_BYTES] = plane
+    return bytes(out)
+
+
+def encrypt_blocks(data: bytes, ks: Hc3KeySchedule,
+                   consts: Hc3Constants | None = None) -> bytes:
+    """ECB-encrypt a multiple of 16 bytes in one batch; equal to encrypt()
+    on every block."""
+    return _run_planes(data, ks, consts, inverse=False)
+
+
+def decrypt_blocks(data: bytes, ks: Hc3KeySchedule,
+                   consts: Hc3Constants | None = None) -> bytes:
+    """ECB-decrypt a multiple of 16 bytes in one batch; equal to decrypt()
+    on every block."""
+    return _run_planes(data, ks, consts, inverse=True)

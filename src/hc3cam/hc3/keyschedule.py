@@ -17,7 +17,7 @@ K(1)..K(6) key the six rounds; K(7) keys the final addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .constants import Hc3Constants, get_constants
@@ -80,8 +80,15 @@ class Cache1600(NamedTuple):
 class Hc3KeySchedule:
     round_keys: tuple[RoundKey256, ...]
     mode: str
+    # the constant set the keys were derived with; the cipher uses it for
+    # every block, so a set loaded later can never be paired with these keys
+    consts: Hc3Constants = field(compare=False, repr=False)
     schedule_table: tuple[ScheduleRow, ...] = SCHEDULE_ROWS
     intermediate_cache: Cache1600 | None = None
+    # per-key tables of the batch engine (cipher.encrypt_blocks), by
+    # direction, built on first use
+    batch_tables: dict = field(default_factory=dict, init=False, compare=False,
+                               repr=False)
 
 
 def _sigma_step(z: IntermediateKey, g: int, consts) -> tuple[IntermediateKey, int]:
@@ -253,5 +260,5 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
         cache = Cache1600(tuple(z_states), tuple(v_words))
         keys = list(_keys_from_cache(cache, consts))
 
-    return Hc3KeySchedule(round_keys=tuple(keys), mode=mode,
+    return Hc3KeySchedule(round_keys=tuple(keys), mode=mode, consts=consts,
                           intermediate_cache=cache)

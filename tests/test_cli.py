@@ -56,6 +56,21 @@ def test_partial_block_is_usage_error(tmp_path, capsys):
                         "--in", str(src), "--out", str(tmp_path / "x")], capsys)
     assert code == 2
     assert "multiple of 16" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+def test_encrypt_decrypt_in_place(cipher, tmp_path, capsys):
+    # more than one chunk, so the input is read past the first write
+    original = random.Random(63).randbytes((cli.CHUNK_BLOCKS + 3) * 16)
+    f, ref = tmp_path / "f.bin", tmp_path / "ref.bin"
+    f.write_bytes(original)
+    common = ["--cipher", cipher, "--key", KEY, "--in", str(f)]
+    assert run(["encrypt", *common, "--out", str(ref)], capsys)[0] == 0
+    assert run(["encrypt", *common, "--out", str(f)], capsys)[0] == 0
+    assert f.read_bytes() == ref.read_bytes() != original
+    assert run(["decrypt", *common, "--out", str(f)], capsys)[0] == 0
+    assert f.read_bytes() == original
 
 
 def test_empty_input_gives_empty_output(tmp_path, capsys):
@@ -208,8 +223,9 @@ def test_simulate_profile_file(tmp_path, capsys):
     assert code == 0
     assert "variant: custom-board (hc3)" in out
     # a bad number is a usage error naming its file:line
+    # so is a misspelt or repeated keyword (the text already sets clock-mhz)
     for line in ("critical-path-ns 0", "clock-mhz nan", "clock-mhz inf",
-                 'setup "a" fast', "work-cycles x"):
+                 'setup "a" fast', "work-cycles x", "clok-mhz 5", "clock-mhz 5"):
         f.write_text(text + line + "\n")
         code, out, err = run(["simulate", "--profile-file", str(f)], capsys)
         assert code == 2

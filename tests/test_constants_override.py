@@ -74,16 +74,23 @@ def test_camellia_rejects_wrong_name():
         cam_constants.CamelliaConstants(ctab.parse(text))
 
 
-def test_non_involution_override_inverts(tmp_path, monkeypatch):
-    # The packaged mds_h and p32 are involutions, so their inverse layers
-    # share tables with the forward ones.  Rotated rows are still valid
-    # but no longer self-inverse: the inverses must get their own tables.
+def use_non_involution_override(tmp_path, monkeypatch):
+    """Load hc3.ctab with the mds_h and p32 rows rotated.
+
+    The packaged mds_h and p32 are involutions, so their inverse layers
+    share tables with the forward ones.  Rotated rows are still valid
+    but no longer self-inverse: the inverses must get their own tables.
+    """
     tab = ctab.parse((DATA / "hc3.ctab").read_text())
     rotated = {"mds_h": lambda p: p[2:] + p[:2], "p32": lambda p: p[1:] + p[:1]}
     sections = [(n, rotated[n](p) if n in rotated else p) for n, p in tab.sections.items()]
     (tmp_path / "hc3.ctab").write_text(ctab.write("hc3", sections))
     monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
-    consts = hc3_constants.load_constants()
+    return hc3_constants.load_constants()
+
+
+def test_non_involution_override_inverts(tmp_path, monkeypatch):
+    consts = use_non_involution_override(tmp_path, monkeypatch)
     assert consts.mds_h_inv_rows != consts.mds_h_rows
     assert consts.p32_inv_rows != consts.p32_rows
 
@@ -102,3 +109,41 @@ def test_non_involution_override_inverts(tmp_path, monkeypatch):
         assert hc3.sigma_inv(hc3.sigma(z, g), g) == (z.z1, z.z2, z.z1, z.z2)
         ks = hc3.key_schedule(rng.randbytes(16))
         assert hc3.decrypt(hc3.encrypt(block, ks), ks) == block
+
+
+def test_batch_matches_per_block_under_non_involution_override(tmp_path, monkeypatch):
+    # checks the batch engine's mds_h_inv plane selection against a set
+    # whose inverse differs from mds_h
+    consts = use_non_involution_override(tmp_path, monkeypatch)
+    assert consts.mds_h_inv_rows != consts.mds_h_rows
+
+    from hc3cam import hc3
+    rng = random.Random(43)
+    for n in (0, 1, 2, 17, 300):
+        ks = hc3.key_schedule(rng.randbytes(16))
+        data = rng.randbytes(16 * n)
+        blocks = [data[off:off + 16] for off in range(0, len(data), 16)]
+        assert hc3.encrypt_blocks(data, ks) == b"".join(hc3.encrypt(b, ks) for b in blocks)
+        assert hc3.decrypt_blocks(data, ks) == b"".join(hc3.decrypt(b, ks) for b in blocks)
+
+
+def test_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
+    # a schedule built under one HC3CAM_CONSTANTS_DIR still enciphers with
+    # that set after the variable changes, and refuses another set
+    override = use_non_involution_override(tmp_path, monkeypatch)
+    from hc3cam import hc3
+    ks = hc3.key_schedule(bytes(range(16)))
+    monkeypatch.delenv(hc3_constants.ENV_CONSTANTS_DIR)
+    packaged = hc3_constants.load_constants()
+    assert ks.consts is override is not packaged
+
+    block = bytes(16)
+    ct = hc3.encrypt(block, ks)
+    assert ct == hc3.encrypt(block, ks, override)
+    assert ct != hc3.encrypt(block, hc3.key_schedule(bytes(range(16))))
+    assert hc3.decrypt(ct, ks) == block
+    assert hc3.encrypt_blocks(block, ks) == ct
+    assert hc3.decrypt_blocks(ct, ks) == block
+    for fn in (hc3.encrypt, hc3.decrypt, hc3.encrypt_blocks, hc3.decrypt_blocks):
+        with pytest.raises(ValueError, match="key schedule was built with"):
+            fn(block, ks, packaged)
