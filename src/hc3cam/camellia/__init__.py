@@ -9,7 +9,9 @@ from .cipher import (
     KeyVars,
     SigmaConstants,
     decrypt,
+    decrypt_blocks,
     encrypt,
+    encrypt_blocks,
     f_function,
     fl,
     fl_inv,
@@ -22,7 +24,8 @@ from .constants import CamelliaConstants, get_constants, load_constants
 
 __all__ = [
     "FL_LAYER_ROUNDS", "N_ROUNDS", "SIGMA", "SUBKEY_ROTATIONS",
-    "CamelliaSubkeys", "KeyVars", "SigmaConstants", "decrypt", "encrypt",
+    "CamelliaSubkeys", "KeyVars", "SigmaConstants", "decrypt", "decrypt_blocks",
+    "encrypt", "encrypt_blocks",
     "f_function", "fl", "fl_inv", "key_schedule", "p_layer",
     "reverse_subkeys", "sbox_layer", "CamelliaConstants", "get_constants",
     "load_constants",

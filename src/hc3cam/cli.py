@@ -9,8 +9,9 @@
 Exit codes: 0 success, 1 known-answer verification mismatch, 2 usage or
 format error.  Files are processed as raw 16-byte ECB blocks; a partial
 final block is an error, never padded.  encrypt/decrypt stream the file in
-chunks of CHUNK_BLOCKS blocks, HC3 chunks through the batch engine
-(hc3.encrypt_blocks/decrypt_blocks); kat and bench stay per block.
+chunks of CHUNK_BLOCKS blocks, each through the cipher's byte-plane batch
+engine (encrypt_blocks/decrypt_blocks of hc3 or camellia); kat, bench and
+simulate stay per block.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from .ctab import ConstantsError
 BLOCK_BYTES = 16
 # encrypt/decrypt read, process and write this many blocks at a time:
 # memory stays bounded whatever the file size, and a chunk is large enough
-# that the HC3 batch engine's per-call cost is spread thin
+# that the batch engine's per-call cost is spread thin
 CHUNK_BLOCKS = 8192
+# --cipher name -> package with key_schedule, encrypt, decrypt,
+# encrypt_blocks and decrypt_blocks
+CIPHERS = {"hc3": hc3, "camellia": cam}
 
 
 class CliError(Exception):
@@ -51,29 +55,20 @@ def _parse_key(hex_key: str) -> bytes:
 
 
 def _block_fns(cipher: str):
-    if cipher == "hc3":
-        def make(key):
-            ks = hc3.key_schedule(key)
-            return (lambda b: hc3.encrypt(b, ks)), (lambda b: hc3.decrypt(b, ks))
-        return make
-    if cipher == "camellia":
-        def make(key):
-            sk = cam.key_schedule(key)
-            return (lambda b: cam.encrypt(b, sk)), (lambda b: cam.decrypt(b, sk))
-        return make
-    raise CliError(f"unknown cipher {cipher!r}; choose hc3 or camellia")
+    mod = CIPHERS[cipher]
+
+    def make(key):
+        ks = mod.key_schedule(key)
+        return (lambda b: mod.encrypt(b, ks)), (lambda b: mod.decrypt(b, ks))
+    return make
 
 
 def _chunk_fn(cipher: str, key: bytes, decrypt: bool):
-    """chunk -> chunk: HC3 through the batch engine, Camellia block by block."""
-    if cipher == "hc3":
-        ks = hc3.key_schedule(key)
-        batch = hc3.decrypt_blocks if decrypt else hc3.encrypt_blocks
-        return lambda chunk: batch(chunk, ks)
-    enc, dec = _block_fns(cipher)(key)
-    fn = dec if decrypt else enc
-    return lambda chunk: b"".join(fn(chunk[off : off + BLOCK_BYTES])
-                                  for off in range(0, len(chunk), BLOCK_BYTES))
+    """chunk -> chunk through the cipher's batch engine."""
+    mod = CIPHERS[cipher]
+    ks = mod.key_schedule(key)
+    batch = mod.decrypt_blocks if decrypt else mod.encrypt_blocks
+    return lambda chunk: batch(chunk, ks)
 
 
 def _check_length(n: int) -> None:
@@ -167,6 +162,8 @@ def cmd_kat(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise CliError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{args.vectors}: {exc}") from exc
     records = parse_kat_file(text, source=args.vectors, cipher=args.cipher)
     make = _block_fns(args.cipher)
     failures = 0
@@ -235,6 +232,8 @@ def cmd_simulate(args) -> int:
                 text = fh.read()
         except OSError as exc:
             raise CliError(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{args.profile_file}: {exc}") from exc
         try:
             profile = archsim.parse_profile(text, source=args.profile_file)
         except ValueError as exc:
@@ -356,7 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConstantsError, ValueError) as exc:
+    except (CliError, ConstantsError) as exc:
         print(f"hc3cam: error: {exc}", file=sys.stderr)
         return 2
 

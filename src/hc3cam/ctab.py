@@ -132,8 +132,14 @@ def parse(text: str, source: str = "<ctab>") -> Ctab:
 
 
 def load(path) -> Ctab:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConstantsError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConstantsError(f"{path}: {exc}") from exc
+    return parse(text, source=str(path))
 
 
 def write(name: str, sections: list[tuple[str, bytes]], comment: str = "") -> str:

@@ -13,11 +13,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .. import gf2
+from ..planes import keyed_tables, run_program, sub
 from .constants import IDENTITY, Hc3Constants, get_constants
 from .keyschedule import Hc3KeySchedule, RoundKey256, T_ROUNDS
 from .linear import check_block, lanes, mds_h, mds_h_inv
-
-BLOCK_BYTES = 16
 
 
 def _block_int(block: bytes) -> int:
@@ -124,18 +123,11 @@ def merged_xs(block: bytes, rk: RoundKey256,
     return y.to_bytes(16, "big").translate(consts.sbox)
 
 
-# --- byte-plane batch engine ------------------------------------------------
+# --- byte-plane batch engine (see hc3cam.planes) ----------------------------
 #
-# Byte j of every block of a batch forms plane j (data[j::16]).  Every layer
-# of the cipher maps single bytes or XORs whole bytes, so across the batch an
-# s-box with its key addition is one translate per plane, MDS-lower one
-# translate per (input byte, output byte) pair whose results XOR as big
-# ints, and MDS-higher an XOR of whole planes: the byte-level form of
-# bitslicing.
-
-def _sub(planes, tables):
-    return [plane.translate(table) for plane, table in zip(planes, tables)]
-
+# An s-box layer with its key addition is one translate per plane,
+# MDS-lower one translate per (input byte, output byte) pair whose results
+# XOR as big ints, and MDS-higher an XOR of whole planes.
 
 def _mds_l(planes, columns):
     """columns[j][i]: the product table of input byte j into output byte i
@@ -158,13 +150,9 @@ def _mds_h(planes, rows):
 
 
 def _keyed_tables(box: bytes, key: int, inverse: bool) -> tuple[bytes, ...]:
-    """Per-plane tables of an s-box layer with a 128-bit key addition:
-    box[x ^ k] (key added before, encryption) or box[x] ^ k (after,
-    decryption)."""
-    xors = [bytes(x ^ k for x in range(256)) for k in key.to_bytes(16, "big")]
-    if inverse:
-        return tuple(box.translate(xor) for xor in xors)
-    return tuple(xor.translate(box) for xor in xors)
+    """box[x ^ k] (key added before, encryption) or box[x] ^ k (after,
+    decryption) for each byte of a 128-bit key."""
+    return keyed_tables((box,) * 16, key.to_bytes(16, "big"), inverse)
 
 
 def _plane_program(ks: Hc3KeySchedule, inverse: bool):
@@ -181,33 +169,23 @@ def _plane_program(ks: Hc3KeySchedule, inverse: bool):
         k12, k34 = rk.k1 << 64 | rk.k2, rk.k3 << 64 | rk.k4
         # XS; decryption runs it backwards, each key added after its s-box
         first, second = (k34, k12) if inverse else (k12, k34)
-        rounds.append([(_sub, _keyed_tables(box, first, inverse)), (_mds_l, mdsl),
-                       (_sub, _keyed_tables(box, second, inverse))])
+        rounds.append([(sub, _keyed_tables(box, first, inverse)), (_mds_l, mdsl),
+                       (sub, _keyed_tables(box, second, inverse))])
     if inverse:
         rounds.reverse()
     steps = rounds[0]
     for xs_steps in rounds[1:]:
         steps += [(_mds_h, rows), *xs_steps]
     last = ks.round_keys[T_ROUNDS]
-    whiten = (_sub, _keyed_tables(IDENTITY, last.k1 << 64 | last.k2, inverse))
+    whiten = (sub, _keyed_tables(IDENTITY, last.k1 << 64 | last.k2, inverse))
     return [whiten, *steps] if inverse else [*steps, whiten]
 
 
 def _run_planes(data: bytes, ks: Hc3KeySchedule, consts: Hc3Constants | None,
                 inverse: bool) -> bytes:
     _bound_consts(ks, consts)
-    if len(data) % BLOCK_BYTES:
-        raise ValueError(f"hc3 data length {len(data)} is not a multiple of {BLOCK_BYTES} bytes")
-    steps = ks.batch_tables.get(inverse)
-    if steps is None:
-        steps = ks.batch_tables[inverse] = _plane_program(ks, inverse)
-    planes = [data[j::BLOCK_BYTES] for j in range(BLOCK_BYTES)]
-    for layer, arg in steps:
-        planes = layer(planes, arg)
-    out = bytearray(len(data))
-    for j, plane in enumerate(planes):
-        out[j::BLOCK_BYTES] = plane
-    return bytes(out)
+    return run_program(data, "hc3", ks.batch_tables, inverse,
+                       lambda: _plane_program(ks, inverse))
 
 
 def encrypt_blocks(data: bytes, ks: Hc3KeySchedule,

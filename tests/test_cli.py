@@ -232,6 +232,34 @@ def test_simulate_profile_file(tmp_path, capsys):
         assert f"{f}:{len(text.splitlines()) + 1}: " in err
 
 
+def test_unreadable_inputs_are_usage_errors(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"KEY=\xff\n")
+    for argv in (["kat", "--cipher", "hc3", "--vectors", str(bad)],
+                 ["simulate", "--profile-file", str(bad)]):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and str(bad) in err
+    monkeypatch.setenv("HC3CAM_CONSTANTS_DIR", str(tmp_path))   # holds no .ctab
+    code, _, err = run(["bench", "--cipher", "camellia", "--blocks", "1"], capsys)
+    assert code == 2 and "camellia.ctab" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only CliError and ConstantsError are usage errors; a ValueError from
+    # inside the program is a fault and must surface as one
+    from hc3cam import hc3
+
+    def broken(data, ks):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(hc3, "encrypt_blocks", broken)
+    src = tmp_path / "p.bin"
+    src.write_bytes(bytes(32))
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["encrypt", "--cipher", "hc3", "--key", KEY,
+                  "--in", str(src), "--out", str(tmp_path / "c.bin")])
+
+
 def test_simulate_requires_variant_or_profile(capsys):
     code, _, err = run(["simulate"], capsys)
     assert code == 2 and "simulate needs" in err

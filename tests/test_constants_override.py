@@ -147,3 +147,56 @@ def test_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
     for fn in (hc3.encrypt, hc3.decrypt, hc3.encrypt_blocks, hc3.decrypt_blocks):
         with pytest.raises(ValueError, match="key schedule was built with"):
             fn(block, ks, packaged)
+
+
+def use_rotated_p_override(tmp_path, monkeypatch):
+    """Load camellia.ctab with its P rows rotated: a valid, invertible P
+    layer, but not the one of RFC 3713."""
+    tab = ctab.parse((DATA / "camellia.ctab").read_text())
+    sections = [(n, p[1:] + p[:1] if n == "p" else p) for n, p in tab.sections.items()]
+    (tmp_path / "camellia.ctab").write_text(ctab.write("camellia", sections))
+    monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+    return cam_constants.load_constants()
+
+
+def test_camellia_batch_follows_p_rows(tmp_path, monkeypatch):
+    # the batch engine's P layer comes from the loaded rows, so it still
+    # matches the per-block path when they change
+    consts = use_rotated_p_override(tmp_path, monkeypatch)
+    packaged = cam_constants._load_packaged()
+    assert consts.p_rows != packaged.p_rows
+
+    from hc3cam import camellia
+    rng = random.Random(47)
+    for n in (1, 2, 17, 300):
+        key, data = rng.randbytes(16), rng.randbytes(16 * n)
+        sk = camellia.key_schedule(key)
+        blocks = [data[off:off + 16] for off in range(0, len(data), 16)]
+        ct = camellia.encrypt_blocks(data, sk)
+        assert ct == b"".join(camellia.encrypt(b, sk) for b in blocks)
+        assert camellia.decrypt_blocks(data, sk) == b"".join(camellia.decrypt(b, sk) for b in blocks)
+        assert ct != camellia.encrypt_blocks(data, camellia.key_schedule(key, packaged))
+
+
+def test_camellia_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
+    # subkeys built under one HC3CAM_CONSTANTS_DIR still encipher with that
+    # set after the variable changes, and refuse another set
+    override = use_rotated_p_override(tmp_path, monkeypatch)
+    from hc3cam import camellia
+    sk = camellia.key_schedule(bytes(range(16)))
+    monkeypatch.delenv(hc3_constants.ENV_CONSTANTS_DIR)
+    packaged = cam_constants.load_constants()
+    assert sk.consts is override is not packaged
+    assert camellia.reverse_subkeys(sk).consts is override
+
+    block = bytes(16)
+    ct = camellia.encrypt(block, sk)
+    assert ct == camellia.encrypt(block, sk, override)
+    assert ct != camellia.encrypt(block, camellia.key_schedule(bytes(range(16))))
+    assert camellia.decrypt(ct, sk) == block
+    assert camellia.encrypt_blocks(block, sk) == ct
+    assert camellia.decrypt_blocks(ct, sk) == block
+    for fn in (camellia.encrypt, camellia.decrypt,
+               camellia.encrypt_blocks, camellia.decrypt_blocks):
+        with pytest.raises(ValueError, match="subkeys were built with"):
+            fn(block, sk, packaged)
