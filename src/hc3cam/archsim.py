@@ -4,9 +4,12 @@ Four HIEROCRYPT-3 projects (short setup, long setup, very long setup,
 extensive) and one loop-unrolled-by-3 Camellia project are modeled as
 two-phase devices: a setup phase that precomputes key material and a
 work phase that processes one 128-bit block in a fixed number of clock
-cycles.  Every work cycle executes the real cipher sub-operations, so a
-trace's ciphertext is checkable against the functional model; latencies
-and resource figures are metadata, not gate-level timing.
+cycles.  Each datapath is a per-key setup function, whose product the
+device holds, and a per-block work function run against it; run_block
+keeps the last setup product in a one-entry key register.  Every work
+cycle executes the real cipher sub-operations, so a trace's ciphertext
+is checkable against the functional model; latencies and resource
+figures are metadata, not gate-level timing.
 
 Published throughput figures that disagree with 128 * f / cycles are
 kept verbatim on the profiles and surfaced as flagged deviations.
@@ -16,8 +19,10 @@ from __future__ import annotations
 
 import math
 import shlex
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from functools import lru_cache
+from types import ModuleType
+from typing import Any, Callable, NamedTuple
 
 from . import camellia as cam
 from . import hc3
@@ -157,7 +162,7 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 SETUP, READY, WORKING, REARM = "setup", "ready", "working", "rearm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceState:
     """One encryption unit stepped a clock tick at a time.
 
@@ -184,35 +189,32 @@ def initial_state(profile: ArchProfile) -> DeviceState:
 def step(state: DeviceState, reset_edge: bool = False,
          start_edge: bool = False) -> DeviceState:
     """Advance one clock tick; inputs are this tick's edges."""
-    s = replace(state, cycle_counter=state.cycle_counter + 1)
+    profile, phase, ready, work = state.profile, state.phase, state.ready, state.work
+    blocks, idx, left = state.blocks_done, state.setup_index, state.work_left
 
-    if s.phase == SETUP:
+    if phase == SETUP:
         # START is ignored while READY is low; RESET restarts the setup.
-        idx = 0 if reset_edge else s.setup_index + 1
-        if idx >= len(s.profile.setup_schedule):
-            return replace(s, phase=READY, ready=True, setup_index=idx)
-        return replace(s, setup_index=idx)
-
-    if reset_edge:
-        s = replace(s, ready=False)
-
-    if s.phase == WORKING:
-        left = s.work_left - 1
-        if left > 0:
-            return replace(s, work_left=left)
-        done = replace(s, work=False, work_left=0, blocks_done=s.blocks_done + 1)
-        return replace(done, phase=REARM if not done.ready else READY)
-
-    if s.phase == REARM or (s.phase == READY and not s.ready):
+        idx = 0 if reset_edge else idx + 1
+        if idx >= len(profile.setup_schedule):
+            phase, ready = READY, True
+    else:
         if reset_edge:
-            return replace(s, phase=REARM)
-        return replace(s, phase=READY, ready=True)
-
-    # phase == READY with READY high
-    if start_edge and not reset_edge:
-        return replace(s, phase=WORKING, work=True,
-                       work_left=s.profile.work_cycles_per_block)
-    return s
+            ready = False
+        if phase == WORKING:
+            left -= 1
+            if left <= 0:
+                phase = READY if ready else REARM
+                work, left, blocks = False, 0, blocks + 1
+        elif phase == REARM or not ready:
+            if reset_edge:
+                phase = REARM
+            else:
+                phase, ready = READY, True
+        elif start_edge and not reset_edge:
+            # phase == READY with READY high
+            phase, work, left = WORKING, True, profile.work_cycles_per_block
+    return DeviceState(profile, phase, ready, work, state.cycle_counter + 1,
+                       blocks, idx, left)
 
 
 # --- per-cycle block execution -------------------------------------------
@@ -229,11 +231,15 @@ class BlockTrace(NamedTuple):
     ciphertext: bytes
 
 
-def _run_hc3_short(key: bytes, block: bytes) -> BlockTrace:
-    # Subkeys are regenerated alongside the rounds for every block; the
-    # last cycle restores the round-1 state for the next one.
-    consts = hc3.get_constants()
-    z0 = hc3.pad_and_prewhiten(key, consts)
+def _hold_z0(key: bytes, consts) -> tuple:
+    return consts, hc3.pad_and_prewhiten(key, consts)
+
+
+def _run_hc3_short(held: tuple, block: bytes) -> BlockTrace:
+    # Only Z(0) is held; subkeys are regenerated alongside the rounds for
+    # every block, and the last cycle restores the round-1 state for the
+    # next one.
+    consts, z0 = held
     steps = hc3.iter_schedule(z0, consts)
     keys = {1: next(steps).round_key}
     cycles = []
@@ -259,10 +265,13 @@ def _run_hc3_short(key: bytes, block: bytes) -> BlockTrace:
     return BlockTrace("hc3-short", tuple(cycles), x)
 
 
-def _run_hc3_cached(variant: str, key: bytes, block: bytes,
+def _hold_cache_1600(key: bytes, consts) -> hc3.Hc3KeySchedule:
+    return hc3.key_schedule(key, "cached_1600", consts)
+
+
+def _run_hc3_cached(variant: str, ks: hc3.Hc3KeySchedule, block: bytes,
                     merged: bool, merge_xs_ak: bool) -> BlockTrace:
-    consts = hc3.get_constants()
-    ks = hc3.key_schedule(key, "cached_1600", consts)
+    consts = ks.consts
     keys = ks.round_keys
     via = " via fused tables" if merged else ""
     from_cache = "subkey from 1600-bit cache"
@@ -288,21 +297,26 @@ def _run_hc3_cached(variant: str, key: bytes, block: bytes,
     return BlockTrace(variant, tuple(cycles), x)
 
 
-def _run_hc3_long(key: bytes, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-long", key, block, merged=False, merge_xs_ak=False)
+def _run_hc3_long(ks: hc3.Hc3KeySchedule, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-long", ks, block, merged=False, merge_xs_ak=False)
 
 
-def _run_hc3_verylong(key: bytes, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-verylong", key, block, merged=False, merge_xs_ak=True)
+def _run_hc3_verylong(ks: hc3.Hc3KeySchedule, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-verylong", ks, block, merged=False, merge_xs_ak=True)
 
 
-def _run_hc3_extensive(key: bytes, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-extensive", key, block, merged=True, merge_xs_ak=True)
+def _run_hc3_extensive(ks: hc3.Hc3KeySchedule, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-extensive", ks, block, merged=True, merge_xs_ak=True)
 
 
-def _run_camellia_lu3(key: bytes, block: bytes) -> BlockTrace:
-    consts = cam.get_constants()
-    sk = cam.key_schedule(key, consts)
+def _hold_subkeys(key: bytes, consts) -> cam.CamelliaSubkeys:
+    # looked up at call time, so a substituted key_schedule (a counter, a
+    # tracer) sees the call
+    return cam.key_schedule(key, consts)
+
+
+def _run_camellia_lu3(sk: cam.CamelliaSubkeys, block: bytes) -> BlockTrace:
+    consts = sk.consts
     m = int.from_bytes(block, "big")
     left = (m >> 64) ^ sk.kw[0]
     right = (m & ((1 << 64) - 1)) ^ sk.kw[1]
@@ -337,12 +351,18 @@ def _run_camellia_lu3(key: bytes, block: bytes) -> BlockTrace:
     return BlockTrace("camellia-lu3", tuple(cycles), ct)
 
 
-_DATAPATHS: dict[str, Callable[[bytes, bytes], BlockTrace]] = {
-    "hc3-short": _run_hc3_short,
-    "hc3-long": _run_hc3_long,
-    "hc3-verylong": _run_hc3_verylong,
-    "hc3-extensive": _run_hc3_extensive,
-    "camellia-lu3": _run_camellia_lu3,
+class Datapath(NamedTuple):
+    cipher: ModuleType                         # hc3 or camellia, for get_constants
+    setup: Callable[[bytes, Any], Any]         # (key, constants) -> material held
+    work: Callable[[Any, bytes], BlockTrace]   # (held material, block) -> trace
+
+
+_DATAPATHS: dict[str, Datapath] = {
+    "hc3-short": Datapath(hc3, _hold_z0, _run_hc3_short),
+    "hc3-long": Datapath(hc3, _hold_cache_1600, _run_hc3_long),
+    "hc3-verylong": Datapath(hc3, _hold_cache_1600, _run_hc3_verylong),
+    "hc3-extensive": Datapath(hc3, _hold_cache_1600, _run_hc3_extensive),
+    "camellia-lu3": Datapath(cam, _hold_subkeys, _run_camellia_lu3),
 }
 
 
@@ -351,15 +371,30 @@ def setup_trace(profile: ArchProfile) -> tuple[MicroOp, ...]:
     return profile.setup_schedule
 
 
+@lru_cache(maxsize=1)
+def _key_register(datapath: str, key: bytes, consts) -> Any:
+    """The device's one-entry key register: the setup product for the last
+    (datapath, key, constant set) seen.  Both constants classes hash by
+    identity, so a set loaded from another .ctab re-runs setup."""
+    return _DATAPATHS[datapath].setup(key, consts)
+
+
 def run_block(profile: ArchProfile, key: bytes, block: bytes) -> BlockTrace:
-    """Execute one block through the variant's per-cycle schedule."""
-    runner = _DATAPATHS.get(profile.datapath)
-    if runner is None:
+    """Execute one block through the variant's per-cycle work schedule.
+
+    Setup runs once per key: its product is held in a one-entry register
+    and rebuilt only when the datapath, the key or the constant set
+    (get_constants()) changes.  Work runs for every block against it.
+    """
+    dp = _DATAPATHS.get(profile.datapath)
+    if dp is None:
         raise ValueError(
             f"profile {profile.variant!r} has no executable datapath "
             f"{profile.datapath!r}; known: {', '.join(sorted(_DATAPATHS))}"
         )
-    trace = runner(key, block)
+    # bytes(key): a bytearray key must hash for the register
+    held = _key_register(profile.datapath, bytes(key), dp.cipher.get_constants())
+    trace = dp.work(held, block)
     want = profile.work_cycles_per_block
     if len(trace.cycles) != want:
         raise AssertionError(

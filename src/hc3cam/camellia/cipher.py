@@ -193,34 +193,37 @@ def _bound_consts(sk: CamelliaSubkeys, consts: CamelliaConstants | None) -> None
         raise ValueError("camellia constants differ from the set the subkeys were built with")
 
 
-def _run(block: bytes, sk: CamelliaSubkeys) -> bytes:
+def _run(block: bytes, consts: CamelliaConstants, kw, k, kl) -> bytes:
+    """The network keyed by whitening words kw (pre left, pre right, post
+    left, post right), round keys k and FL keys kl, in the order used."""
     if len(block) != 16:
         raise ValueError(f"camellia block must be 16 bytes, got {len(block)}")
-    consts = sk.consts
     m = int.from_bytes(block, "big")
-    left = (m >> 64) ^ sk.kw[0]
-    right = (m & MASK64) ^ sk.kw[1]
+    left = (m >> 64) ^ kw[0]
+    right = (m & MASK64) ^ kw[1]
     fl_index = 0
     for r in range(1, N_ROUNDS + 1):
-        left, right = right ^ f_function(left, sk.k[r - 1], consts), left
+        left, right = right ^ f_function(left, k[r - 1], consts), left
         if r in FL_LAYER_ROUNDS:
-            left = fl(left, sk.kl[fl_index])
-            right = fl_inv(right, sk.kl[fl_index + 1])
+            left = fl(left, kl[fl_index])
+            right = fl_inv(right, kl[fl_index + 1])
             fl_index += 2
-    c = ((right ^ sk.kw[2]) << 64) | (left ^ sk.kw[3])
+    c = ((right ^ kw[2]) << 64) | (left ^ kw[3])
     return c.to_bytes(16, "big")
 
 
 def encrypt(block: bytes, sk: CamelliaSubkeys,
             consts: CamelliaConstants | None = None) -> bytes:
     _bound_consts(sk, consts)
-    return _run(block, sk)
+    return _run(block, sk.consts, sk.kw, sk.k, sk.kl)
 
 
 def decrypt(block: bytes, sk: CamelliaSubkeys,
             consts: CamelliaConstants | None = None) -> bytes:
+    # the subkey order of reverse_subkeys(sk), without building the object
     _bound_consts(sk, consts)
-    return _run(block, reverse_subkeys(sk))
+    kw = sk.kw
+    return _run(block, sk.consts, (kw[2], kw[3], kw[0], kw[1]), sk.k[::-1], sk.kl[::-1])
 
 
 # --- byte-plane batch engine (see hc3cam.planes) ----------------------------

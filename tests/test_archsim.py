@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from hc3cam import archsim, camellia, hc3
+from hc3cam.hc3 import constants as hc3_constants
 from hc3cam.archsim import (
     PROFILES,
     initial_state,
@@ -16,6 +18,14 @@ from hc3cam.archsim import (
     step,
     throughput_model,
 )
+from test_constants_override import use_shifted_sbox_override
+
+
+def functional(profile, key, block):
+    """The ciphertext of the functional cipher on its default key schedule."""
+    if profile.cipher == "hc3":
+        return hc3.encrypt(block, hc3.key_schedule(key))
+    return camellia.encrypt(block, camellia.key_schedule(key))
 
 
 def test_builtin_profile_figures():
@@ -49,14 +59,45 @@ def test_simulator_matches_functional_cipher(variant):
     for _ in range(100):
         key, block = rng.randbytes(16), rng.randbytes(16)
         trace = run_block(profile, key, block)
-        if profile.cipher == "hc3":
-            want = hc3.encrypt(block, hc3.key_schedule(key))
-        else:
-            want = camellia.encrypt(block, camellia.key_schedule(key))
-        assert trace.ciphertext == want
+        assert trace.ciphertext == functional(profile, key, block)
         assert len(trace.cycles) == profile.work_cycles_per_block
         assert [c.index for c in trace.cycles] == list(
             range(1, profile.work_cycles_per_block + 1))
+
+
+def test_key_register_alternates_keys_and_variants():
+    # the held setup product follows every change of key and of datapath
+    rng = random.Random(0x4E6)
+    a, b = rng.randbytes(16), rng.randbytes(16)
+    for variant, key in (("hc3-long", a), ("hc3-long", b), ("camellia-lu3", a),
+                         ("hc3-long", a), ("hc3-short", b), ("hc3-extensive", b),
+                         ("hc3-verylong", b), ("hc3-short", a)):
+        profile = PROFILES[variant]
+        for _ in range(2):
+            block = rng.randbytes(16)
+            assert run_block(profile, key, block).ciphertext == \
+                functional(profile, key, block), variant
+
+
+@pytest.mark.parametrize("variant", ["hc3-short", "hc3-long", "hc3-verylong",
+                                     "hc3-extensive"])
+def test_key_register_follows_constants(variant, tmp_path, monkeypatch):
+    # the same key under the packaged set, a changed hc3.ctab and the
+    # packaged set again: setup is re-run whenever the set changes
+    profile = PROFILES[variant]
+    key, block = bytes(range(16)), bytes(range(16, 32))
+
+    def run():
+        got = run_block(profile, key, block).ciphertext
+        assert got == hc3.encrypt(block, hc3.key_schedule(key))
+        return got
+
+    packaged = run()
+    use_shifted_sbox_override(tmp_path, monkeypatch)
+    changed = run()
+    monkeypatch.delenv(hc3_constants.ENV_CONSTANTS_DIR)
+    assert run() == packaged
+    assert changed != packaged
 
 
 def test_verylong_merges_xs_and_ak_in_cycle_7():
@@ -171,6 +212,31 @@ def test_reset_during_work_keeps_pulse_exact():
     assert st.blocks_done == 1
     st = step(st)
     assert st.ready
+
+
+# sha256 over repr((phase, ready, work, cycle_counter, blocks_done,
+# setup_index, work_left)) after each of 5 000 seeded random
+# (reset_edge, start_edge) ticks, recorded from the step() that called
+# dataclasses.replace per field change
+STEP_DIGESTS = {
+    "camellia-lu3": "bdb498fb9b0c45f0dad82008bd36d9ace9e998bf19f36f6b899ed2fc4504ab10",
+    "hc3-extensive": "8330995aa3cd10704abef4ff98541e6db29f10f786cc553ffd6bcbb70406d879",
+    "hc3-long": "127c4ba14d8079cfca7e28a57274c83bdc938a37987c2b7abd1db33cc8d7f095",
+    "hc3-short": "29a744b5ec54ae5714d33a5cfe8b857d65f91e6eb0c21ac4478923503caed554",
+    "hc3-verylong": "89178a4d0da8f51fdc3c6c2e3a01966b22a30120cbdbec6c6f81d769c31f4a63",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PROFILES))
+def test_step_transitions_pinned(variant):
+    rng = random.Random(f"step-pin-{variant}")
+    st = initial_state(PROFILES[variant])
+    h = hashlib.sha256()
+    for _ in range(5000):
+        st = step(st, reset_edge=rng.random() < 0.05, start_edge=rng.random() < 0.3)
+        h.update(repr((st.phase, st.ready, st.work, st.cycle_counter, st.blocks_done,
+                       st.setup_index, st.work_left)).encode())
+    assert h.hexdigest() == STEP_DIGESTS[variant]
 
 
 def test_randomized_edges_never_violate_invariants():

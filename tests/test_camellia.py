@@ -44,6 +44,15 @@ def test_roundtrip_random():
         assert decrypt(encrypt(block, sk), sk) == block
 
 
+def test_decrypt_is_encrypt_under_reversed_subkeys():
+    # decrypt keys the network in reverse_subkeys order without building it
+    rng = random.Random(43)
+    for _ in range(200):
+        sk = key_schedule(rng.randbytes(16))
+        block = rng.randbytes(16)
+        assert decrypt(block, sk) == encrypt(block, camellia.reverse_subkeys(sk))
+
+
 def test_key_length_checked():
     with pytest.raises(ValueError, match="16 bytes"):
         key_schedule(bytes(24))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hc3cam import cli
+from hc3cam import camellia, cli, hc3
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "hc3cam" / "data"
 
@@ -177,6 +177,37 @@ def test_simulate_extensive(capsys):
     assert "modeled throughput: 397.35 Mb/s" in out
     assert "published throughput: 397.00 Mb/s" in out
     assert "ciphertext vs functional model: OK" in out
+
+
+@pytest.mark.parametrize("variant", ["hc3-long", "camellia-lu3"])
+def test_simulate_sets_up_once_per_key(variant, monkeypatch, capsys):
+    # the device holds its setup product and the check builds its
+    # reference schedule once, instead of two schedules per block
+    built = []
+    for mod in (hc3, camellia):
+        def counted(*args, _real=mod.key_schedule, **kwargs):
+            built.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, "key_schedule", counted)
+    code, out, _ = run(["simulate", "--variant", variant, "--blocks", "0"], capsys)
+    assert code == 0 and built == []
+    code, out, _ = run(["simulate", "--variant", variant, "--blocks", "40"], capsys)
+    assert code == 0 and "blocks simulated: 40 (ciphertext vs functional model: OK)" in out
+    assert len(built) <= 2
+
+
+def test_simulate_checks_every_block(monkeypatch, capsys):
+    # a wrong reference for block 23 alone must fail the run
+    real = hc3.encrypt
+    bad_block = (23).to_bytes(16, "big")
+
+    def wrong_on_23(block, ks, *args):
+        out = real(block, ks, *args)
+        return bytes([out[0] ^ 1]) + out[1:] if block == bad_block else out
+    monkeypatch.setattr(hc3, "encrypt", wrong_on_23)
+    code, out, _ = run(["simulate", "--variant", "hc3-long", "--blocks", "40"], capsys)
+    assert code == 1
+    assert "blocks simulated: 40 (ciphertext vs functional model: MISMATCH)" in out
 
 
 def test_simulate_camellia_setup_and_work(capsys):

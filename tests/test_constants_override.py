@@ -35,15 +35,22 @@ def test_corrupt_override_refused(tmp_path, monkeypatch):
         hc3_constants.load_constants()
 
 
-def test_alternative_valid_table_loads(tmp_path, monkeypatch):
-    # a structurally valid replacement (sbox composed with a fixed
-    # permutation, checksum rebuilt) must load and work end to end
+def use_shifted_sbox_override(tmp_path, monkeypatch):
+    """Load hc3.ctab with its sbox composed with x -> x + 1, checksum rebuilt;
+    return the new sbox."""
     tab = ctab.parse((DATA / "hc3.ctab").read_text())
     sbox = tab.sections["sbox"]
     new_sbox = bytes(sbox[(x + 1) & 0xFF] for x in range(256))
     sections = [(n, new_sbox if n == "sbox" else p) for n, p in tab.sections.items()]
     (tmp_path / "hc3.ctab").write_text(ctab.write("hc3", sections))
     monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+    return new_sbox
+
+
+def test_alternative_valid_table_loads(tmp_path, monkeypatch):
+    # a structurally valid replacement (sbox composed with a fixed
+    # permutation, checksum rebuilt) must load and work end to end
+    new_sbox = use_shifted_sbox_override(tmp_path, monkeypatch)
     consts = hc3_constants.load_constants()
     assert consts.sbox == new_sbox
 
