@@ -366,11 +366,6 @@ _DATAPATHS: dict[str, Datapath] = {
 }
 
 
-def setup_trace(profile: ArchProfile) -> tuple[MicroOp, ...]:
-    """The ordered setup-phase micro-ops of a variant."""
-    return profile.setup_schedule
-
-
 @lru_cache(maxsize=1)
 def _key_register(datapath: str, key: bytes, consts) -> Any:
     """The device's one-entry key register: the setup product for the last
@@ -392,6 +387,8 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes) -> BlockTrace:
             f"profile {profile.variant!r} has no executable datapath "
             f"{profile.datapath!r}; known: {', '.join(sorted(_DATAPATHS))}"
         )
+    if len(block) != 16:
+        raise ValueError(f"{profile.variant}: block must be 16 bytes, got {len(block)}")
     # bytes(key): a bytearray key must hash for the register
     held = _key_register(profile.datapath, bytes(key), dp.cipher.get_constants())
     trace = dp.work(held, block)
@@ -545,8 +542,8 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
             raise ValueError(f"{where}: {exc}") from exc
         keyword, args = parts[0], parts[1:]
         if keyword == "setup":
-            if not args:
-                raise ValueError(f"{where}: setup needs a label")
+            if not 1 <= len(args) <= 2:
+                raise ValueError(f"{where}: setup takes a label and an optional latency")
             ns = _positive(args[1], "setup latency", where) if len(args) > 1 else None
             setup.append(MicroOp(args[0], ns))
             continue

@@ -70,9 +70,8 @@ class CamelliaSubkeys:
                                repr=False)
 
 
-def p_layer(x: int, consts: CamelliaConstants | None = None) -> int:
+def p_layer(x: int, consts: CamelliaConstants) -> int:
     """Byte-XOR diffusion of the F-function."""
-    consts = consts or get_constants()
     out = 0
     for i, mask in enumerate(consts.p_rows):
         acc = 0
@@ -83,9 +82,8 @@ def p_layer(x: int, consts: CamelliaConstants | None = None) -> int:
     return out
 
 
-def sbox_layer(x: int, consts: CamelliaConstants | None = None) -> int:
+def sbox_layer(x: int, consts: CamelliaConstants) -> int:
     """The eight per-position s-box lookups of the F-function."""
-    consts = consts or get_constants()
     out = 0
     for pos, box in enumerate(consts.sbox_order):
         out |= box[(x >> (8 * (7 - pos))) & MASK8] << (8 * (7 - pos))
@@ -187,12 +185,6 @@ def reverse_subkeys(sk: CamelliaSubkeys) -> CamelliaSubkeys:
     )
 
 
-def _bound_consts(sk: CamelliaSubkeys, consts: CamelliaConstants | None) -> None:
-    """An explicit constant set other than the one sk was built with is an error."""
-    if consts is not None and consts is not sk.consts:
-        raise ValueError("camellia constants differ from the set the subkeys were built with")
-
-
 def _run(block: bytes, consts: CamelliaConstants, kw, k, kl) -> bytes:
     """The network keyed by whitening words kw (pre left, pre right, post
     left, post right), round keys k and FL keys kl, in the order used."""
@@ -212,16 +204,12 @@ def _run(block: bytes, consts: CamelliaConstants, kw, k, kl) -> bytes:
     return c.to_bytes(16, "big")
 
 
-def encrypt(block: bytes, sk: CamelliaSubkeys,
-            consts: CamelliaConstants | None = None) -> bytes:
-    _bound_consts(sk, consts)
+def encrypt(block: bytes, sk: CamelliaSubkeys) -> bytes:
     return _run(block, sk.consts, sk.kw, sk.k, sk.kl)
 
 
-def decrypt(block: bytes, sk: CamelliaSubkeys,
-            consts: CamelliaConstants | None = None) -> bytes:
+def decrypt(block: bytes, sk: CamelliaSubkeys) -> bytes:
     # the subkey order of reverse_subkeys(sk), without building the object
-    _bound_consts(sk, consts)
     kw = sk.kw
     return _run(block, sk.consts, (kw[2], kw[3], kw[0], kw[1]), sk.k[::-1], sk.kl[::-1])
 
@@ -297,22 +285,15 @@ def _plane_program(sk: CamelliaSubkeys):
     return [whiten(sk.kw[0], sk.kw[1]), (_network, rounds), whiten(sk.kw[2], sk.kw[3])]
 
 
-def _run_planes(data: bytes, sk: CamelliaSubkeys, consts: CamelliaConstants | None,
-                inverse: bool) -> bytes:
-    _bound_consts(sk, consts)
-    return run_program(data, "camellia", sk.batch_tables, inverse,
-                       lambda: _plane_program(reverse_subkeys(sk) if inverse else sk))
-
-
-def encrypt_blocks(data: bytes, sk: CamelliaSubkeys,
-                   consts: CamelliaConstants | None = None) -> bytes:
+def encrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
     """ECB-encrypt a multiple of 16 bytes in one batch; equal to encrypt()
     on every block."""
-    return _run_planes(data, sk, consts, inverse=False)
+    return run_program(data, "camellia", sk.batch_tables, False,
+                       lambda: _plane_program(sk))
 
 
-def decrypt_blocks(data: bytes, sk: CamelliaSubkeys,
-                   consts: CamelliaConstants | None = None) -> bytes:
+def decrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
     """ECB-decrypt a multiple of 16 bytes in one batch; equal to decrypt()
     on every block."""
-    return _run_planes(data, sk, consts, inverse=True)
+    return run_program(data, "camellia", sk.batch_tables, True,
+                       lambda: _plane_program(reverse_subkeys(sk)))

@@ -1,8 +1,6 @@
 """HIEROCRYPT-3 (128-bit key, 6 rounds)."""
 
 from .cipher import (
-    MergedSboxTables,
-    build_merged_sboxes,
     decrypt,
     decrypt_blocks,
     encrypt,
@@ -38,7 +36,7 @@ from .keyschedule import (
 from .linear import f_sigma, m5e, mb3, mds_h, mds_h_inv, p32_pair, p_n
 
 __all__ = [
-    "MergedSboxTables", "build_merged_sboxes", "decrypt", "decrypt_blocks",
+    "decrypt", "decrypt_blocks",
     "encrypt", "encrypt_blocks", "key_addition", "merged_xs", "rho", "rho_inv",
     "xs", "xs_inv",
     "ENV_CONSTANTS_DIR", "Hc3Constants", "get_constants", "load_constants",

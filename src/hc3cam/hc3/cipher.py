@@ -10,8 +10,6 @@ match ``xs`` bit for bit.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .. import gf2
 from ..planes import keyed_tables, run_program, sub
 from .constants import IDENTITY, Hc3Constants, get_constants
@@ -21,13 +19,6 @@ from .linear import check_block, lanes, mds_h, mds_h_inv
 
 def _block_int(block: bytes) -> int:
     return int.from_bytes(check_block(block), "big")
-
-
-def _bound_consts(ks: Hc3KeySchedule, consts: Hc3Constants | None) -> Hc3Constants:
-    """The constants ks was built with; an explicit other set is an error."""
-    if consts is not None and consts is not ks.consts:
-        raise ValueError("hc3 constants differ from the set the key schedule was built with")
-    return ks.consts
 
 
 def xs(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
@@ -53,8 +44,7 @@ def rho(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> by
     return mds_h(xs(block, rk, consts), consts)
 
 
-def rho_inv(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
-    consts = consts or get_constants()
+def rho_inv(block: bytes, rk: RoundKey256, consts: Hc3Constants) -> bytes:
     return xs_inv(mds_h_inv(block, consts), rk, consts)
 
 
@@ -64,10 +54,9 @@ def key_addition(block: bytes, rk: RoundKey256) -> bytes:
     return x.to_bytes(16, "big")
 
 
-def encrypt(block: bytes, ks: Hc3KeySchedule,
-            consts: Hc3Constants | None = None) -> bytes:
+def encrypt(block: bytes, ks: Hc3KeySchedule) -> bytes:
     """Five rounds of rho, one XS, final key addition with K(7)."""
-    consts = _bound_consts(ks, consts)
+    consts = ks.consts
     keys = ks.round_keys
     x = block
     for t in range(T_ROUNDS - 1):
@@ -76,9 +65,8 @@ def encrypt(block: bytes, ks: Hc3KeySchedule,
     return key_addition(x, keys[T_ROUNDS])
 
 
-def decrypt(block: bytes, ks: Hc3KeySchedule,
-            consts: Hc3Constants | None = None) -> bytes:
-    consts = _bound_consts(ks, consts)
+def decrypt(block: bytes, ks: Hc3KeySchedule) -> bytes:
+    consts = ks.consts
     keys = ks.round_keys
     x = key_addition(block, keys[T_ROUNDS])
     x = xs_inv(x, keys[T_ROUNDS - 1], consts)
@@ -87,31 +75,10 @@ def decrypt(block: bytes, ks: Hc3KeySchedule,
     return x
 
 
-class MergedSboxTables(NamedTuple):
-    """Four classes of fused s-boxes, one per MDS-lower matrix column.
-
-    classes[j][x] packs the four per-row products constant * sbox[x] of
-    column j into one 32-bit word; each class serves its byte position
-    in all four words, so it stands for sixteen fused s-boxes.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-
-    def row_table(self, class_index: int, row: int) -> bytes:
-        """One fused 8-bit s-box: byte `row` of every packed entry."""
-        return _row_table(self.classes[class_index], row)
-
-
 def _row_table(column, row: int) -> bytes:
     """Byte `row` (0 = most significant) of every packed 32-bit entry."""
     shift = 8 * (3 - row)
     return bytes((v >> shift) & 0xFF for v in column)
-
-
-def build_merged_sboxes(consts: Hc3Constants | None = None) -> MergedSboxTables:
-    consts = consts or get_constants()
-    # the last word's positions carry the column tables unshifted
-    return MergedSboxTables(consts.merged_tables[12:])
 
 
 def merged_xs(block: bytes, rk: RoundKey256,
@@ -181,22 +148,15 @@ def _plane_program(ks: Hc3KeySchedule, inverse: bool):
     return [whiten, *steps] if inverse else [*steps, whiten]
 
 
-def _run_planes(data: bytes, ks: Hc3KeySchedule, consts: Hc3Constants | None,
-                inverse: bool) -> bytes:
-    _bound_consts(ks, consts)
-    return run_program(data, "hc3", ks.batch_tables, inverse,
-                       lambda: _plane_program(ks, inverse))
-
-
-def encrypt_blocks(data: bytes, ks: Hc3KeySchedule,
-                   consts: Hc3Constants | None = None) -> bytes:
+def encrypt_blocks(data: bytes, ks: Hc3KeySchedule) -> bytes:
     """ECB-encrypt a multiple of 16 bytes in one batch; equal to encrypt()
     on every block."""
-    return _run_planes(data, ks, consts, inverse=False)
+    return run_program(data, "hc3", ks.batch_tables, False,
+                       lambda: _plane_program(ks, inverse=False))
 
 
-def decrypt_blocks(data: bytes, ks: Hc3KeySchedule,
-                   consts: Hc3Constants | None = None) -> bytes:
+def decrypt_blocks(data: bytes, ks: Hc3KeySchedule) -> bytes:
     """ECB-decrypt a multiple of 16 bytes in one batch; equal to decrypt()
     on every block."""
-    return _run_planes(data, ks, consts, inverse=True)
+    return run_program(data, "hc3", ks.batch_tables, True,
+                       lambda: _plane_program(ks, inverse=True))

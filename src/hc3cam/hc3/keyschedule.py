@@ -83,7 +83,6 @@ class Hc3KeySchedule:
     # the constant set the keys were derived with; the cipher uses it for
     # every block, so a set loaded later can never be paired with these keys
     consts: Hc3Constants = field(compare=False, repr=False)
-    schedule_table: tuple[ScheduleRow, ...] = SCHEDULE_ROWS
     intermediate_cache: Cache1600 | None = None
     # per-key tables of the batch engine (cipher.encrypt_blocks), by
     # direction, built on first use
@@ -120,9 +119,8 @@ def sigma_inv(z: IntermediateKey, g: int, consts: Hc3Constants | None = None) ->
 
 
 def round_keys_fwd(z_prev: IntermediateKey, z_next: IntermediateKey,
-                   consts: Hc3Constants | None = None) -> tuple[RoundKey256, int]:
+                   consts: Hc3Constants) -> tuple[RoundKey256, int]:
     """Round key of a forward (sigma) step, plus the F-sigma word V."""
-    consts = consts or get_constants()
     v = f_sigma(z_prev.z2 ^ z_prev.z3, consts)
     key = RoundKey256(
         z_prev.z1 ^ v,
@@ -135,9 +133,8 @@ def round_keys_fwd(z_prev: IntermediateKey, z_next: IntermediateKey,
 
 def round_keys_bwd(z_prev: IntermediateKey, z_next: IntermediateKey,
                    w1: int, w2: int,
-                   consts: Hc3Constants | None = None) -> tuple[RoundKey256, int]:
+                   consts: Hc3Constants) -> tuple[RoundKey256, int]:
     """Round key of a backward (sigma-inverse) step."""
-    consts = consts or get_constants()
     v = f_sigma(z_prev.z1 ^ z_next.z3, consts)
     key = RoundKey256(
         z_next.z1 ^ z_prev.z3,
@@ -148,9 +145,8 @@ def round_keys_bwd(z_prev: IntermediateKey, z_next: IntermediateKey,
     return key, v
 
 
-def pad_key(key: bytes, consts: Hc3Constants | None = None) -> IntermediateKey:
+def pad_key(key: bytes, consts: Hc3Constants) -> IntermediateKey:
     """Extend the 128-bit main key to 256 bits with the H3/H2 words."""
-    consts = consts or get_constants()
     if len(key) != 16:
         raise ValueError(f"hc3 key must be 16 bytes, got {len(key)}")
     return IntermediateKey(
@@ -175,14 +171,12 @@ class ScheduleStep(NamedTuple):
     z_next: IntermediateKey
 
 
-def iter_schedule(z0: IntermediateKey,
-                  consts: Hc3Constants | None = None) -> Iterator[ScheduleStep]:
+def iter_schedule(z0: IntermediateKey, consts: Hc3Constants) -> Iterator[ScheduleStep]:
     """Walk steps 1..7 from Z(0), yielding each round key as it forms.
 
     This is the on-the-fly order the short-setup datapath executes in
     parallel with the rounds.
     """
-    consts = consts or get_constants()
     z = z0
     for row in SCHEDULE_ROWS[1:]:
         g = consts.g0[row.g_index]

@@ -40,13 +40,11 @@ def p_n(rows, words):
     return gf2.apply_rows(rows, words)
 
 
-def m5e(x: int, consts: Hc3Constants | None = None) -> int:
-    consts = consts or get_constants()
+def m5e(x: int, consts: Hc3Constants) -> int:
     return lanes(consts.m5e_tables, x.to_bytes(8, "big"))
 
 
-def mb3(x: int, consts: Hc3Constants | None = None) -> int:
-    consts = consts or get_constants()
+def mb3(x: int, consts: Hc3Constants) -> int:
     return lanes(consts.mb3_tables, x.to_bytes(8, "big"))
 
 
@@ -56,10 +54,9 @@ def f_sigma(x: int, consts: Hc3Constants | None = None) -> int:
     return lanes(consts.f_sigma_tables, (x & MASK64).to_bytes(8, "big"))
 
 
-def p32_pair(hi: int, lo: int, consts: Hc3Constants | None = None,
+def p32_pair(hi: int, lo: int, consts: Hc3Constants,
              inverse: bool = False) -> tuple[int, int]:
     """P(32) over a 128-bit value given as two 64-bit halves."""
-    consts = consts or get_constants()
     tables = consts.p32_inv_tables if inverse else consts.p32_tables
     y = lanes(tables, hi.to_bytes(8, "big") + lo.to_bytes(8, "big"))
     return y >> 64, y & MASK64

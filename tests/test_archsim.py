@@ -14,7 +14,6 @@ from hc3cam.archsim import (
     render_csv,
     render_report,
     run_block,
-    setup_trace,
     step,
     throughput_model,
 )
@@ -125,16 +124,16 @@ def test_camellia_cycle_2_and_4_include_fl():
 def test_setup_traces():
     # each sigma update of the very-long setup spans three ~28 ns cycles
     for variant in ("hc3-verylong", "hc3-extensive"):
-        ops = setup_trace(PROFILES[variant])
+        ops = PROFILES[variant].setup_schedule
         for t in range(5):
             per_sigma = [op for op in ops
                          if f"step {t} (" in op.label and " cycle " in op.label]
             assert len(per_sigma) == 3
             assert all(op.ns == 28.0 for op in per_sigma)
-    cam_setup = setup_trace(PROFILES["camellia-lu3"])
+    cam_setup = PROFILES["camellia-lu3"].setup_schedule
     assert len(cam_setup) == 2
     assert "2 next rounds" in cam_setup[1].label
-    short = setup_trace(PROFILES["hc3-short"])
+    short = PROFILES["hc3-short"].setup_schedule
     assert "K(1)" in short[-1].label and "subkey buffer" in short[-1].label
 
 
@@ -149,6 +148,13 @@ def test_run_block_rejects_unknown_datapath():
     broken = replace(PROFILES["hc3-long"], datapath="hc3-nonesuch")
     with pytest.raises(ValueError, match="no executable datapath"):
         run_block(broken, bytes(16), bytes(16))
+
+
+@pytest.mark.parametrize("length", (15, 17))
+@pytest.mark.parametrize("variant", sorted(PROFILES))
+def test_run_block_rejects_wrong_block_length(variant, length):
+    with pytest.raises(ValueError, match=f"{variant}: block must be 16 bytes, got {length}"):
+        run_block(PROFILES[variant], bytes(16), bytes(length))
 
 
 # --- handshake -------------------------------------------------------------

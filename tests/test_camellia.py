@@ -180,7 +180,7 @@ def test_fl_layers_fire_after_rounds_6_and_12(monkeypatch):
                         lambda *a, **k: (events.append("FL"), orig_fl(*a, **k))[1])
     monkeypatch.setattr(cam_cipher, "fl_inv",
                         lambda *a, **k: (events.append("FLINV"), orig_fli(*a, **k))[1])
-    cam_cipher.encrypt(bytes(16), sk, C)
+    cam_cipher.encrypt(bytes(16), sk)
     assert events == (["F"] * 6 + ["FL", "FLINV"]) * 2 + ["F"] * 6
 
 

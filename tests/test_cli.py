@@ -256,7 +256,8 @@ def test_simulate_profile_file(tmp_path, capsys):
     # a bad number is a usage error naming its file:line
     # so is a misspelt or repeated keyword (the text already sets clock-mhz)
     for line in ("critical-path-ns 0", "clock-mhz nan", "clock-mhz inf",
-                 'setup "a" fast', "work-cycles x", "clok-mhz 5", "clock-mhz 5"):
+                 'setup "a" fast', "work-cycles x", "clok-mhz 5", "clock-mhz 5",
+                 'setup "load key" 5 junk extra'):
         f.write_text(text + line + "\n")
         code, out, err = run(["simulate", "--profile-file", str(f)], capsys)
         assert code == 2

@@ -57,11 +57,11 @@ def test_alternative_valid_table_loads(tmp_path, monkeypatch):
     from hc3cam import hc3
     ks = hc3.key_schedule(bytes(16), consts=consts)
     block = bytes(range(16))
-    assert hc3.decrypt(hc3.encrypt(block, ks, consts), ks, consts) == block
+    assert hc3.decrypt(hc3.encrypt(block, ks), ks) == block
     # and it is a genuinely different cipher than the packaged table
     packaged = hc3_constants._load_packaged()
     ks2 = hc3.key_schedule(bytes(16), consts=packaged)
-    assert hc3.encrypt(block, ks2, packaged) != hc3.encrypt(block, ks, consts)
+    assert hc3.encrypt(block, ks2) != hc3.encrypt(block, ks)
 
 
 def test_camellia_rejects_broken_s2_rule(tmp_path):
@@ -108,7 +108,7 @@ def test_non_involution_override_inverts(tmp_path, monkeypatch):
         assert hc3.mds_h(block) == bytes(gf2.apply_rows(consts.mds_h_rows, block))
         assert hc3.mds_h_inv(hc3.mds_h(block)) == block
         hi, lo = rng.getrandbits(64), rng.getrandbits(64)
-        assert hc3.p32_pair(*hc3.p32_pair(hi, lo), inverse=True) == (hi, lo)
+        assert hc3.p32_pair(*hc3.p32_pair(hi, lo, consts), consts, inverse=True) == (hi, lo)
         z = hc3.IntermediateKey(*(rng.getrandbits(64) for _ in range(4)))
         g = consts.g0[rng.randrange(6)]
         # sigma feeds P(32) from z1/z2, so sigma_inv hands those back in
@@ -136,7 +136,7 @@ def test_batch_matches_per_block_under_non_involution_override(tmp_path, monkeyp
 
 def test_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
     # a schedule built under one HC3CAM_CONSTANTS_DIR still enciphers with
-    # that set after the variable changes, and refuses another set
+    # that set after the variable changes, and takes no other set
     override = use_non_involution_override(tmp_path, monkeypatch)
     from hc3cam import hc3
     ks = hc3.key_schedule(bytes(range(16)))
@@ -146,13 +146,13 @@ def test_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
 
     block = bytes(16)
     ct = hc3.encrypt(block, ks)
-    assert ct == hc3.encrypt(block, ks, override)
+    assert ct == hc3.encrypt(block, hc3.key_schedule(bytes(range(16)), consts=override))
     assert ct != hc3.encrypt(block, hc3.key_schedule(bytes(range(16))))
     assert hc3.decrypt(ct, ks) == block
     assert hc3.encrypt_blocks(block, ks) == ct
     assert hc3.decrypt_blocks(ct, ks) == block
     for fn in (hc3.encrypt, hc3.decrypt, hc3.encrypt_blocks, hc3.decrypt_blocks):
-        with pytest.raises(ValueError, match="key schedule was built with"):
+        with pytest.raises(TypeError):
             fn(block, ks, packaged)
 
 
@@ -187,7 +187,7 @@ def test_camellia_batch_follows_p_rows(tmp_path, monkeypatch):
 
 def test_camellia_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
     # subkeys built under one HC3CAM_CONSTANTS_DIR still encipher with that
-    # set after the variable changes, and refuse another set
+    # set after the variable changes, and take no other set
     override = use_rotated_p_override(tmp_path, monkeypatch)
     from hc3cam import camellia
     sk = camellia.key_schedule(bytes(range(16)))
@@ -198,12 +198,12 @@ def test_camellia_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
 
     block = bytes(16)
     ct = camellia.encrypt(block, sk)
-    assert ct == camellia.encrypt(block, sk, override)
+    assert ct == camellia.encrypt(block, camellia.key_schedule(bytes(range(16)), override))
     assert ct != camellia.encrypt(block, camellia.key_schedule(bytes(range(16))))
     assert camellia.decrypt(ct, sk) == block
     assert camellia.encrypt_blocks(block, sk) == ct
     assert camellia.decrypt_blocks(ct, sk) == block
     for fn in (camellia.encrypt, camellia.decrypt,
                camellia.encrypt_blocks, camellia.decrypt_blocks):
-        with pytest.raises(ValueError, match="subkeys were built with"):
+        with pytest.raises(TypeError):
             fn(block, sk, packaged)

@@ -6,7 +6,6 @@ import pytest
 from hc3cam import gf256
 from hc3cam.hc3 import (
     RoundKey256,
-    build_merged_sboxes,
     decrypt,
     encrypt,
     get_constants,
@@ -80,7 +79,7 @@ def test_encrypt_decrypt_roundtrip():
     for _ in range(1000):
         key, block = rng.randbytes(16), rng.randbytes(16)
         ks = key_schedule(key)
-        assert decrypt(encrypt(block, ks, C), ks, C) == block
+        assert decrypt(encrypt(block, ks), ks) == block
 
 
 def test_encrypt_call_structure(monkeypatch):
@@ -95,29 +94,30 @@ def test_encrypt_call_structure(monkeypatch):
                         lambda *a, **k: (events.append("ak"), orig_ak(*a, **k))[1])
 
     ks = key_schedule(bytes(range(16)))
-    ct = hc3_cipher.encrypt(bytes(16), ks, C)
+    ct = hc3_cipher.encrypt(bytes(16), ks)
     # five rounds (each rho runs its inner xs), one bare XS, one key addition
     assert events == ["rho", "xs"] * 5 + ["xs", "ak"]
-    assert ct == encrypt(bytes(16), ks, C)
+    assert ct == encrypt(bytes(16), ks)
 
 
 def test_merged_tables_shape_and_permutations():
-    tables = build_merged_sboxes(C)
-    assert len(tables.classes) == 4
+    # the last word's positions carry the four column tables unshifted
+    classes = C.merged_tables[12:]
+    assert len(classes) == 4
     for j in range(4):
-        assert len(tables.classes[j]) == 256
+        assert len(classes[j]) == 256
         for row in range(4):
-            fused = tables.row_table(j, row)
+            fused = bytes((v >> (8 * (3 - row))) & 0xFF for v in classes[j])
             assert len(set(fused)) == 256  # constant * sbox[.] is a permutation
 
 
 def test_merged_tables_reproduce_s_then_mdsl():
-    tables = build_merged_sboxes(C)
+    classes = C.merged_tables[12:]
     for j in range(4):
         for x in range(256):
             want = gf256.mds_l_apply(tuple(
                 C.sbox[x] if col == j else 0 for col in range(4)))
-            packed = tables.classes[j][x]
+            packed = classes[j][x]
             got = tuple((packed >> (8 * (3 - i))) & 0xFF for i in range(4))
             assert got == want
 
@@ -157,5 +157,5 @@ def test_regression_vectors():
     assert records
     for rec in records:
         ks = key_schedule(rec["KEY"])
-        assert encrypt(rec["PT"], ks, C) == rec["CT"]
-        assert decrypt(rec["CT"], ks, C) == rec["PT"]
+        assert encrypt(rec["PT"], ks) == rec["CT"]
+        assert decrypt(rec["CT"], ks) == rec["PT"]
