@@ -92,7 +92,7 @@ class Hc3KeySchedule:
 
 def _sigma_step(z: IntermediateKey, g: int, consts) -> tuple[IntermediateKey, int]:
     """One sigma update; also returns the F-sigma word it computed."""
-    w1, w2 = p32_pair(z.z1, z.z2, consts)
+    w1, w2 = p32_pair(z.z3, z.z4, consts)
     z3 = m5e(w1, consts) ^ g
     z4 = m5e(w2, consts)
     f_out = f_sigma(z.z2 ^ z3, consts)   # reads the new z3

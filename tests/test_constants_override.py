@@ -64,6 +64,27 @@ def test_alternative_valid_table_loads(tmp_path, monkeypatch):
     assert hc3.encrypt(block, ks2) != hc3.encrypt(block, ks)
 
 
+def test_pad_words_change_round_keys(tmp_path):
+    # each of the padding words H3/H2 in [pad] reaches every key's schedule
+    from hc3cam import hc3
+    tab = ctab.parse((DATA / "hc3.ctab").read_text())
+    packaged = hc3_constants._load_packaged()
+    rng = random.Random(45)
+    keys = [rng.randbytes(16) for _ in range(20)]
+    for word in (0, 1):
+        pad = bytearray(tab.sections["pad"])
+        pad[8 * word + 3] ^= 0x10
+        sections = [(n, bytes(pad) if n == "pad" else p) for n, p in tab.sections.items()]
+        path = tmp_path / f"pad{word}.ctab"
+        path.write_text(ctab.write("hc3", sections))
+        edited = hc3_constants.load_constants(path)
+        assert (edited.pad_h3, edited.pad_h2) != (packaged.pad_h3, packaged.pad_h2)
+        for key in keys:
+            old = hc3.key_schedule(key, consts=packaged).round_keys
+            new = hc3.key_schedule(key, consts=edited).round_keys
+            assert all(a != b for a, b in zip(old, new))
+
+
 def test_camellia_rejects_broken_s2_rule(tmp_path):
     tab = ctab.parse((DATA / "camellia.ctab").read_text())
     s2 = bytearray(tab.sections["s2"])
@@ -111,9 +132,9 @@ def test_non_involution_override_inverts(tmp_path, monkeypatch):
         assert hc3.p32_pair(*hc3.p32_pair(hi, lo, consts), consts, inverse=True) == (hi, lo)
         z = hc3.IntermediateKey(*(rng.getrandbits(64) for _ in range(4)))
         g = consts.g0[rng.randrange(6)]
-        # sigma feeds P(32) from z1/z2, so sigma_inv hands those back in
-        # z3/z4 once P(32)^-1 and M_B3 have undone P(32) and M_5E
-        assert hc3.sigma_inv(hc3.sigma(z, g), g) == (z.z1, z.z2, z.z1, z.z2)
+        # sigma feeds P(32) from z3/z4, so sigma_inv hands them back once
+        # M_B3 and P(32)^-1 have undone M_5E and P(32)
+        assert hc3.sigma_inv(hc3.sigma(z, g), g) == z
         ks = hc3.key_schedule(rng.randbytes(16))
         assert hc3.decrypt(hc3.encrypt(block, ks), ks) == block
 

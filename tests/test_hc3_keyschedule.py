@@ -10,6 +10,7 @@ from hc3cam.hc3 import (
     RoundKey256,
     f_sigma,
     get_constants,
+    iter_schedule,
     key_schedule,
     pad_and_prewhiten,
     pad_key,
@@ -50,6 +51,16 @@ def test_sigma_inv_restores_z1_z2():
         back = sigma_inv(sigma(z, g, C), g, C)
         assert back.z1 == z.z1
         assert back.z2 == z.z2
+
+
+def test_sigma_inv_steps_retrace_forward_states():
+    # steps 5-7 replay G0(3..1) backwards, so sigma-inverse walks back
+    # through the states the forward steps 3, 2 and 1 reached
+    rng = random.Random(25)
+    for _ in range(200):
+        z0 = pad_and_prewhiten(rng.randbytes(16), C)
+        z = [z0] + [st.z_next for st in iter_schedule(z0, C)]
+        assert (z[5], z[6], z[7]) == (z[3], z[2], z[1])
 
 
 def test_round_keys_fwd_zero_propagation():
