@@ -3,17 +3,20 @@
 Decryption runs the identical network with the subkey order reversed
 (whitening pairs swapped, round keys back to front, FL keys reversed).
 encrypt_blocks/decrypt_blocks run that network on a whole batch of blocks
-as byte planes (hc3cam.planes).
+as byte planes (hc3cam.planes); key_schedule_sliced and
+encrypt_sliced/decrypt_sliced run the key schedule and the network for a
+batch with one key per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from .. import gf2
 from ..hc3.constants import IDENTITY
-from ..planes import keyed_tables, run_program, sub
+from ..planes import key_planes, keyed_tables, lookup, ones, run_program, run_sliced, sub, xor
 from .constants import CamelliaConstants, get_constants
 
 MASK8 = 0xFF
@@ -226,24 +229,27 @@ def decrypt(block: bytes, sk: CamelliaSubkeys) -> bytes:
 def _f_round(left, right, n, arg):
     """left, right = right ^ F(left), left."""
     tables, rows = arg
-    s = [int.from_bytes(v.to_bytes(n, "little").translate(t), "little")
-         for v, t in zip(left, tables)]
+    s = [lookup(v, t, n) for v, t in zip(left, tables)]
     return [r ^ f for r, f in zip(right, gf2.apply_rows(rows, s))], left
 
 
-def _fl_layer(left, right, n, keys):
-    """FL on the left half and FL^-1 on the right; keys: their 8-byte keys."""
-    rep = int.from_bytes(b"\x01" * n, "little")
+def _f_round_sliced(left, right, n, arg):
+    """_f_round with a plane of key bytes XORed into each byte of left."""
+    key, rest = arg
+    return _f_round(xor(left, key), right, n, rest)[0], left
 
-    def xor(a, b):
-        return [u ^ v for u, v in zip(a, b)]
+
+def _fl_layer(left, right, n, keys):
+    """FL on the left half and FL^-1 on the right; keys: the eight key
+    planes of each, a key byte per slice."""
+    rep = ones(n)
 
     def or_key(word, key):
-        return [v | (k * rep) for v, k in zip(word, key)]
+        return [v | k for v, k in zip(word, key)]
 
     def rotl1_and_key(word, key):
         # byte i of (word <<< 1) is (b_i << 1) | (b_(i+1) >> 7)
-        a = [v & (k * rep) for v, k in zip(word, key)]
+        a = [v & k for v, k in zip(word, key)]
         return [((a[i] << 1) & (0xFE * rep)) | ((a[(i + 1) % 4] >> 7) & rep)
                 for i in range(4)]
 
@@ -253,6 +259,18 @@ def _fl_layer(left, right, n, keys):
     xl = xor(or_key(right[4:], k_inv[4:]), right[:4])
     xr = xor(rotl1_and_key(xl, k_inv[:4]), right[4:])
     return yl + yr, xl + xr
+
+
+def _fl_layer_repeated(left, right, n, keys):
+    """_fl_layer with one 8-byte key pair for every block."""
+    rep = ones(n)
+    return _fl_layer(left, right, n, [[k * rep for k in key] for key in keys])
+
+
+def _whiten(left, right, n, keys):
+    """XOR key planes into both halves (key-sliced whitening)."""
+    k_left, k_right = keys
+    return xor(left, k_left), xor(right, k_right)
 
 
 def _network(planes, rounds):
@@ -266,6 +284,18 @@ def _network(planes, rounds):
     return [v.to_bytes(n, "little") for v in right + left]
 
 
+def _rounds(k, kl, f_step, fl_step) -> list:
+    """F rounds keyed by k, with the FL layers keyed by kl after rounds 6
+    and 12; f_step(key) and fl_step(key, key) make the steps."""
+    out = []
+    fl_keys = iter(kl)
+    for r, key in enumerate(k, 1):
+        out.append(f_step(key))
+        if r in FL_LAYER_ROUNDS:
+            out.append(fl_step(next(fl_keys), next(fl_keys)))
+    return out
+
+
 def _plane_program(sk: CamelliaSubkeys):
     """The network for sk's subkey order as (function, per-key argument)
     steps; decryption is the program of reverse_subkeys(sk)."""
@@ -275,13 +305,11 @@ def _plane_program(sk: CamelliaSubkeys):
     def whiten(k_left, k_right):
         return sub, keyed_tables((IDENTITY,) * 16, key_bytes(k_left, k_right))
 
-    rounds = []
-    fl_keys = iter(sk.kl)
-    for r, k in enumerate(sk.k, 1):
-        rounds.append((_f_round, (keyed_tables(sk.consts.sbox_order, key_bytes(k)),
-                                  sk.consts.p_rows)))
-        if r in FL_LAYER_ROUNDS:
-            rounds.append((_fl_layer, (key_bytes(next(fl_keys)), key_bytes(next(fl_keys)))))
+    rounds = _rounds(
+        sk.k, sk.kl,
+        lambda k: (_f_round, (keyed_tables(sk.consts.sbox_order, key_bytes(k)),
+                              sk.consts.p_rows)),
+        lambda k_fl, k_inv: (_fl_layer_repeated, (key_bytes(k_fl), key_bytes(k_inv))))
     return [whiten(sk.kw[0], sk.kw[1]), (_network, rounds), whiten(sk.kw[2], sk.kw[3])]
 
 
@@ -297,3 +325,106 @@ def decrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
     on every block."""
     return run_program(data, "camellia", sk.batch_tables, True,
                        lambda: _plane_program(reverse_subkeys(sk)))
+
+
+# --- key-sliced schedule and network ----------------------------------------
+#
+# Every subkey is eight planes, a key byte per slice.  KA is four _f_round
+# steps keyed by the Sigma constants.  A rotation of KL or KA by 8q + s bits
+# re-indexes the sixteen planes by q and moves s bits between neighbouring
+# planes under masks of one repeated byte (Matsui-Nakajima, CHES 2007).
+
+@dataclass(frozen=True)
+class CamelliaSlicedSubkeys:
+    """kw, k and kl of n keys, each subkey eight planes (most significant
+    byte first), byte i of each plane belonging to key i."""
+
+    n: int
+    kw: tuple
+    k: tuple
+    kl: tuple
+    consts: CamelliaConstants = field(compare=False, repr=False)
+
+    def subkeys_at(self, i: int) -> CamelliaSubkeys:
+        """The subkeys of slice i, as key_schedule builds them."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"slice {i} out of range for {self.n} keys")
+
+        def word(planes):
+            return int.from_bytes(bytes(p >> 8 * i & 0xFF for p in planes), "big")
+
+        return CamelliaSubkeys(kw=tuple(map(word, self.kw)), k=tuple(map(word, self.k)),
+                               kl=tuple(map(word, self.kl)), consts=self.consts)
+
+
+@lru_cache(maxsize=8)
+def _sigma_rounds(consts: CamelliaConstants):
+    """The _f_round arguments of the four KA rounds, keyed by Sigma1..4."""
+    return tuple((keyed_tables(consts.sbox_order, s.to_bytes(8, "big")), consts.p_rows)
+                 for s in SIGMA[:4])
+
+
+def _rotl_planes(x, r: int, rep: int) -> list[int]:
+    """The sixteen planes of 128-bit values rotated left by r bits."""
+    q, s = divmod(r, 8)
+    if not s:
+        return x[q:] + x[:q]
+    hi, lo = (0xFF << s & 0xFF) * rep, ((1 << s) - 1) * rep
+    return [(x[(b + q) % 16] << s & hi) | (x[(b + q + 1) % 16] >> (8 - s) & lo)
+            for b in range(16)]
+
+
+def key_schedule_sliced(keys: bytes,
+                        consts: CamelliaConstants | None = None) -> CamelliaSlicedSubkeys:
+    """kw1..4, k1..18 and kl1..4 of every 16-byte key in keys, on planes.
+
+    Slice i holds the subkeys key_schedule(keys[16 i:16 i + 16]) builds.
+    """
+    consts = consts or get_constants()
+    kl_var, n = key_planes(keys, "camellia")
+    left, right = kl_var[:8], kl_var[8:]
+    for r, arg in enumerate(_sigma_rounds(consts)):
+        left, right = _f_round(left, right, n, arg)
+        if r == 1:
+            left, right = xor(left, kl_var[:8]), xor(right, kl_var[8:])
+    ka_var = left + right
+
+    rep = ones(n)
+    kl_rot = {r: _rotl_planes(kl_var, r, rep) for r in (0, 15, 45, 60, 77, 94, 111)}
+    ka_rot = {r: _rotl_planes(ka_var, r, rep) for r in (0, 15, 30, 45, 60, 94, 111)}
+
+    def halves(x):
+        return x[:8], x[8:]
+
+    return CamelliaSlicedSubkeys(
+        n,
+        kw=(*halves(kl_rot[0]), *halves(ka_rot[111])),
+        k=(*halves(ka_rot[0]), *halves(kl_rot[15]), *halves(ka_rot[15]),
+           *halves(kl_rot[45]), ka_rot[45][:8], kl_rot[60][8:], *halves(ka_rot[60]),
+           *halves(kl_rot[94]), *halves(ka_rot[94]), *halves(kl_rot[111])),
+        kl=(*halves(ka_rot[30]), *halves(kl_rot[77])),
+        consts=consts,
+    )
+
+
+def _sliced_program(kw, k, kl, consts: CamelliaConstants):
+    """The network keyed by planes of subkeys in the order used."""
+    rest = (consts.sbox_order, consts.p_rows)
+    rounds = _rounds(k, kl, lambda key: (_f_round_sliced, (key, rest)),
+                     lambda k_fl, k_inv: (_fl_layer, (k_fl, k_inv)))
+    # the post-whitening pair lands on the halves before they swap back
+    return [(_network, [(_whiten, (kw[0], kw[1])), *rounds, (_whiten, (kw[3], kw[2]))])]
+
+
+def encrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
+    """Encrypt block i of data under key i of a key-sliced schedule; equal
+    to encrypt() of every block under its own key_schedule()."""
+    return run_sliced(data, "camellia", sk.n,
+                      lambda: _sliced_program(sk.kw, sk.k, sk.kl, sk.consts))
+
+
+def decrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
+    """Decrypt block i of data under key i of a key-sliced schedule."""
+    kw = sk.kw
+    return run_sliced(data, "camellia", sk.n, lambda: _sliced_program(
+        (kw[2], kw[3], kw[0], kw[1]), sk.k[::-1], sk.kl[::-1], sk.consts))

@@ -10,10 +10,12 @@ match ``xs`` bit for bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .. import gf2
-from ..planes import keyed_tables, run_program, sub
+from ..planes import keyed_tables, run_program, run_sliced, sub
 from .constants import IDENTITY, Hc3Constants, get_constants
-from .keyschedule import Hc3KeySchedule, RoundKey256, T_ROUNDS
+from .keyschedule import Hc3KeySchedule, Hc3SlicedSchedule, RoundKey256, T_ROUNDS
 from .linear import check_block, lanes, mds_h, mds_h_inv
 
 
@@ -94,7 +96,9 @@ def merged_xs(block: bytes, rk: RoundKey256,
 #
 # An s-box layer with its key addition is one translate per plane,
 # MDS-lower one translate per (input byte, output byte) pair whose results
-# XOR as big ints, and MDS-higher an XOR of whole planes.
+# XOR as big ints, and MDS-higher an XOR of whole planes.  Under a
+# key-sliced schedule the key addition is an XOR with key planes beside an
+# unkeyed translate; the rest of the program is the same.
 
 def _mds_l(planes, columns):
     """columns[j][i]: the product table of input byte j into output byte i
@@ -122,30 +126,66 @@ def _keyed_tables(box: bytes, key: int, inverse: bool) -> tuple[bytes, ...]:
     return keyed_tables((box,) * 16, key.to_bytes(16, "big"), inverse)
 
 
-def _plane_program(ks: Hc3KeySchedule, inverse: bool):
-    """The layers of one direction as (function, per-key argument) steps."""
-    c = ks.consts
-    if inverse:
-        box, products, rows = c.sbox_inv, c.mdsl_inv_tables, c.mds_h_inv_rows
-    else:
-        box, products, rows = c.sbox, c.mdsl_tables, c.mds_h_rows
+def _add_sub(planes, arg):
+    """Key planes XORed in, then one unkeyed translate per plane."""
+    keys, box = arg
+    n = len(planes[0])
+    return [(int.from_bytes(p, "little") ^ k).to_bytes(n, "little").translate(box)
+            for p, k in zip(planes, keys)]
+
+
+def _sub_add(planes, arg):
+    """One unkeyed translate per plane, then the key planes XORed in."""
+    keys, box = arg
+    n = len(planes[0])
+    return [(int.from_bytes(p.translate(box), "little") ^ k).to_bytes(n, "little")
+            for p, k in zip(planes, keys)]
+
+
+@lru_cache(maxsize=8)
+def _mdsl_columns(consts: Hc3Constants, inverse: bool):
+    """Per input byte of a word, the product table into each output byte."""
+    products = consts.mdsl_inv_tables if inverse else consts.mdsl_tables
     # the last word's positions carry the four column tables unshifted
-    mdsl = tuple(tuple(_row_table(col, i) for i in range(4)) for col in products[12:])
+    return tuple(tuple(_row_table(col, i) for i in range(4)) for col in products[12:])
+
+
+def _program(consts: Hc3Constants, halves, keyed, inverse: bool):
+    """The layers of one direction as (function, argument) steps.
+
+    halves[t] is the pair (K1 K2, K3 K4) of K(t + 1), in the form that
+    keyed(half, box) takes: the step that adds the half before box
+    (after it, decrypting).
+    """
+    if inverse:
+        box, rows = consts.sbox_inv, consts.mds_h_inv_rows
+    else:
+        box, rows = consts.sbox, consts.mds_h_rows
+    mdsl = _mdsl_columns(consts, inverse)
     rounds = []
-    for rk in ks.round_keys[:T_ROUNDS]:
-        k12, k34 = rk.k1 << 64 | rk.k2, rk.k3 << 64 | rk.k4
+    for k12, k34 in halves[:T_ROUNDS]:
         # XS; decryption runs it backwards, each key added after its s-box
         first, second = (k34, k12) if inverse else (k12, k34)
-        rounds.append([(sub, _keyed_tables(box, first, inverse)), (_mds_l, mdsl),
-                       (sub, _keyed_tables(box, second, inverse))])
+        rounds.append([keyed(first, box), (_mds_l, mdsl), keyed(second, box)])
     if inverse:
         rounds.reverse()
     steps = rounds[0]
     for xs_steps in rounds[1:]:
         steps += [(_mds_h, rows), *xs_steps]
-    last = ks.round_keys[T_ROUNDS]
-    whiten = (sub, _keyed_tables(IDENTITY, last.k1 << 64 | last.k2, inverse))
+    whiten = keyed(halves[T_ROUNDS][0], IDENTITY)
     return [whiten, *steps] if inverse else [*steps, whiten]
+
+
+def _plane_program(ks: Hc3KeySchedule, inverse: bool):
+    halves = [(rk.k1 << 64 | rk.k2, rk.k3 << 64 | rk.k4) for rk in ks.round_keys]
+    return _program(ks.consts, halves,
+                    lambda k, box: (sub, _keyed_tables(box, k, inverse)), inverse)
+
+
+def _sliced_program(ks: Hc3SlicedSchedule, inverse: bool):
+    halves = [(rk[:16], rk[16:]) for rk in ks.round_keys]
+    layer = _sub_add if inverse else _add_sub
+    return _program(ks.consts, halves, lambda k, box: (layer, (k, box)), inverse)
 
 
 def encrypt_blocks(data: bytes, ks: Hc3KeySchedule) -> bytes:
@@ -160,3 +200,14 @@ def decrypt_blocks(data: bytes, ks: Hc3KeySchedule) -> bytes:
     on every block."""
     return run_program(data, "hc3", ks.batch_tables, True,
                        lambda: _plane_program(ks, inverse=True))
+
+
+def encrypt_sliced(data: bytes, ks: Hc3SlicedSchedule) -> bytes:
+    """Encrypt block i of data under key i of a key-sliced schedule; equal
+    to encrypt() of every block under its own key_schedule()."""
+    return run_sliced(data, "hc3", ks.n, lambda: _sliced_program(ks, inverse=False))
+
+
+def decrypt_sliced(data: bytes, ks: Hc3SlicedSchedule) -> bytes:
+    """Decrypt block i of data under key i of a key-sliced schedule."""
+    return run_sliced(data, "hc3", ks.n, lambda: _sliced_program(ks, inverse=True))

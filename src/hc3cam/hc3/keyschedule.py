@@ -13,6 +13,9 @@ Schedule (step, operation, constant):
     5-7 sigma-inv   G0(3..1)   K(5)..K(7)
 
 K(1)..K(6) key the six rounds; K(7) keys the final addition.
+
+key_schedule_sliced runs the same schedule for a batch of keys at once
+on byte planes (hc3cam.planes), one key per slice.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
+from .. import gf2
+from ..planes import key_planes, lookup, ones, xor
 from .constants import Hc3Constants, get_constants
 from .linear import f_sigma, m5e, mb3, p32_pair
 
@@ -256,3 +261,90 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
 
     return Hc3KeySchedule(round_keys=tuple(keys), mode=mode, consts=consts,
                           intermediate_cache=cache)
+
+
+# --- key-sliced schedule ------------------------------------------------------
+#
+# A 64-bit word of a batch is eight planes, its most significant byte
+# first.  M_5E/M_B3, P(16) and P(32) XOR whole 8-, 16- and 32-bit lanes, so
+# at each byte offset of a lane they are gf2.apply_rows over planes; the
+# s-boxes of F-sigma are the only translates.
+
+@dataclass(frozen=True)
+class Hc3SlicedSchedule:
+    """K(1)..K(7) of n keys: round key t is 32 planes, K1 K2 K3 K4 in
+    order, byte i of each plane belonging to key i."""
+
+    n: int
+    round_keys: tuple[tuple[int, ...], ...]
+    consts: Hc3Constants = field(compare=False, repr=False)
+
+    def round_keys_at(self, i: int) -> tuple[RoundKey256, ...]:
+        """The round keys of slice i, as key_schedule builds them."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"slice {i} out of range for {self.n} keys")
+        return tuple(RoundKey256(*(
+            int.from_bytes(bytes(p >> 8 * i & 0xFF for p in planes[w:w + 8]), "big")
+            for w in range(0, 32, 8))) for planes in self.round_keys)
+
+
+def _lane_layer(rows, planes, per: int) -> list[int]:
+    """A lane-selection layer over lanes of `per` bytes (gf2 row masks)."""
+    out = [0] * len(planes)
+    for k in range(per):
+        out[k::per] = gf2.apply_rows(rows, planes[k::per])
+    return out
+
+
+def _f_sigma_planes(x, n: int, consts: Hc3Constants) -> list[int]:
+    return _lane_layer(consts.p16_rows, [lookup(v, consts.sbox, n) for v in x], 2)
+
+
+def _sigma_planes(z, g, n: int, consts: Hc3Constants):
+    """_sigma_step on planes: the next state, as a tuple of four words."""
+    z1, z2, z3, z4 = z
+    w = _lane_layer(consts.p32_rows, z3 + z4, 4)
+    z3 = xor(_lane_layer(consts.m5e_rows, w[:8], 1), g)
+    z4 = _lane_layer(consts.m5e_rows, w[8:], 1)
+    return z2, xor(z1, _f_sigma_planes(xor(z2, z3), n, consts)), z3, z4
+
+
+def _sigma_inv_planes(z, g, n: int, consts: Hc3Constants):
+    """_sigma_inv_step on planes: the previous state and its W words."""
+    z1, z2, z3, z4 = z
+    w1 = _lane_layer(consts.mb3_rows, xor(z3, g), 1)
+    w2 = _lane_layer(consts.mb3_rows, z4, 1)
+    w = _lane_layer(consts.p32_inv_rows, w1 + w2, 4)
+    return (xor(z2, _f_sigma_planes(xor(z1, z3), n, consts)), z1, w[:8], w[8:]), w1, w2
+
+
+def key_schedule_sliced(keys: bytes,
+                        consts: Hc3Constants | None = None) -> Hc3SlicedSchedule:
+    """K(1)..K(7) of every 16-byte key in keys, on planes.
+
+    Slice i holds the round keys key_schedule(keys[16 i:16 i + 16]) builds
+    in every mode.
+    """
+    consts = consts or get_constants()
+    k, n = key_planes(keys, "hc3")
+    one = ones(n)
+
+    def word(value):
+        return [(value >> 8 * (7 - i) & 0xFF) * one for i in range(8)]
+
+    z = _sigma_planes((k[:8], k[8:], word(consts.pad_h3), word(consts.pad_h2)),
+                      word(consts.g0[SCHEDULE_ROWS[0].g_index]), n, consts)
+    keys_out = []
+    for row in SCHEDULE_ROWS[1:]:
+        g = word(consts.g0[row.g_index])
+        if row.op == "sigma":
+            nxt = _sigma_planes(z, g, n, consts)
+            v = _f_sigma_planes(xor(z[1], z[2]), n, consts)
+            key = (xor(z[0], v), xor(nxt[2], v), xor(nxt[3], v), xor(z[1], nxt[3]))
+        else:
+            nxt, w1, w2 = _sigma_inv_planes(z, g, n, consts)
+            v = _f_sigma_planes(xor(z[0], nxt[2]), n, consts)
+            key = (xor(nxt[0], z[2]), xor(w1, v), xor(w2, v), xor(z[0], w2))
+        keys_out.append(tuple(key[0] + key[1] + key[2] + key[3]))
+        z = nxt
+    return Hc3SlicedSchedule(n, tuple(keys_out), consts)

@@ -7,6 +7,12 @@ and a byte-XOR diffusion layer an XOR of whole planes as big ints: the
 byte-level form of bitslicing.  A cipher direction is a list of
 (layer, per-key argument) steps over the sixteen planes, built once per
 key and kept on its key schedule.
+
+Key-sliced batches put a different key under every block, as bitsliced
+DES key search does (Biham, FSE 1997): the keys form byte planes of
+their own, held as little-endian ints (byte i of a plane is slice i), so
+a key addition is an XOR of whole planes followed by an unkeyed
+translate, and the key schedules run on the planes too.
 """
 
 from __future__ import annotations
@@ -43,6 +49,19 @@ def run_program(data: bytes, cipher: str, programs: dict, direction: bool, build
     steps = programs.get(direction)
     if steps is None:
         steps = programs[direction] = build()
+    return run_steps(data, steps)
+
+
+def run_sliced(data: bytes, cipher: str, n: int, build) -> bytes:
+    """Run build()'s steps on data holding one block for each of the n
+    keys of a key-sliced schedule, block i under key i."""
+    if len(data) != BLOCK_BYTES * n:
+        raise ValueError(f"{cipher} key-sliced data must hold one {BLOCK_BYTES}-byte "
+                         f"block per key: {len(data)} bytes for {n} keys")
+    return run_steps(data, build()) if n else b""
+
+
+def run_steps(data: bytes, steps) -> bytes:
     planes = [data[j::BLOCK_BYTES] for j in range(BLOCK_BYTES)]
     for layer, arg in steps:
         planes = layer(planes, arg)
@@ -50,3 +69,27 @@ def run_program(data: bytes, cipher: str, programs: dict, direction: bool, build
     for j, plane in enumerate(planes):
         out[j::BLOCK_BYTES] = plane
     return bytes(out)
+
+
+def key_planes(keys: bytes, cipher: str) -> tuple[list[int], int]:
+    """The sixteen byte planes of a batch of 16-byte keys as ints, and the
+    number of keys."""
+    if len(keys) % BLOCK_BYTES:
+        raise ValueError(
+            f"{cipher} keys length {len(keys)} is not a multiple of {BLOCK_BYTES} bytes")
+    return ([int.from_bytes(keys[j::BLOCK_BYTES], "little") for j in range(BLOCK_BYTES)],
+            len(keys) // BLOCK_BYTES)
+
+
+def ones(n: int) -> int:
+    """A plane of n slices holding byte 1 each: byte b * ones(n) repeats b."""
+    return int.from_bytes(b"\x01" * n, "little")
+
+
+def lookup(plane: int, table: bytes, n: int) -> int:
+    """table applied to every byte of an n-slice plane."""
+    return int.from_bytes(plane.to_bytes(n, "little").translate(table), "little")
+
+
+def xor(a, b) -> list[int]:
+    return [u ^ v for u, v in zip(a, b)]

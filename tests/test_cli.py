@@ -302,3 +302,107 @@ def test_bench_single_block(capsys):
     assert code == 0
     row = list(csv.reader(io.StringIO(out)))[1]
     assert float(row[3]) > 0  # throughput positive even for one block
+
+
+# --- kat output contract ------------------------------------------------------
+#
+# kat runs key-sliced; its output must be what the per-record loop prints:
+# mismatch lines in record order, encrypt before decrypt, then the summary.
+
+def reference_kat(cipher, records, encrypt, decrypt):
+    """Exit code and stdout of kat built with per-record key schedules."""
+    mod = {"hc3": hc3, "camellia": camellia}[cipher]
+    lines, failures = [], 0
+    for index, (key, pt, ct) in enumerate(records, 1):
+        ks = mod.key_schedule(key)
+        for direction, expected, got in (("encrypt", ct, encrypt(pt, ks)),
+                                         ("decrypt", pt, decrypt(ct, ks))):
+            if got != expected:
+                failures += 1
+                lines += [f"record {index}: {direction} mismatch", f"  key      {key.hex()}",
+                          f"  expected {expected.hex()}", f"  got      {got.hex()}"]
+    if failures:
+        lines.append(f"{cipher}: {failures} mismatch(es) across {len(records)} record(s)")
+    else:
+        lines.append(f"{cipher}: all {len(records)} record(s) passed, both directions")
+    return (1 if failures else 0), "\n".join(lines) + "\n"
+
+
+def write_kat(path, records):
+    path.write_text("\n".join(f"KEY={k.hex()}\nPT={p.hex()}\nCT={c.hex()}\n"
+                              for k, p, c in records))
+
+
+def faulty(fn, inputs):
+    """fn with byte 0 of its output flipped for the blocks in inputs; works
+    per block and on key-sliced batches."""
+    def wrong(data, ks):
+        out = bytearray(fn(data, ks))
+        for off in range(0, len(data), 16):
+            if data[off:off + 16] in inputs:
+                out[off] ^= 1
+        return bytes(out)
+    return wrong
+
+
+def kat_records(cipher, n, seed):
+    mod = {"hc3": hc3, "camellia": camellia}[cipher]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        key, pt = rng.randbytes(16), rng.randbytes(16)
+        out.append((key, pt, mod.encrypt(pt, mod.key_schedule(key))))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+def test_kat_output_matches_per_record_reference(cipher, chunk, tmp_path, monkeypatch, capsys):
+    mod = {"hc3": hc3, "camellia": camellia}[cipher]
+    if chunk:
+        # chunks of 4 records: the faults below sit on both sides of edges
+        monkeypatch.setattr(cli, "CHUNK_BLOCKS", chunk)
+    n = 23
+    records = kat_records(cipher, n, seed=f"mismatch:{cipher}")
+    # record 14 (counted from 1, as kat does) is wrong in the file, so it
+    # fails both ways
+    key, pt, ct = records[13]
+    records[13] = (key, pt, bytes([ct[0] ^ 0x80]) + ct[1:])
+    # one-way faults: encrypt wrong on records 1, 4, 8, 9, 18; decrypt wrong
+    # on 3, 8, 11, 22, 23.  Record 8 fails both ways, the first and last
+    # records are included, and in chunks of 4 records 17-20 fail only to
+    # encrypt and 21-23 only to decrypt.
+    enc_bad = {records[i - 1][1] for i in (1, 4, 8, 9, 18)}
+    dec_bad = {records[i - 1][2] for i in (3, 8, 11, 22, 23)}
+    want = reference_kat(cipher, records, faulty(mod.encrypt, enc_bad),
+                         faulty(mod.decrypt, dec_bad))
+    assert want[0] == 1 and want[1].count("mismatch\n") == 12
+
+    f = tmp_path / "mixed.kat"
+    write_kat(f, records)
+    monkeypatch.setattr(mod, "encrypt_sliced", faulty(mod.encrypt_sliced, enc_bad))
+    monkeypatch.setattr(mod, "decrypt_sliced", faulty(mod.decrypt_sliced, dec_bad))
+    code, out, err = run(["kat", "--cipher", cipher, "--vectors", str(f)], capsys)
+    assert (code, out) == want and err == ""
+
+
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+def test_kat_one_record_and_chunk_edges(cipher, tmp_path, monkeypatch, capsys):
+    mod = {"hc3": hc3, "camellia": camellia}[cipher]
+    records = kat_records(cipher, 9, seed=f"edges:{cipher}")
+    f = tmp_path / "v.kat"
+    for chunk in (None, 1, 4, 8, 9):
+        if chunk:
+            monkeypatch.setattr(cli, "CHUNK_BLOCKS", chunk)
+        for subset in (records[:1], records[:2], records):
+            write_kat(f, subset)
+            code, out, _ = run(["kat", "--cipher", cipher, "--vectors", str(f)], capsys)
+            assert (code, out) == reference_kat(cipher, subset, mod.encrypt, mod.decrypt)
+            assert code == 0
+    # a one-record file that fails: both directions, then the summary
+    key, pt, ct = records[0]
+    bad = [(key, pt, bytes(16))]
+    write_kat(f, bad)
+    code, out, _ = run(["kat", "--cipher", cipher, "--vectors", str(f)], capsys)
+    assert (code, out) == reference_kat(cipher, bad, mod.encrypt, mod.decrypt)
+    assert out.count("mismatch\n") == 2
