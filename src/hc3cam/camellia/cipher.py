@@ -11,7 +11,6 @@ batch with one key per block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 from .. import gf2
@@ -329,39 +328,22 @@ def decrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
 
 # --- key-sliced schedule and network ----------------------------------------
 #
-# Every subkey is eight planes, a key byte per slice.  KA is four _f_round
-# steps keyed by the Sigma constants.  A rotation of KL or KA by 8q + s bits
-# re-indexes the sixteen planes by q and moves s bits between neighbouring
-# planes under masks of one repeated byte (Matsui-Nakajima, CHES 2007).
+# Every subkey is eight planes, a key byte per slice.  KA is four F rounds
+# keyed by planes of the Sigma constants.  A rotation of KL or KA by
+# 8q + s bits re-indexes the sixteen planes by q and moves s bits between
+# neighbouring planes under masks of one repeated byte (Matsui-Nakajima,
+# CHES 2007).
 
-@dataclass(frozen=True)
-class CamelliaSlicedSubkeys:
+class CamelliaSlicedSubkeys(NamedTuple):
     """kw, k and kl of n keys, each subkey eight planes (most significant
-    byte first), byte i of each plane belonging to key i."""
+    byte first), byte i of each plane belonging to key i; consts is the
+    set they were derived with, as in CamelliaSubkeys."""
 
     n: int
     kw: tuple
     k: tuple
     kl: tuple
-    consts: CamelliaConstants = field(compare=False, repr=False)
-
-    def subkeys_at(self, i: int) -> CamelliaSubkeys:
-        """The subkeys of slice i, as key_schedule builds them."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"slice {i} out of range for {self.n} keys")
-
-        def word(planes):
-            return int.from_bytes(bytes(p >> 8 * i & 0xFF for p in planes), "big")
-
-        return CamelliaSubkeys(kw=tuple(map(word, self.kw)), k=tuple(map(word, self.k)),
-                               kl=tuple(map(word, self.kl)), consts=self.consts)
-
-
-@lru_cache(maxsize=8)
-def _sigma_rounds(consts: CamelliaConstants):
-    """The _f_round arguments of the four KA rounds, keyed by Sigma1..4."""
-    return tuple((keyed_tables(consts.sbox_order, s.to_bytes(8, "big")), consts.p_rows)
-                 for s in SIGMA[:4])
+    consts: CamelliaConstants
 
 
 def _rotl_planes(x, r: int, rep: int) -> list[int]:
@@ -382,14 +364,16 @@ def key_schedule_sliced(keys: bytes,
     """
     consts = consts or get_constants()
     kl_var, n = key_planes(keys, "camellia")
+    rep = ones(n)
+    rest = (consts.sbox_order, consts.p_rows)
     left, right = kl_var[:8], kl_var[8:]
-    for r, arg in enumerate(_sigma_rounds(consts)):
-        left, right = _f_round(left, right, n, arg)
+    for r, sigma in enumerate(SIGMA[:4]):
+        key = [b * rep for b in sigma.to_bytes(8, "big")]
+        left, right = _f_round_sliced(left, right, n, (key, rest))
         if r == 1:
             left, right = xor(left, kl_var[:8]), xor(right, kl_var[8:])
     ka_var = left + right
 
-    rep = ones(n)
     kl_rot = {r: _rotl_planes(kl_var, r, rep) for r in (0, 15, 45, 60, 77, 94, 111)}
     ka_rot = {r: _rotl_planes(ka_var, r, rep) for r in (0, 15, 30, 45, 60, 94, 111)}
 
@@ -419,12 +403,11 @@ def _sliced_program(kw, k, kl, consts: CamelliaConstants):
 def encrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
     """Encrypt block i of data under key i of a key-sliced schedule; equal
     to encrypt() of every block under its own key_schedule()."""
-    return run_sliced(data, "camellia", sk.n,
-                      lambda: _sliced_program(sk.kw, sk.k, sk.kl, sk.consts))
+    return run_sliced(data, "camellia", sk.n, _sliced_program(sk.kw, sk.k, sk.kl, sk.consts))
 
 
 def decrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
     """Decrypt block i of data under key i of a key-sliced schedule."""
     kw = sk.kw
-    return run_sliced(data, "camellia", sk.n, lambda: _sliced_program(
+    return run_sliced(data, "camellia", sk.n, _sliced_program(
         (kw[2], kw[3], kw[0], kw[1]), sk.k[::-1], sk.kl[::-1], sk.consts))

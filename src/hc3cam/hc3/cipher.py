@@ -77,12 +77,6 @@ def decrypt(block: bytes, ks: Hc3KeySchedule) -> bytes:
     return x
 
 
-def _row_table(column, row: int) -> bytes:
-    """Byte `row` (0 = most significant) of every packed 32-bit entry."""
-    shift = 8 * (3 - row)
-    return bytes((v >> shift) & 0xFF for v in column)
-
-
 def merged_xs(block: bytes, rk: RoundKey256,
               consts: Hc3Constants | None = None) -> bytes:
     """XS via the fused tables; same function as xs, different datapath."""
@@ -146,8 +140,10 @@ def _sub_add(planes, arg):
 def _mdsl_columns(consts: Hc3Constants, inverse: bool):
     """Per input byte of a word, the product table into each output byte."""
     products = consts.mdsl_inv_tables if inverse else consts.mdsl_tables
-    # the last word's positions carry the four column tables unshifted
-    return tuple(tuple(_row_table(col, i) for i in range(4)) for col in products[12:])
+    # the last word's positions carry the four column tables unshifted;
+    # byte i of each packed 32-bit entry is the product into output byte i
+    packed = [b"".join(v.to_bytes(4, "big") for v in col) for col in products[12:]]
+    return tuple(tuple(col[i::4] for i in range(4)) for col in packed)
 
 
 def _program(consts: Hc3Constants, halves, keyed, inverse: bool):
@@ -205,9 +201,9 @@ def decrypt_blocks(data: bytes, ks: Hc3KeySchedule) -> bytes:
 def encrypt_sliced(data: bytes, ks: Hc3SlicedSchedule) -> bytes:
     """Encrypt block i of data under key i of a key-sliced schedule; equal
     to encrypt() of every block under its own key_schedule()."""
-    return run_sliced(data, "hc3", ks.n, lambda: _sliced_program(ks, inverse=False))
+    return run_sliced(data, "hc3", ks.n, _sliced_program(ks, inverse=False))
 
 
 def decrypt_sliced(data: bytes, ks: Hc3SlicedSchedule) -> bytes:
     """Decrypt block i of data under key i of a key-sliced schedule."""
-    return run_sliced(data, "hc3", ks.n, lambda: _sliced_program(ks, inverse=True))
+    return run_sliced(data, "hc3", ks.n, _sliced_program(ks, inverse=True))

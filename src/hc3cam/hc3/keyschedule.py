@@ -270,22 +270,14 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
 # at each byte offset of a lane they are gf2.apply_rows over planes; the
 # s-boxes of F-sigma are the only translates.
 
-@dataclass(frozen=True)
-class Hc3SlicedSchedule:
+class Hc3SlicedSchedule(NamedTuple):
     """K(1)..K(7) of n keys: round key t is 32 planes, K1 K2 K3 K4 in
-    order, byte i of each plane belonging to key i."""
+    order, byte i of each plane belonging to key i; consts is the set
+    they were derived with, as in Hc3KeySchedule."""
 
     n: int
     round_keys: tuple[tuple[int, ...], ...]
-    consts: Hc3Constants = field(compare=False, repr=False)
-
-    def round_keys_at(self, i: int) -> tuple[RoundKey256, ...]:
-        """The round keys of slice i, as key_schedule builds them."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"slice {i} out of range for {self.n} keys")
-        return tuple(RoundKey256(*(
-            int.from_bytes(bytes(p >> 8 * i & 0xFF for p in planes[w:w + 8]), "big")
-            for w in range(0, 32, 8))) for planes in self.round_keys)
+    consts: Hc3Constants
 
 
 def _lane_layer(rows, planes, per: int) -> list[int]:

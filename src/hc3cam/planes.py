@@ -52,13 +52,13 @@ def run_program(data: bytes, cipher: str, programs: dict, direction: bool, build
     return run_steps(data, steps)
 
 
-def run_sliced(data: bytes, cipher: str, n: int, build) -> bytes:
-    """Run build()'s steps on data holding one block for each of the n
-    keys of a key-sliced schedule, block i under key i."""
+def run_sliced(data: bytes, cipher: str, n: int, steps) -> bytes:
+    """Run steps on data holding one block for each of the n keys of a
+    key-sliced schedule, block i under key i."""
     if len(data) != BLOCK_BYTES * n:
         raise ValueError(f"{cipher} key-sliced data must hold one {BLOCK_BYTES}-byte "
                          f"block per key: {len(data)} bytes for {n} keys")
-    return run_steps(data, build()) if n else b""
+    return run_steps(data, steps)
 
 
 def run_steps(data: bytes, steps) -> bytes:

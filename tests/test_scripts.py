@@ -36,3 +36,38 @@ def test_script_reproduces_shipped_files(script, out_dir_attr, shipped, names,
     module.main()
     for name in names:
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
+
+def test_bench_summary_pairs_runs_by_seed(tmp_path, monkeypatch):
+    import json
+    module = load_script("bench_summary", monkeypatch)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
+             "platform": "p", "ctab": []}
+
+    def write(side, seed, rate, commit):
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+        metrics["hc3_blocks_per_s"]["value"] = rate
+        record = {"workload": "many-keys", "seed": seed, "attempted": 4, "failed": 0,
+                  "metrics": metrics, "provenance": dict(stamp, commit=commit)}
+        (tmp_path / side).mkdir(exist_ok=True)
+        (tmp_path / side / f"many-keys-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+    for seed, (before, after) in enumerate([(10, 30), (12, 11), (11, 40), (9, 20)]):
+        write("parent", seed, before, "c0")
+        write("change", seed, after, "c1")
+    out = tmp_path / "BENCH.json"
+    module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--out", str(out)])
+    summary = json.loads(out.read_text())
+    assert summary["provenance"]["change"]["commit"] == "c1"
+    rate = summary["workloads"]["many-keys"]["metrics"]["hc3_blocks_per_s"]
+    assert rate["change_better_pairs"] == "3/4"
+    assert rate["parent"]["median"] == 10.5 and rate["change"]["median"] == 25
+    assert list(summary["workloads"]) == ["many-keys"]
+
+    # records of one side with different provenance are refused
+    write("change", 9, 50, "c2")
+    with pytest.raises(SystemExit, match="other provenance"):
+        module.main(["--parent", str(tmp_path / "parent"), "--change",
+                     str(tmp_path / "change"), "--out", str(out)])

@@ -12,6 +12,23 @@ from test_constants_override import use_non_involution_override
 CIPHERS = {"hc3": hc3, "camellia": camellia}
 
 
+def slice_bytes(planes, i):
+    """Byte i of every plane: slice i's word, most significant byte first."""
+    return bytes(p >> 8 * i & 0xFF for p in planes)
+
+
+def hc3_round_keys_at(ks, i):
+    return tuple(hc3.RoundKey256(*(int.from_bytes(slice_bytes(planes[w:w + 8], i), "big")
+                                   for w in range(0, 32, 8)))
+                 for planes in ks.round_keys)
+
+
+def camellia_subkeys_at(sk, i):
+    def words(keys):
+        return tuple(int.from_bytes(slice_bytes(planes, i), "big") for planes in keys)
+    return words(sk.kw), words(sk.k), words(sk.kl)
+
+
 def per_record(mod, fn, data, keys):
     return b"".join(fn(data[off:off + 16], mod.key_schedule(keys[off:off + 16]))
                     for off in range(0, len(data), 16))
@@ -24,7 +41,7 @@ def test_hc3_sliced_schedule_matches_every_mode(n):
     ks = hc3.key_schedule_sliced(keys)
     assert ks.n == n and ks.consts is hc3.get_constants()
     for i in range(n):
-        got = ks.round_keys_at(i)
+        got = hc3_round_keys_at(ks, i)
         for mode in hc3.MODES:
             assert got == hc3.key_schedule(keys[16 * i:16 * i + 16], mode).round_keys
 
@@ -36,8 +53,8 @@ def test_camellia_sliced_schedule_matches_key_schedule(n):
     sk = camellia.key_schedule_sliced(keys)
     assert sk.n == n and sk.consts is camellia.get_constants()
     for i in range(n):
-        got, want = sk.subkeys_at(i), camellia.key_schedule(keys[16 * i:16 * i + 16])
-        assert (got.kw, got.k, got.kl) == (want.kw, want.k, want.kl)
+        want = camellia.key_schedule(keys[16 * i:16 * i + 16])
+        assert camellia_subkeys_at(sk, i) == (want.kw, want.k, want.kl)
 
 
 @pytest.mark.parametrize("cipher", sorted(CIPHERS))
@@ -72,7 +89,7 @@ def test_hc3_sliced_under_non_involution_override(tmp_path, monkeypatch):
     ks = hc3.key_schedule_sliced(keys)
     assert ks.consts is consts
     for i in range(40):
-        assert ks.round_keys_at(i) == hc3.key_schedule(keys[16 * i:16 * i + 16]).round_keys
+        assert hc3_round_keys_at(ks, i) == hc3.key_schedule(keys[16 * i:16 * i + 16]).round_keys
     assert hc3.encrypt_sliced(data, ks) == per_record(hc3, hc3.encrypt, data, keys)
     assert hc3.decrypt_sliced(data, ks) == per_record(hc3, hc3.decrypt, data, keys)
 
