@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .. import gf2
-from ..hc3.constants import IDENTITY
-from ..planes import key_planes, keyed_tables, lookup, ones, run_program, run_sliced, sub, xor
+from ..planes import block_count, key_planes, lookup, ones, run_sliced, run_steps, xor
 from .constants import CamelliaConstants, get_constants
 
 MASK8 = 0xFF
@@ -66,8 +65,8 @@ class CamelliaSubkeys:
     # every block, so a set loaded later can never be paired with these keys
     consts: CamelliaConstants = field(compare=False, repr=False)
     key_vars: KeyVars | None = None
-    # per-key steps of the batch engine (encrypt_blocks), by direction,
-    # built on first use
+    # by direction, the program of the batch engine (encrypt_blocks) for
+    # the size of the last batch, built on first use
     batch_tables: dict = field(default_factory=dict, init=False, compare=False,
                                repr=False)
 
@@ -176,15 +175,15 @@ def key_schedule(key: bytes,
     )
 
 
+def _decrypt_order(kw, k, kl):
+    """Whitening, round and FL keys in the order decryption uses them."""
+    return (kw[2], kw[3], kw[0], kw[1]), k[::-1], kl[::-1]
+
+
 def reverse_subkeys(sk: CamelliaSubkeys) -> CamelliaSubkeys:
     """Subkey order for decryption through the same network."""
-    return CamelliaSubkeys(
-        kw=(sk.kw[2], sk.kw[3], sk.kw[0], sk.kw[1]),
-        k=tuple(reversed(sk.k)),
-        kl=tuple(reversed(sk.kl)),
-        consts=sk.consts,
-        key_vars=sk.key_vars,
-    )
+    kw, k, kl = _decrypt_order(sk.kw, sk.k, sk.kl)
+    return CamelliaSubkeys(kw=kw, k=k, kl=kl, consts=sk.consts, key_vars=sk.key_vars)
 
 
 def _run(block: bytes, consts: CamelliaConstants, kw, k, kl) -> bytes:
@@ -211,31 +210,29 @@ def encrypt(block: bytes, sk: CamelliaSubkeys) -> bytes:
 
 
 def decrypt(block: bytes, sk: CamelliaSubkeys) -> bytes:
-    # the subkey order of reverse_subkeys(sk), without building the object
-    kw = sk.kw
-    return _run(block, sk.consts, (kw[2], kw[3], kw[0], kw[1]), sk.k[::-1], sk.kl[::-1])
+    return _run(block, sk.consts, *_decrypt_order(sk.kw, sk.k, sk.kl))
 
 
-# --- byte-plane batch engine (see hc3cam.planes) ----------------------------
+# --- byte-plane network (see hc3cam.planes) ---------------------------------
 #
 # The left half of a block is planes 0-7 and the right half planes 8-15,
-# byte 0 of each half its most significant.  Whitening is one translate per
-# plane.  Between the whitenings the planes are held as big ints: F's key
-# addition and s-boxes are one translate per plane and P an XOR of whole
-# planes; FL and FL^-1 work on the four planes of each 32-bit word, with
-# masks that repeat one key byte in every block.
+# byte 0 of each half its most significant, all held as big ints.  Every
+# subkey is eight planes, a key byte per slice: key additions are XORs of
+# whole planes, F's s-boxes one unkeyed translate per plane and P an XOR of
+# whole planes; FL and FL^-1 work on the four planes of each 32-bit word.
+# encrypt_blocks/decrypt_blocks run the network with one key repeated in
+# every slice; key_schedule_sliced puts a different key in each.
+#
+# The key-sliced schedule: KA is four F rounds keyed by planes of the Sigma
+# constants.  A rotation of KL or KA by 8q + s bits re-indexes the sixteen
+# planes by q and moves s bits between neighbouring planes under masks of
+# one repeated byte (Matsui-Nakajima, CHES 2007).
 
 def _f_round(left, right, n, arg):
-    """left, right = right ^ F(left), left."""
-    tables, rows = arg
-    s = [lookup(v, t, n) for v, t in zip(left, tables)]
+    """left, right = right ^ F(left, key), left; key: eight planes."""
+    key, (boxes, rows) = arg
+    s = [lookup(v ^ k, t, n) for v, k, t in zip(left, key, boxes)]
     return [r ^ f for r, f in zip(right, gf2.apply_rows(rows, s))], left
-
-
-def _f_round_sliced(left, right, n, arg):
-    """_f_round with a plane of key bytes XORed into each byte of left."""
-    key, rest = arg
-    return _f_round(xor(left, key), right, n, rest)[0], left
 
 
 def _fl_layer(left, right, n, keys):
@@ -260,20 +257,14 @@ def _fl_layer(left, right, n, keys):
     return yl + yr, xl + xr
 
 
-def _fl_layer_repeated(left, right, n, keys):
-    """_fl_layer with one 8-byte key pair for every block."""
-    rep = ones(n)
-    return _fl_layer(left, right, n, [[k * rep for k in key] for key in keys])
-
-
 def _whiten(left, right, n, keys):
-    """XOR key planes into both halves (key-sliced whitening)."""
+    """XOR key planes into both halves."""
     k_left, k_right = keys
     return xor(left, k_left), xor(right, k_right)
 
 
 def _network(planes, rounds):
-    """The 18 rounds and the FL layers between the whitenings."""
+    """Whitening, the 18 rounds with their FL layers, whitening."""
     n = len(planes[0])
     ints = [int.from_bytes(plane, "little") for plane in planes]
     left, right = ints[:8], ints[8:]
@@ -283,56 +274,57 @@ def _network(planes, rounds):
     return [v.to_bytes(n, "little") for v in right + left]
 
 
-def _rounds(k, kl, f_step, fl_step) -> list:
-    """F rounds keyed by k, with the FL layers keyed by kl after rounds 6
-    and 12; f_step(key) and fl_step(key, key) make the steps."""
-    out = []
+def _program(kw, k, kl, consts: CamelliaConstants):
+    """The network keyed by planes of subkeys in the order used: whitening
+    words kw (pre left, pre right, post left, post right), round keys k
+    and FL keys kl, FL layers after rounds 6 and 12."""
+    rest = (consts.sbox_order, consts.p_rows)
+    rounds = [(_whiten, (kw[0], kw[1]))]
     fl_keys = iter(kl)
     for r, key in enumerate(k, 1):
-        out.append(f_step(key))
+        rounds.append((_f_round, (key, rest)))
         if r in FL_LAYER_ROUNDS:
-            out.append(fl_step(next(fl_keys), next(fl_keys)))
-    return out
+            rounds.append((_fl_layer, (next(fl_keys), next(fl_keys))))
+    # the post-whitening pair lands on the halves before they swap back
+    rounds.append((_whiten, (kw[3], kw[2])))
+    return [(_network, rounds)]
 
 
-def _plane_program(sk: CamelliaSubkeys):
-    """The network for sk's subkey order as (function, per-key argument)
-    steps; decryption is the program of reverse_subkeys(sk)."""
-    def key_bytes(*words):
-        return b"".join(w.to_bytes(8, "big") for w in words)
+def _repeated(sk: CamelliaSubkeys, decrypt: bool, n: int):
+    """The program for sk in every one of n slices."""
+    rep = ones(n)
 
-    def whiten(k_left, k_right):
-        return sub, keyed_tables((IDENTITY,) * 16, key_bytes(k_left, k_right))
+    def planes(words):
+        return [[b * rep for b in w.to_bytes(8, "big")] for w in words]
 
-    rounds = _rounds(
-        sk.k, sk.kl,
-        lambda k: (_f_round, (keyed_tables(sk.consts.sbox_order, key_bytes(k)),
-                              sk.consts.p_rows)),
-        lambda k_fl, k_inv: (_fl_layer_repeated, (key_bytes(k_fl), key_bytes(k_inv))))
-    return [whiten(sk.kw[0], sk.kw[1]), (_network, rounds), whiten(sk.kw[2], sk.kw[3])]
+    order = _decrypt_order(sk.kw, sk.k, sk.kl) if decrypt else (sk.kw, sk.k, sk.kl)
+    return _program(*map(planes, order), sk.consts)
+
+
+def _run_blocks(data: bytes, sk: CamelliaSubkeys, decrypt: bool) -> bytes:
+    n = block_count(data, "camellia")
+    if not n:
+        return b""
+    # the key planes are as wide as the batch: keep the program of the last
+    # batch size only
+    programs = sk.batch_tables.setdefault(decrypt, {})
+    if n not in programs:
+        programs.clear()
+        programs[n] = _repeated(sk, decrypt, n)
+    return run_steps(data, programs[n])
 
 
 def encrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
     """ECB-encrypt a multiple of 16 bytes in one batch; equal to encrypt()
     on every block."""
-    return run_program(data, "camellia", sk.batch_tables, False,
-                       lambda: _plane_program(sk))
+    return _run_blocks(data, sk, False)
 
 
 def decrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
     """ECB-decrypt a multiple of 16 bytes in one batch; equal to decrypt()
     on every block."""
-    return run_program(data, "camellia", sk.batch_tables, True,
-                       lambda: _plane_program(reverse_subkeys(sk)))
+    return _run_blocks(data, sk, True)
 
-
-# --- key-sliced schedule and network ----------------------------------------
-#
-# Every subkey is eight planes, a key byte per slice.  KA is four F rounds
-# keyed by planes of the Sigma constants.  A rotation of KL or KA by
-# 8q + s bits re-indexes the sixteen planes by q and moves s bits between
-# neighbouring planes under masks of one repeated byte (Matsui-Nakajima,
-# CHES 2007).
 
 class CamelliaSlicedSubkeys(NamedTuple):
     """kw, k and kl of n keys, each subkey eight planes (most significant
@@ -356,20 +348,19 @@ def _rotl_planes(x, r: int, rep: int) -> list[int]:
             for b in range(16)]
 
 
-def key_schedule_sliced(keys: bytes,
-                        consts: CamelliaConstants | None = None) -> CamelliaSlicedSubkeys:
+def key_schedule_sliced(keys: bytes) -> CamelliaSlicedSubkeys:
     """kw1..4, k1..18 and kl1..4 of every 16-byte key in keys, on planes.
 
     Slice i holds the subkeys key_schedule(keys[16 i:16 i + 16]) builds.
     """
-    consts = consts or get_constants()
+    consts = get_constants()
     kl_var, n = key_planes(keys, "camellia")
     rep = ones(n)
     rest = (consts.sbox_order, consts.p_rows)
     left, right = kl_var[:8], kl_var[8:]
     for r, sigma in enumerate(SIGMA[:4]):
         key = [b * rep for b in sigma.to_bytes(8, "big")]
-        left, right = _f_round_sliced(left, right, n, (key, rest))
+        left, right = _f_round(left, right, n, (key, rest))
         if r == 1:
             left, right = xor(left, kl_var[:8]), xor(right, kl_var[8:])
     ka_var = left + right
@@ -391,23 +382,13 @@ def key_schedule_sliced(keys: bytes,
     )
 
 
-def _sliced_program(kw, k, kl, consts: CamelliaConstants):
-    """The network keyed by planes of subkeys in the order used."""
-    rest = (consts.sbox_order, consts.p_rows)
-    rounds = _rounds(k, kl, lambda key: (_f_round_sliced, (key, rest)),
-                     lambda k_fl, k_inv: (_fl_layer, (k_fl, k_inv)))
-    # the post-whitening pair lands on the halves before they swap back
-    return [(_network, [(_whiten, (kw[0], kw[1])), *rounds, (_whiten, (kw[3], kw[2]))])]
-
-
 def encrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
     """Encrypt block i of data under key i of a key-sliced schedule; equal
     to encrypt() of every block under its own key_schedule()."""
-    return run_sliced(data, "camellia", sk.n, _sliced_program(sk.kw, sk.k, sk.kl, sk.consts))
+    return run_sliced(data, "camellia", sk.n, _program(sk.kw, sk.k, sk.kl, sk.consts))
 
 
 def decrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
     """Decrypt block i of data under key i of a key-sliced schedule."""
-    kw = sk.kw
-    return run_sliced(data, "camellia", sk.n, _sliced_program(
-        (kw[2], kw[3], kw[0], kw[1]), sk.k[::-1], sk.kl[::-1], sk.consts))
+    return run_sliced(data, "camellia", sk.n,
+                      _program(*_decrypt_order(sk.kw, sk.k, sk.kl), sk.consts))

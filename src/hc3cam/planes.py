@@ -41,15 +41,19 @@ def run_program(data: bytes, cipher: str, programs: dict, direction: bool, build
     build() makes the steps on the first call with data; programs is the
     key schedule's cache of them.
     """
-    if len(data) % BLOCK_BYTES:
-        raise ValueError(
-            f"{cipher} data length {len(data)} is not a multiple of {BLOCK_BYTES} bytes")
-    if not data:
+    if not block_count(data, cipher):
         return b""
     steps = programs.get(direction)
     if steps is None:
         steps = programs[direction] = build()
     return run_steps(data, steps)
+
+
+def block_count(data: bytes, cipher: str) -> int:
+    if len(data) % BLOCK_BYTES:
+        raise ValueError(
+            f"{cipher} data length {len(data)} is not a multiple of {BLOCK_BYTES} bytes")
+    return len(data) // BLOCK_BYTES
 
 
 def run_sliced(data: bytes, cipher: str, n: int, steps) -> bytes:
