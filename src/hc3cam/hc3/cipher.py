@@ -10,8 +10,6 @@ match ``xs`` bit for bit.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .. import gf2
 from ..planes import keyed_tables, run_program, run_sliced, sub
 from .constants import IDENTITY, Hc3Constants, get_constants
@@ -136,16 +134,6 @@ def _sub_add(planes, arg):
             for p, k in zip(planes, keys)]
 
 
-@lru_cache(maxsize=8)
-def _mdsl_columns(consts: Hc3Constants, inverse: bool):
-    """Per input byte of a word, the product table into each output byte."""
-    products = consts.mdsl_inv_tables if inverse else consts.mdsl_tables
-    # the last word's positions carry the four column tables unshifted;
-    # byte i of each packed 32-bit entry is the product into output byte i
-    packed = [b"".join(v.to_bytes(4, "big") for v in col) for col in products[12:]]
-    return tuple(tuple(col[i::4] for i in range(4)) for col in packed)
-
-
 def _program(consts: Hc3Constants, halves, keyed, inverse: bool):
     """The layers of one direction as (function, argument) steps.
 
@@ -157,7 +145,7 @@ def _program(consts: Hc3Constants, halves, keyed, inverse: bool):
         box, rows = consts.sbox_inv, consts.mds_h_inv_rows
     else:
         box, rows = consts.sbox, consts.mds_h_rows
-    mdsl = _mdsl_columns(consts, inverse)
+    mdsl = consts.mdsl_inv_columns if inverse else consts.mdsl_columns
     rounds = []
     for k12, k34 in halves[:T_ROUNDS]:
         # XS; decryption runs it backwards, each key added after its s-box

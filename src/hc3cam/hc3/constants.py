@@ -10,7 +10,7 @@ mistakes surface as hard errors, never as a silently wrong cipher.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .. import ctab, gf2, gf256
@@ -101,6 +101,23 @@ class Hc3Constants:
         self.p32_inv_tables = position_tables((self.p32_inv_rows, 32))
         # F-sigma: the s-box fused into P(16)
         self.f_sigma_tables = position_tables((self.p16_rows, 16), self.sbox)
+
+    @cached_property
+    def mdsl_columns(self):
+        return _plane_columns(self.mdsl_tables)
+
+    @cached_property
+    def mdsl_inv_columns(self):
+        return _plane_columns(self.mdsl_inv_tables)
+
+
+def _plane_columns(tables):
+    """MDS_L for the byte-plane engines: per input byte of a word, the
+    product table into each output byte."""
+    # the last word's positions carry the four column tables unshifted;
+    # byte i of each packed 32-bit entry is the product into output byte i
+    packed = [b"".join(v.to_bytes(4, "big") for v in col) for col in tables[12:]]
+    return tuple(tuple(col[i::4] for i in range(4)) for col in packed)
 
 
 @lru_cache(maxsize=8)

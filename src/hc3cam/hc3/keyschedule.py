@@ -310,14 +310,13 @@ def _sigma_inv_planes(z, g, n: int, consts: Hc3Constants):
     return (xor(z2, _f_sigma_planes(xor(z1, z3), n, consts)), z1, w[:8], w[8:]), w1, w2
 
 
-def key_schedule_sliced(keys: bytes,
-                        consts: Hc3Constants | None = None) -> Hc3SlicedSchedule:
+def key_schedule_sliced(keys: bytes) -> Hc3SlicedSchedule:
     """K(1)..K(7) of every 16-byte key in keys, on planes.
 
     Slice i holds the round keys key_schedule(keys[16 i:16 i + 16]) builds
     in every mode.
     """
-    consts = consts or get_constants()
+    consts = get_constants()
     k, n = key_planes(keys, "hc3")
     one = ones(n)
 
