@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 import shlex
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from types import ModuleType
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from . import camellia as cam
-from . import hc3
+if TYPE_CHECKING:
+    from .camellia import CamelliaSubkeys
+    from .hc3 import Hc3KeySchedule
 
 
 class MicroOp(NamedTuple):
@@ -231,11 +233,14 @@ class BlockTrace(NamedTuple):
     ciphertext: bytes
 
 
-def _hold_z0(key: bytes, consts) -> tuple:
+# A datapath's setup and work take its cipher package, hc3 or cam, and look
+# its functions up at call time: a substituted key_schedule sees the call.
+
+def _hold_z0(hc3: ModuleType, key: bytes, consts) -> tuple:
     return consts, hc3.pad_and_prewhiten(key, consts)
 
 
-def _run_hc3_short(held: tuple, block: bytes) -> BlockTrace:
+def _run_hc3_short(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
     # Only Z(0) is held; subkeys are regenerated alongside the rounds for
     # every block, and the last cycle restores the round-1 state for the
     # next one.
@@ -265,12 +270,12 @@ def _run_hc3_short(held: tuple, block: bytes) -> BlockTrace:
     return BlockTrace("hc3-short", tuple(cycles), x)
 
 
-def _hold_cache_1600(key: bytes, consts) -> hc3.Hc3KeySchedule:
+def _hold_cache_1600(hc3: ModuleType, key: bytes, consts) -> Hc3KeySchedule:
     return hc3.key_schedule(key, "cached_1600", consts)
 
 
-def _run_hc3_cached(variant: str, ks: hc3.Hc3KeySchedule, block: bytes,
-                    merged: bool, merge_xs_ak: bool) -> BlockTrace:
+def _run_hc3_cached(variant: str, hc3: ModuleType, ks: Hc3KeySchedule,
+                    block: bytes, merged: bool, merge_xs_ak: bool) -> BlockTrace:
     consts = ks.consts
     keys = ks.round_keys
     via = " via fused tables" if merged else ""
@@ -297,25 +302,23 @@ def _run_hc3_cached(variant: str, ks: hc3.Hc3KeySchedule, block: bytes,
     return BlockTrace(variant, tuple(cycles), x)
 
 
-def _run_hc3_long(ks: hc3.Hc3KeySchedule, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-long", ks, block, merged=False, merge_xs_ak=False)
+def _run_hc3_long(hc3: ModuleType, ks: Hc3KeySchedule, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-long", hc3, ks, block, merged=False, merge_xs_ak=False)
 
 
-def _run_hc3_verylong(ks: hc3.Hc3KeySchedule, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-verylong", ks, block, merged=False, merge_xs_ak=True)
+def _run_hc3_verylong(hc3: ModuleType, ks: Hc3KeySchedule, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-verylong", hc3, ks, block, merged=False, merge_xs_ak=True)
 
 
-def _run_hc3_extensive(ks: hc3.Hc3KeySchedule, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-extensive", ks, block, merged=True, merge_xs_ak=True)
+def _run_hc3_extensive(hc3: ModuleType, ks: Hc3KeySchedule, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-extensive", hc3, ks, block, merged=True, merge_xs_ak=True)
 
 
-def _hold_subkeys(key: bytes, consts) -> cam.CamelliaSubkeys:
-    # looked up at call time, so a substituted key_schedule (a counter, a
-    # tracer) sees the call
+def _hold_subkeys(cam: ModuleType, key: bytes, consts) -> CamelliaSubkeys:
     return cam.key_schedule(key, consts)
 
 
-def _run_camellia_lu3(sk: cam.CamelliaSubkeys, block: bytes) -> BlockTrace:
+def _run_camellia_lu3(cam: ModuleType, sk: CamelliaSubkeys, block: bytes) -> BlockTrace:
     consts = sk.consts
     m = int.from_bytes(block, "big")
     left = (m >> 64) ^ sk.kw[0]
@@ -352,18 +355,23 @@ def _run_camellia_lu3(sk: cam.CamelliaSubkeys, block: bytes) -> BlockTrace:
 
 
 class Datapath(NamedTuple):
-    cipher: ModuleType                         # hc3 or camellia, for get_constants
-    setup: Callable[[bytes, Any], Any]         # (key, constants) -> material held
-    work: Callable[[Any, bytes], BlockTrace]   # (held material, block) -> trace
+    cipher: str                                            # "hc3" or "camellia"
+    setup: Callable[[ModuleType, bytes, Any], Any]         # (package, key, constants) -> held
+    work: Callable[[ModuleType, Any, bytes], BlockTrace]   # (package, held, block) -> trace
 
 
 _DATAPATHS: dict[str, Datapath] = {
-    "hc3-short": Datapath(hc3, _hold_z0, _run_hc3_short),
-    "hc3-long": Datapath(hc3, _hold_cache_1600, _run_hc3_long),
-    "hc3-verylong": Datapath(hc3, _hold_cache_1600, _run_hc3_verylong),
-    "hc3-extensive": Datapath(hc3, _hold_cache_1600, _run_hc3_extensive),
-    "camellia-lu3": Datapath(cam, _hold_subkeys, _run_camellia_lu3),
+    "hc3-short": Datapath("hc3", _hold_z0, _run_hc3_short),
+    "hc3-long": Datapath("hc3", _hold_cache_1600, _run_hc3_long),
+    "hc3-verylong": Datapath("hc3", _hold_cache_1600, _run_hc3_verylong),
+    "hc3-extensive": Datapath("hc3", _hold_cache_1600, _run_hc3_extensive),
+    "camellia-lu3": Datapath("camellia", _hold_subkeys, _run_camellia_lu3),
 }
+
+
+# getattr(_HC3CAM, cipher) imports that cipher's package on the first
+# block that runs it (hc3cam.__getattr__), and is an attribute read after
+_HC3CAM = sys.modules[__package__]
 
 
 @lru_cache(maxsize=1)
@@ -371,7 +379,8 @@ def _key_register(datapath: str, key: bytes, consts) -> Any:
     """The device's one-entry key register: the setup product for the last
     (datapath, key, constant set) seen.  Both constants classes hash by
     identity, so a set loaded from another .ctab re-runs setup."""
-    return _DATAPATHS[datapath].setup(key, consts)
+    dp = _DATAPATHS[datapath]
+    return dp.setup(getattr(_HC3CAM, dp.cipher), key, consts)
 
 
 def run_block(profile: ArchProfile, key: bytes, block: bytes) -> BlockTrace:
@@ -389,9 +398,10 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes) -> BlockTrace:
         )
     if len(block) != 16:
         raise ValueError(f"{profile.variant}: block must be 16 bytes, got {len(block)}")
+    package = getattr(_HC3CAM, dp.cipher)
     # bytes(key): a bytearray key must hash for the register
-    held = _key_register(profile.datapath, bytes(key), dp.cipher.get_constants())
-    trace = dp.work(held, block)
+    held = _key_register(profile.datapath, bytes(key), package.get_constants())
+    trace = dp.work(package, held, block)
     want = profile.work_cycles_per_block
     if len(trace.cycles) != want:
         raise AssertionError(

@@ -9,12 +9,11 @@ matrix must be invertible.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .. import ctab, gf2
-from ..ctab import ConstantsError
-from ..hc3.constants import ENV_CONSTANTS_DIR
+from ..ctab import ENV_CONSTANTS_DIR, ConstantsError
 
 
 def _rotl8(x: int, n: int) -> int:
@@ -22,6 +21,8 @@ def _rotl8(x: int, n: int) -> int:
 
 
 class CamelliaConstants:
+    """Validated s-boxes and P pattern; f_tables is built on first use."""
+
     def __init__(self, tab: ctab.Ctab):
         if tab.name != "camellia":
             raise ConstantsError(f"expected a 'camellia' ctab, got '{tab.name}'")
@@ -48,11 +49,12 @@ class CamelliaConstants:
         # s-box order across the eight F-function byte positions
         self.sbox_order = (self.s1, self.s2, self.s3, self.s4,
                            self.s2, self.s3, self.s4, self.s1)
-        self._build_tables()
 
-    def _build_tables(self):
+    @cached_property
+    def f_tables(self):
         # f_tables[pos][v]: 64-bit P-layer image of sbox_pos(v) sitting
-        # alone at byte position pos.
+        # alone at byte position pos; read by the per-block f_function
+        # only, not by the byte-plane networks.
         tables = []
         for pos in range(8):
             box = self.sbox_order[pos]
@@ -60,7 +62,7 @@ class CamelliaConstants:
             tables.append(tuple(
                 sum(box[v] << s for s in shifts) for v in range(256)
             ))
-        self.f_tables = tuple(tables)
+        return tuple(tables)
 
 
 @lru_cache(maxsize=8)

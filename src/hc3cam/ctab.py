@@ -12,7 +12,8 @@ self-describing text format:
 The checksum covers every section in file order, hashed as
 ``name NUL payload-bytes NUL``.  Loading fails hard on syntax errors,
 bad hex, or a checksum mismatch, so a corrupted or hand-mangled table
-can never be used silently.
+can never be used silently.  A parsed file keeps the digest it was
+verified against (``Ctab.sha256``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ class ConstantsError(ValueError):
     """Raised for unparseable, corrupt, or structurally invalid constants."""
 
 
+# names a directory whose hc3.ctab / camellia.ctab replace the packaged sets
+ENV_CONSTANTS_DIR = "HC3CAM_CONSTANTS_DIR"
+
+
 _MAGIC = re.compile(r"%ctab\s+v(\d+)\s+(\S+)\s*$")
 _SECTION = re.compile(r"\[([a-z0-9_]+)\]\s*$")
 _CHECKSUM = re.compile(r"%checksum\s+sha256\s+([0-9a-fA-F]{64})\s*$")
@@ -36,6 +41,7 @@ class Ctab:
     name: str
     version: int
     sections: dict[str, bytes]
+    sha256: str      # the %checksum digest, verified against the sections
 
     def get(self, section: str, length: int | None = None) -> bytes:
         try:
@@ -128,7 +134,7 @@ def parse(text: str, source: str = "<ctab>") -> Ctab:
     dup = {n for n, _ in order if sum(1 for m2, _ in order if m2 == n) > 1}
     if dup:
         raise ConstantsError(f"{source}: duplicate sections {sorted(dup)}")
-    return Ctab(name=name, version=version, sections=dict(order))
+    return Ctab(name=name, version=version, sections=dict(order), sha256=actual)
 
 
 def load(path) -> Ctab:

@@ -14,15 +14,19 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .. import ctab, gf2, gf256
-from ..ctab import ConstantsError
-
-ENV_CONSTANTS_DIR = "HC3CAM_CONSTANTS_DIR"
+from ..ctab import ENV_CONSTANTS_DIR, ConstantsError  # noqa: F401 (re-exported)
 
 IDENTITY = bytes(range(256))
 
 
+def _lazy(args):
+    """A table set built on first read, as _position_tables(*args(consts))."""
+    return cached_property(lambda self: self._position_tables(*args(self)))
+
+
 class Hc3Constants:
-    """Validated constant set plus lookup tables derived from it."""
+    """Validated constant set plus lookup tables derived from it, each
+    table set built when it is first read."""
 
     def __init__(self, tab: ctab.Ctab):
         if tab.name != "hc3":
@@ -55,52 +59,53 @@ class Hc3Constants:
         if not gf2.is_identity(gf2.apply_rows(self.mb3_rows, self.m5e_rows)):
             raise ConstantsError("mb3 . m5e is not the identity")
 
-        self._build_tables()
+        # position-table sets by (layer, src), each built on first use
+        self._built = {}
 
-    def _build_tables(self):
-        built = {}
+    def _position_tables(self, layer, src=IDENTITY):
+        """tables[pos][x]: the layer's output for byte src[x] at input
+        position pos, for the `lanes` kernel.  layer is a GF(2^8)
+        MdsMatrix4 applied to every 32-bit word, or (rows, width): a
+        lane-selection row set over width-bit lanes.  Each distinct set is
+        built once, so an involution's inverse shares them."""
+        key = (layer, src)
+        if key not in self._built:
+            if isinstance(layer, gf256.MdsMatrix4):
+                # the four 32-bit column tables, shifted into each word
+                m = layer.entries
+                products = {c: [gf256.gf_mul(c, x, layer.params) for x in range(256)]
+                            for c in set().union(*m)}
+                cols = [[sum(products[m[i][j]][x] << 8 * (3 - i) for i in range(4))
+                         for x in range(256)] for j in range(4)]
+                parts = [(cols[j], 1 << 32 * (3 - w)) for w in range(4) for j in range(4)]
+            else:
+                # one multiply by a mask of 1-bits puts the byte at every
+                # output byte it feeds; exact as the bytes never overlap
+                rows, width = layer
+                n, per = len(rows), width // 8
+                parts = [(IDENTITY, sum(1 << width * (n - 1 - i) + 8 * (per - 1 - k)
+                                        for i, row in enumerate(rows) if row >> j & 1))
+                         for j in range(n) for k in range(per)]
+            self._built[key] = tuple(tuple(base[s] * mult for s in src) for base, mult in parts)
+        return self._built[key]
 
-        def position_tables(layer, src=IDENTITY):
-            # tables[pos][x]: the layer's output for byte src[x] at input
-            # position pos, for the `lanes` kernel.  layer is a GF(2^8)
-            # MdsMatrix4 applied to every 32-bit word, or (rows, width): a
-            # lane-selection row set over width-bit lanes.  Each distinct
-            # set is built once, so an involution's inverse shares them.
-            key = (layer, src)
-            if key not in built:
-                if isinstance(layer, gf256.MdsMatrix4):
-                    # the four 32-bit column tables, shifted into each word
-                    m = layer.entries
-                    products = {c: [gf256.gf_mul(c, x, layer.params) for x in range(256)]
-                                for c in set().union(*m)}
-                    cols = [[sum(products[m[i][j]][x] << 8 * (3 - i) for i in range(4))
-                             for x in range(256)] for j in range(4)]
-                    parts = [(cols[j], 1 << 32 * (3 - w)) for w in range(4) for j in range(4)]
-                else:
-                    # one multiply by a mask of 1-bits puts the byte at every
-                    # output byte it feeds; exact as the bytes never overlap
-                    rows, width = layer
-                    n, per = len(rows), width // 8
-                    parts = [(IDENTITY, sum(1 << width * (n - 1 - i) + 8 * (per - 1 - k)
-                                            for i, row in enumerate(rows) if row >> j & 1))
-                             for j in range(n) for k in range(per)]
-                built[key] = tuple(tuple(base[s] * mult for s in src) for base, mult in parts)
-            return built[key]
-
-        mdsl = gf256.MDS_L
-        self.mdsl_tables = position_tables(mdsl)
-        self.mdsl_inv_tables = position_tables(gf256.mds_l_inverse(mdsl))
-        # s-box folded into the column products; the "one bijective sbox
-        # per constant" datapath.
-        self.merged_tables = position_tables(mdsl, self.sbox)
-        self.mds_h_tables = position_tables((self.mds_h_rows, 8))
-        self.mds_h_inv_tables = position_tables((self.mds_h_inv_rows, 8))
-        self.m5e_tables = position_tables((self.m5e_rows, 8))
-        self.mb3_tables = position_tables((self.mb3_rows, 8))
-        self.p32_tables = position_tables((self.p32_rows, 32))
-        self.p32_inv_tables = position_tables((self.p32_inv_rows, 32))
-        # F-sigma: the s-box fused into P(16)
-        self.f_sigma_tables = position_tables((self.p16_rows, 16), self.sbox)
+    # Each layer's tables are built when a cipher path first reads them: a
+    # key schedule reads p32*, m5e, mb3 and f_sigma, the per-block rounds
+    # mdsl* and mds_h*, merged_xs merged, and the byte-plane engines only
+    # the mdsl*_columns.
+    mdsl_tables = _lazy(lambda c: (gf256.MDS_L,))
+    mdsl_inv_tables = _lazy(lambda c: (gf256.mds_l_inverse(gf256.MDS_L),))
+    # s-box folded into the column products; the "one bijective sbox per
+    # constant" datapath
+    merged_tables = _lazy(lambda c: (gf256.MDS_L, c.sbox))
+    mds_h_tables = _lazy(lambda c: ((c.mds_h_rows, 8),))
+    mds_h_inv_tables = _lazy(lambda c: ((c.mds_h_inv_rows, 8),))
+    m5e_tables = _lazy(lambda c: ((c.m5e_rows, 8),))
+    mb3_tables = _lazy(lambda c: ((c.mb3_rows, 8),))
+    p32_tables = _lazy(lambda c: ((c.p32_rows, 32),))
+    p32_inv_tables = _lazy(lambda c: ((c.p32_inv_rows, 32),))
+    # F-sigma: the s-box fused into P(16)
+    f_sigma_tables = _lazy(lambda c: ((c.p16_rows, 16), c.sbox))
 
     @cached_property
     def mdsl_columns(self):

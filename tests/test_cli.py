@@ -297,6 +297,15 @@ def test_simulate_requires_variant_or_profile(capsys):
     assert code == 2 and "simulate needs" in err
 
 
+def test_simulate_variant_list_matches_profiles(capsys):
+    # the parser lists the variants without importing archsim
+    from hc3cam import archsim
+    assert cli.VARIANTS == tuple(sorted(archsim.PROFILES))
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    assert ", ".join(cli.VARIANTS) in " ".join(capsys.readouterr().out.split())
+
+
 def test_bench_single_block(capsys):
     code, out, _ = run(["bench", "--cipher", "hc3", "--blocks", "1"], capsys)
     assert code == 0

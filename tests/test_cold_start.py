@@ -1,0 +1,99 @@
+"""What a command loads: each hc3cam process imports the packages its
+subcommand runs and builds a lookup table when a layer first reads it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hc3cam import ctab
+from hc3cam.camellia import constants as cam_constants
+from hc3cam.hc3 import constants as hc3_constants
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "hc3cam" / "data"
+KEY = "000102030405060708090a0b0c0d0e0f"
+
+# runs `python -m hc3cam.cli ARGS` and prints its exit code, then the
+# hc3cam modules it imported
+PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("hc3cam.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("hc3cam")))
+"""
+
+
+def imported_by(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop(ctab.ENV_CONSTANTS_DIR, None)
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, *modules = out.splitlines()[-1].split()
+    assert code == "0", out
+    # each module and the package it belongs to
+    return {m for name in modules for m in (name, name.rsplit(".", 1)[0])}
+
+
+def test_encrypt_camellia_loads_no_hc3_or_archsim(tmp_path):
+    src = tmp_path / "plain.bin"
+    src.write_bytes(bytes(48))
+    mods = imported_by(["encrypt", "--cipher", "camellia", "--key", KEY,
+                        "--in", str(src), "--out", str(tmp_path / "ct.bin")])
+    assert "hc3cam.camellia" in mods
+    assert not mods & {"hc3cam.hc3", "hc3cam.archsim", "hc3cam.gf256"}
+
+
+def test_kat_hc3_loads_no_camellia_or_archsim():
+    mods = imported_by(["kat", "--cipher", "hc3", "--vectors", str(DATA / "kat" / "hc3.kat")])
+    assert "hc3cam.hc3" in mods
+    assert not mods & {"hc3cam.camellia", "hc3cam.archsim"}
+
+
+@pytest.mark.parametrize("blocks, cipher", [("1", {"hc3cam.hc3"}), ("0", set())])
+def test_simulate_hc3_loads_no_camellia(blocks, cipher):
+    # with no block to check against the functional model, no cipher
+    mods = imported_by(["simulate", "--variant", "hc3-long", "--blocks", blocks])
+    assert "hc3cam.archsim" in mods
+    assert mods & {"hc3cam.hc3", "hc3cam.camellia"} == cipher
+
+
+HC3_TABLES = ("mdsl_tables", "mdsl_inv_tables", "merged_tables", "mds_h_tables",
+              "mds_h_inv_tables", "m5e_tables", "mb3_tables", "p32_tables",
+              "p32_inv_tables", "f_sigma_tables", "mdsl_columns", "mdsl_inv_columns")
+
+
+def fresh_hc3():
+    return hc3_constants.Hc3Constants(ctab.parse((DATA / "hc3.ctab").read_text()))
+
+
+def test_hc3_tables_built_per_layer_on_first_use():
+    from hc3cam import hc3
+    consts = fresh_hc3()
+    assert not set(HC3_TABLES) & set(vars(consts))
+    built = {"m5e_tables", "mb3_tables", "p32_tables", "p32_inv_tables", "f_sigma_tables"}
+    ks = hc3.key_schedule(bytes(16), consts=consts)
+    assert {t for t in HC3_TABLES if t in vars(consts)} == built
+    hc3.encrypt_blocks(bytes(32), ks)
+    assert {t for t in HC3_TABLES if t in vars(consts)} == built | {"mdsl_tables",
+                                                                    "mdsl_columns"}
+    # the packaged mds_h and p32 are involutions: their inverses share tables
+    assert consts.p32_inv_tables is consts.p32_tables
+    assert consts.mds_h_inv_tables is consts.mds_h_tables
+
+
+def test_camellia_f_tables_built_on_first_use(monkeypatch):
+    from hc3cam import camellia
+    consts = cam_constants.CamelliaConstants(
+        ctab.parse((DATA / "camellia.ctab").read_text()))
+    monkeypatch.setattr(camellia.cipher, "get_constants", lambda: consts)
+    sk = camellia.key_schedule_sliced(bytes(32))
+    camellia.decrypt_sliced(camellia.encrypt_sliced(bytes(32), sk), sk)
+    assert sk.consts is consts and "f_tables" not in vars(consts)
+    camellia.key_schedule(bytes(16), consts)   # its F rounds read them
+    assert "f_tables" in vars(consts)

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from hc3cam import ctab
 from hc3cam.ctab import ConstantsError
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "hc3cam" / "data"
 
 
 def sample_text():
@@ -57,6 +61,22 @@ def test_payload_outside_section_rejected():
     text = "%ctab v1 x\nab\n%checksum sha256 " + "0" * 64
     with pytest.raises(ConstantsError, match="outside any section"):
         ctab.parse(text)
+
+
+def test_duplicate_sections_rejected():
+    sections = [("alpha", b"\x01"), ("beta", b"\x02"), ("alpha", b"\x03")]
+    with pytest.raises(ConstantsError, match=r"duplicate sections \['alpha'\]"):
+        ctab.parse(ctab.write("demo", sections))
+
+
+@pytest.mark.parametrize("name", ["hc3.ctab", "camellia.ctab"])
+def test_sha256_is_the_verified_checksum(name):
+    text = (DATA / name).read_text()
+    declared = next(line.split()[2] for line in text.splitlines()
+                    if line.startswith("%checksum"))
+    tab = ctab.parse(text)
+    assert tab.sha256 == declared == _checksum_of(tab)
+    assert ctab.parse(sample_text()).sha256 == sample_text().split()[-1]
 
 
 def test_missing_section_reported():
