@@ -164,14 +164,13 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 SETUP, READY, WORKING, REARM = "setup", "ready", "working", "rearm"
 
 
-@dataclass(frozen=True, slots=True)
-class DeviceState:
+class DeviceState(NamedTuple):
     """One encryption unit stepped a clock tick at a time.
 
     RESET drops READY at its edge; retained setup results let READY rise
     again one tick later.  A RESET arriving mid-block does not cut the
     WORK pulse short: the block in flight completes its exact cycle
-    count first.
+    count first.  A tuple, so the new state of every tick is cheap to build.
     """
 
     profile: ArchProfile

@@ -13,9 +13,10 @@ chunks of CHUNK_BLOCKS blocks, each through the cipher's byte-plane batch
 engine (encrypt_blocks/decrypt_blocks of hc3 or camellia), and bench times
 that engine.  kat runs its records key-sliced, CHUNK_BLOCKS records at a
 time: one key_schedule_sliced per chunk, then encrypt_sliced of the
-plaintexts and decrypt_sliced of the ciphertexts.  simulate checks each
-block against the per-block encrypt.  A command imports only the cipher
-package it runs, and only simulate imports archsim.
+plaintexts and decrypt_sliced of the ciphertexts.  simulate checks every
+block the device model produced against the batch engine, one
+encrypt_blocks call per CHUNK_BLOCKS blocks.  A command imports only the
+cipher package it runs, and only simulate imports archsim.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from importlib import import_module
 from .ctab import ConstantsError
 
 BLOCK_BYTES = 16
-# encrypt/decrypt read, process and write this many blocks at a time:
-# memory stays bounded whatever the file size, and a chunk is large enough
-# that the batch engine's per-call cost is spread thin
+# encrypt/decrypt read, process and write this many blocks at a time, and
+# simulate checks this many per batch call: memory stays bounded whatever
+# the size, and a chunk is large enough that the batch engine's per-call
+# cost is spread thin
 CHUNK_BLOCKS = 8192
 # bench reports the fastest of at least BENCH_PASSES passes over --blocks
 # blocks, repeated until they took BENCH_MIN_S in all: a pass can take
@@ -301,19 +303,24 @@ def cmd_simulate(args) -> int:
     while not state.ready:
         state = archsim.step(state)
     setup_ticks = state.cycle_counter
-    # every block's ciphertext is checked against the functional cipher on
-    # its default key schedule, a different route from the device's setup
+    # every block's ciphertext is checked against the cipher's byte-plane
+    # batch engine on its default key schedule, one call per chunk: a
+    # different route from the device's setup and per-cycle rounds
     if args.blocks:
         ref = import_module(CIPHERS[profile.cipher])
         ref_ks = ref.key_schedule(key)
     trace = None
-    for i in range(args.blocks):
-        block = i.to_bytes(16, "big")
-        trace = archsim.run_block(profile, key, block)
-        functional_ok &= trace.ciphertext == ref.encrypt(block, ref_ks)
-        state = archsim.step(state, start_edge=True)
-        while state.work:
-            state = archsim.step(state)
+    for start in range(0, args.blocks, CHUNK_BLOCKS):
+        blocks = [i.to_bytes(BLOCK_BYTES, "big")
+                  for i in range(start, min(start + CHUNK_BLOCKS, args.blocks))]
+        cts = []
+        for block in blocks:
+            trace = archsim.run_block(profile, key, block)
+            cts.append(trace.ciphertext)
+            state = archsim.step(state, start_edge=True)
+            while state.work:
+                state = archsim.step(state)
+        functional_ok &= b"".join(cts) == ref.encrypt_blocks(b"".join(blocks), ref_ks)
     print(f"blocks simulated: {args.blocks} "
           f"(ciphertext vs functional model: {'OK' if functional_ok else 'MISMATCH'})")
     print(f"device ticks: {state.cycle_counter} total, {setup_ticks} setup")

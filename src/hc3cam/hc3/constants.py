@@ -72,9 +72,7 @@ class Hc3Constants:
         if key not in self._built:
             if isinstance(layer, gf256.MdsMatrix4):
                 # the four 32-bit column tables, shifted into each word
-                m = layer.entries
-                products = {c: [gf256.gf_mul(c, x, layer.params) for x in range(256)]
-                            for c in set().union(*m)}
+                m, products = layer.entries, _products(layer)
                 cols = [[sum(products[m[i][j]][x] << 8 * (3 - i) for i in range(4))
                          for x in range(256)] for j in range(4)]
                 parts = [(cols[j], 1 << 32 * (3 - w)) for w in range(4) for j in range(4)]
@@ -109,20 +107,25 @@ class Hc3Constants:
 
     @cached_property
     def mdsl_columns(self):
-        return _plane_columns(self.mdsl_tables)
+        return _plane_columns(gf256.MDS_L)
 
     @cached_property
     def mdsl_inv_columns(self):
-        return _plane_columns(self.mdsl_inv_tables)
+        return _plane_columns(gf256.mds_l_inverse(gf256.MDS_L))
 
 
-def _plane_columns(tables):
-    """MDS_L for the byte-plane engines: per input byte of a word, the
-    product table into each output byte."""
-    # the last word's positions carry the four column tables unshifted;
-    # byte i of each packed 32-bit entry is the product into output byte i
-    packed = [b"".join(v.to_bytes(4, "big") for v in col) for col in tables[12:]]
-    return tuple(tuple(col[i::4] for i in range(4)) for col in packed)
+def _products(layer):
+    """{c: c * x for every byte x} in the field of an MdsMatrix4, for each
+    entry c of the matrix."""
+    return {c: bytes(gf256.gf_mul(c, x, layer.params) for x in range(256))
+            for c in set().union(*layer.entries)}
+
+
+def _plane_columns(layer):
+    """An MdsMatrix4 for the byte-plane engines: per input byte j of a
+    word, the product table into each output byte i."""
+    m, products = layer.entries, _products(layer)
+    return tuple(tuple(products[m[i][j]] for i in range(4)) for j in range(4))
 
 
 @lru_cache(maxsize=8)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import random
 from pathlib import Path
@@ -196,18 +197,90 @@ def test_simulate_sets_up_once_per_key(variant, monkeypatch, capsys):
     assert len(built) <= 2
 
 
+def flip_block(data: bytes, plaintexts: bytes, bad: int) -> bytes:
+    """data with one bit of the block whose plaintext is block number
+    `bad` (simulate's plaintexts count up from 0) flipped."""
+    out = bytearray(data)
+    for off in range(0, len(plaintexts), 16):
+        if plaintexts[off:off + 16] == bad.to_bytes(16, "big"):
+            out[off] ^= 1
+    return bytes(out)
+
+
 def test_simulate_checks_every_block(monkeypatch, capsys):
     # a wrong reference for block 23 alone must fail the run
-    real = hc3.encrypt
-    bad_block = (23).to_bytes(16, "big")
+    real = hc3.encrypt_blocks
 
-    def wrong_on_23(block, ks, *args):
-        out = real(block, ks, *args)
-        return bytes([out[0] ^ 1]) + out[1:] if block == bad_block else out
-    monkeypatch.setattr(hc3, "encrypt", wrong_on_23)
+    def wrong_on_23(data, ks):
+        return flip_block(real(data, ks), data, 23)
+    monkeypatch.setattr(hc3, "encrypt_blocks", wrong_on_23)
     code, out, _ = run(["simulate", "--variant", "hc3-long", "--blocks", "40"], capsys)
     assert code == 1
     assert "blocks simulated: 40 (ciphertext vs functional model: MISMATCH)" in out
+
+
+def test_simulate_checks_in_chunks(monkeypatch, capsys):
+    # 40 blocks in chunks of 16: two full chunks and a partial one, each
+    # checked by one batch call; the printed run is the one-chunk run
+    code, whole, _ = run(["simulate", "--variant", "hc3-long", "--blocks", "40"], capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "CHUNK_BLOCKS", 16)
+    real, calls = hc3.encrypt_blocks, []
+
+    def counted(data, ks):
+        calls.append(len(data) // 16)
+        return real(data, ks)
+    monkeypatch.setattr(hc3, "encrypt_blocks", counted)
+    code, out, _ = run(["simulate", "--variant", "hc3-long", "--blocks", "40"], capsys)
+    assert code == 0 and out == whole and calls == [16, 16, 8]
+    # 8 setup ticks, then one START tick and 8 work ticks per block
+    assert "blocks simulated: 40 (ciphertext vs functional model: OK)" in out
+    assert "device ticks: 368 total, 8 setup" in out
+
+    # a wrong reference for one block of the last, partial chunk
+    monkeypatch.setattr(hc3, "encrypt_blocks",
+                        lambda data, ks: flip_block(real(data, ks), data, 37))
+    code, out, _ = run(["simulate", "--variant", "hc3-long", "--blocks", "40"], capsys)
+    assert code == 1
+    assert "blocks simulated: 40 (ciphertext vs functional model: MISMATCH)" in out
+    assert "device ticks: 368 total, 8 setup" in out
+
+
+@pytest.mark.parametrize("variant", ["hc3-extensive", "camellia-lu3"])
+def test_simulate_catches_device_fault(variant, monkeypatch, capsys):
+    # a datapath that gets one block wrong fails the run
+    from hc3cam import archsim
+    dp = archsim._DATAPATHS[variant]
+    bad = (5).to_bytes(16, "big")
+
+    def faulty(package, held, block):
+        trace = dp.work(package, held, block)
+        if block != bad:
+            return trace
+        return trace._replace(ciphertext=flip_block(trace.ciphertext, block, 5))
+    monkeypatch.setitem(archsim._DATAPATHS, variant, dp._replace(work=faulty))
+    code, out, _ = run(["simulate", "--variant", variant, "--blocks", "9"], capsys)
+    assert code == 1
+    assert "blocks simulated: 9 (ciphertext vs functional model: MISMATCH)" in out
+
+
+# sha256 of the whole stdout of `simulate --variant V --blocks 3 --trace`,
+# recorded from the per-block checker before the batched one replaced it
+SIMULATE_DIGESTS = {
+    "camellia-lu3": "10a4fa4bd8cd8dc5f2890c359e1b50c8b874cf19f492684bbe63b42e709ec2ae",
+    "hc3-extensive": "82cffdc4202fe26fd6274c97234f1a8cd0ef9d03c6b59a98b104e5f36109469b",
+    "hc3-long": "3a1c39a96576c19ede6cb2a67d8e736802ede2bab023cee396cd5e41bc7e93cd",
+    "hc3-short": "7fe21d90db8b29063a83137ba324e6b665c8290e32c839ce7a7812f98d4cc800",
+    "hc3-verylong": "5d2d3a34f7a695e71cf69928d1d0cef6166ed4930c772d506460f800fc4e57bb",
+}
+
+
+@pytest.mark.parametrize("variant", cli.VARIANTS)
+def test_simulate_output_pinned(variant, capsys):
+    code, out, _ = run(["simulate", "--variant", variant, "--blocks", "3", "--trace"],
+                       capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[variant]
 
 
 def test_simulate_camellia_setup_and_work(capsys):

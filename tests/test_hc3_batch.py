@@ -12,6 +12,20 @@ def per_block(fn, data, ks):
     return b"".join(fn(data[off:off + 16], ks) for off in range(0, len(data), 16))
 
 
+def cut_from_position_tables(tables):
+    """The column tables as cut from a full MDS_L position-table set: the
+    last word's four tables are unshifted, and byte i of each packed
+    32-bit entry is the product into output byte i."""
+    packed = [b"".join(v.to_bytes(4, "big") for v in col) for col in tables[12:]]
+    return tuple(tuple(col[i::4] for i in range(4)) for col in packed)
+
+
+def test_plane_columns_match_position_tables():
+    consts = hc3.get_constants()
+    assert consts.mdsl_columns == cut_from_position_tables(consts.mdsl_tables)
+    assert consts.mdsl_inv_columns == cut_from_position_tables(consts.mdsl_inv_tables)
+
+
 def test_batch_matches_per_block():
     rng = random.Random(71)
     for mode in hc3.MODES:
