@@ -141,13 +141,18 @@ def key_schedule(key: bytes,
     kl_var = int.from_bytes(key, "big")
     kr_var = 0
 
+    def f(x, k):
+        # F without f_tables: the batch engines never read them, and the
+        # four KA rounds alone do not repay building them
+        return p_layer(sbox_layer(x ^ k, consts), consts)
+
     d1, d2 = _halves(kl_var ^ kr_var)
-    d2 ^= f_function(d1, SIGMA.sigma1, consts)
-    d1 ^= f_function(d2, SIGMA.sigma2, consts)
+    d2 ^= f(d1, SIGMA.sigma1)
+    d1 ^= f(d2, SIGMA.sigma2)
     d1 ^= kl_var >> 64
     d2 ^= kl_var & MASK64
-    d2 ^= f_function(d1, SIGMA.sigma3, consts)
-    d1 ^= f_function(d2, SIGMA.sigma4, consts)
+    d2 ^= f(d1, SIGMA.sigma3)
+    d1 ^= f(d2, SIGMA.sigma4)
     ka_var = d1 << 64 | d2
 
     kw1, kw2 = _halves(_rot128(kl_var, 0))

@@ -11,9 +11,10 @@ format error.  Files are processed as raw 16-byte ECB blocks; a partial
 final block is an error, never padded.  encrypt/decrypt stream the file in
 chunks of CHUNK_BLOCKS blocks, each through the cipher's byte-plane batch
 engine (encrypt_blocks/decrypt_blocks of hc3 or camellia), and bench times
-that engine.  kat runs its records key-sliced, CHUNK_BLOCKS records at a
-time: one key_schedule_sliced per chunk, then encrypt_sliced of the
-plaintexts and decrypt_sliced of the ciphertexts.  simulate checks every
+that engine.  kat reads its vector file into key, plaintext and ciphertext
+columns and runs them key-sliced, CHUNK_BLOCKS records at a time: one
+key_schedule_sliced per chunk, then encrypt_sliced of the plaintexts and
+decrypt_sliced of the ciphertexts.  simulate checks every
 block the device model produced against the batch engine, one
 encrypt_blocks call per CHUNK_BLOCKS blocks.  A command imports only the
 cipher package it runs, and only simulate imports archsim.
@@ -24,11 +25,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import stat
 import sys
 import time
 from dataclasses import dataclass
 from importlib import import_module
+from typing import NamedTuple
 
 from .ctab import ConstantsError
 
@@ -108,30 +111,69 @@ def cmd_crypt(args) -> int:
     return 0
 
 
-@dataclass(slots=True)
-class KatRecord:
-    cipher: str
-    index: int
-    key: bytes
-    plaintext: bytes
-    ciphertext: bytes
+class KatVectors(NamedTuple):
+    """The records of a vector file as columns: n records, each field the
+    concatenation of their 16-byte values in file order."""
+    n: int
+    keys: bytes
+    plaintexts: bytes
+    ciphertexts: bytes
 
 
-def parse_kat_file(text: str, source: str = "<kat>",
-                   cipher: str = "") -> list[KatRecord]:
-    """KEY=/PT=/CT= triples, '#' comments, blank lines between records."""
-    records = []
+_KAT_FIELDS = ("KEY", "PT", "CT")
+# The layout the README documents and scripts/gen_kat.py writes, one line
+# per '\n': blank or '#' comment lines, then KEY=/PT=/CT= records of 32 hex
+# digits each, at least one blank or comment line between two records.
+# Comment lines hold printable ASCII and tabs only, so every character
+# str.splitlines breaks at is outside them.
+_HEX32 = "[0-9A-Fa-f]{32}"
+_SEPS = r"(?:(?:#[\t -~]*)?\n)+"
+_RECORD = f"KEY=({_HEX32})\nPT=({_HEX32})\nCT=({_HEX32})\n({_SEPS})"
+_RECORD_CHARS = len("KEY=\nPT=\nCT=\n") + 3 * 32
+
+
+def parse_kat_file(text: str, source: str = "<kat>") -> KatVectors:
+    """KEY=/PT=/CT= triples, '#' comments, blank lines between records.
+
+    Text in the documented layout is read in one scan; any other text, and
+    every error, goes through the line walker."""
+    return _scan_kat_layout(text) or _walk_kat_lines(text, source)
+
+
+def _scan_kat_layout(text: str) -> KatVectors | None:
+    """The records of text in the documented layout; None for text in any
+    other layout or with no records."""
+    # Led and closed by blank lines, text in the layout is its leading
+    # separators, then records each followed by separators, and nothing
+    # else.  findall skips what does not match, so the matches must add up
+    # to every character after the leading separators.  (One match of the
+    # whole text would keep backtracking state for every record.)
+    scan = f"\n{text}\n\n"
+    start = re.match(_SEPS, scan).end()
+    found = re.compile(_RECORD).findall(scan, start)
+    if not found:
+        return None
+    keys, plaintexts, ciphertexts, seps = zip(*found)
+    if start + _RECORD_CHARS * len(found) + sum(map(len, seps)) != len(scan):
+        return None
+    return KatVectors(len(found), *(bytes.fromhex("".join(column))
+                                    for column in (keys, plaintexts, ciphertexts)))
+
+
+def _walk_kat_lines(text: str, source: str) -> KatVectors:
+    """Line by line: fields in any order and case, spaces, inline comments
+    and spaced hex; every malformed line is a file:line error."""
+    columns: dict[str, list[bytes]] = {name: [] for name in _KAT_FIELDS}
     pending: dict[str, bytes] = {}
-    order = ("KEY", "PT", "CT")
 
     def close(lineno):
         if not pending:
             return
-        missing = [f for f in order if f not in pending]
+        missing = [f for f in _KAT_FIELDS if f not in pending]
         if missing:
             raise CliError(f"{source}:{lineno}: record missing {'/'.join(missing)}")
-        records.append(KatRecord(cipher, len(records) + 1, pending["KEY"],
-                                 pending["PT"], pending["CT"]))
+        for name in _KAT_FIELDS:
+            columns[name].append(pending[name])
         pending.clear()
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -143,7 +185,7 @@ def parse_kat_file(text: str, source: str = "<kat>",
             raise CliError(f"{source}:{lineno}: expected FIELD=hex, got {line!r}")
         name, _, value = line.partition("=")
         name = name.strip().upper()
-        if name not in order:
+        if name not in _KAT_FIELDS:
             raise CliError(f"{source}:{lineno}: unknown field {name!r}")
         if name in pending:
             raise CliError(f"{source}:{lineno}: duplicate {name} in record")
@@ -155,23 +197,25 @@ def parse_kat_file(text: str, source: str = "<kat>",
             raise CliError(f"{source}:{lineno}: {name} must be 32 hex digits")
         pending[name] = payload
     close(lineno + 1 if text else 0)
-    if not records:
+    if not columns["KEY"]:
         raise CliError(f"{source}: no records found")
-    return records
+    return KatVectors(len(columns["KEY"]),
+                      *(b"".join(columns[name]) for name in _KAT_FIELDS))
 
 
-def _mismatch(rec: KatRecord, direction: str, expected: bytes, got: bytes) -> int:
+def _mismatch(index: int, key: bytes, direction: str, expected: bytes,
+              got: bytes) -> int:
     """Print a mismatch of one record in one direction; 1 if there was one."""
     if got == expected:
         return 0
-    print(f"record {rec.index}: {direction} mismatch\n"
-          f"  key      {rec.key.hex()}\n"
+    print(f"record {index}: {direction} mismatch\n"
+          f"  key      {key.hex()}\n"
           f"  expected {expected.hex()}\n"
           f"  got      {got.hex()}")
     return 1
 
 
-def _read_vectors(args) -> list[KatRecord]:
+def _read_vectors(args) -> KatVectors:
     # the text goes out of scope on return, before the records are run
     try:
         with open(args.vectors, "r", encoding="ascii") as fh:
@@ -180,27 +224,28 @@ def _read_vectors(args) -> list[KatRecord]:
         raise CliError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{args.vectors}: {exc}") from exc
-    return parse_kat_file(text, source=args.vectors, cipher=args.cipher)
+    return parse_kat_file(text, source=args.vectors)
 
 
 def cmd_kat(args) -> int:
-    records = _read_vectors(args)
+    vectors = _read_vectors(args)
     mod = import_module(CIPHERS[args.cipher])
     failures = 0
-    for start in range(0, len(records), CHUNK_BLOCKS):
-        chunk = records[start:start + CHUNK_BLOCKS]
-        ks = mod.key_schedule_sliced(b"".join(rec.key for rec in chunk))
-        plain = b"".join(rec.plaintext for rec in chunk)
-        cipher = b"".join(rec.ciphertext for rec in chunk)
+    for start in range(0, vectors.n, CHUNK_BLOCKS):
+        cut = slice(BLOCK_BYTES * start, BLOCK_BYTES * (start + CHUNK_BLOCKS))
+        keys = vectors.keys[cut]
+        plain = vectors.plaintexts[cut]
+        cipher = vectors.ciphertexts[cut]
+        ks = mod.key_schedule_sliced(keys)
         got_ct = mod.encrypt_sliced(plain, ks)
         got_pt = mod.decrypt_sliced(cipher, ks)
         if got_ct == cipher and got_pt == plain:
             continue
-        for i, rec in enumerate(chunk):
-            block = slice(BLOCK_BYTES * i, BLOCK_BYTES * (i + 1))
-            failures += _mismatch(rec, "encrypt", rec.ciphertext, got_ct[block])
-            failures += _mismatch(rec, "decrypt", rec.plaintext, got_pt[block])
-    total = len(records)
+        for index, off in enumerate(range(0, len(keys), BLOCK_BYTES), start + 1):
+            block = slice(off, off + BLOCK_BYTES)
+            failures += _mismatch(index, keys[block], "encrypt", cipher[block], got_ct[block])
+            failures += _mismatch(index, keys[block], "decrypt", plain[block], got_pt[block])
+    total = vectors.n
     if failures:
         print(f"{args.cipher}: {failures} mismatch(es) across {total} record(s)")
         return 1

@@ -126,15 +126,27 @@ def test_kat_detects_corrupted_ciphertext(tmp_path, capsys):
     assert "record 1" in out and "mismatch" in out
 
 
-def test_kat_malformed_file(tmp_path, capsys):
-    f = tmp_path / "m.kat"
-    f.write_text("KEY=00\nPT=zz\n")
-    code, _, err = run(["kat", "--cipher", "hc3", "--vectors", str(f)], capsys)
-    assert code == 2
+HEX32 = "00" * 16
+RECORD = f"KEY={HEX32}\nPT={HEX32}\nCT={HEX32}\n"
 
-    f.write_text("KEY=" + "00" * 16 + "\nPT=" + "00" * 16 + "\n\n")
-    code, _, err = run(["kat", "--cipher", "hc3", "--vectors", str(f)], capsys)
-    assert code == 2 and "missing CT" in err
+
+@pytest.mark.parametrize("text, where, message", [
+    (f"KEY={HEX32}\nbogus line\n", ":2", "expected FIELD=hex, got 'bogus line'"),
+    (f"# header\nIV={HEX32}\n", ":2", "unknown field 'IV'"),
+    # two records with no separator line between them
+    (RECORD + RECORD, ":4", "duplicate KEY in record"),
+    (f"KEY={HEX32}\nPT={'zz' * 16}\n", ":2", "bad hex in PT"),
+    ("KEY=00\nPT=zz\n", ":1", "KEY must be 32 hex digits"),
+    (f"KEY={HEX32}\nPT={HEX32}\n\n", ":3", "record missing CT"),
+    (f"# header\nCT={HEX32}", ":3", "record missing KEY/PT"),
+    ("# only a comment\n\n", "", "no records found"),
+], ids=["expected", "unknown", "duplicate", "bad-hex", "length", "missing",
+        "missing-at-end", "no-records"])
+def test_kat_malformed_file(text, where, message, tmp_path, capsys):
+    f = tmp_path / "m.kat"
+    f.write_text(text)
+    code, out, err = run(["kat", "--cipher", "hc3", "--vectors", str(f)], capsys)
+    assert (code, out, err) == (2, "", f"hc3cam: error: {f}{where}: {message}\n")
 
 
 def test_kat_record_order_free_fields(tmp_path, capsys):
@@ -487,3 +499,83 @@ def test_kat_one_record_and_chunk_edges(cipher, tmp_path, monkeypatch, capsys):
     code, out, _ = run(["kat", "--cipher", cipher, "--vectors", str(f)], capsys)
     assert (code, out) == reference_kat(cipher, bad, mod.encrypt, mod.decrypt)
     assert out.count("mismatch\n") == 2
+
+
+# --- kat vector file parsing --------------------------------------------------
+#
+# parse_kat_file reads the documented layout in one scan and hands any other
+# text to the line walker, which stays the oracle: on every text both give
+# the same columns or the same error.
+
+def parsed(parse, text):
+    try:
+        return parse(text, "v.kat")
+    except cli.CliError as exc:
+        return str(exc)
+
+
+def kat_text(rng, variant):
+    """A vector file of 1-6 random records, written the way variant says."""
+    records = [[("KEY", rng.randbytes(16)), ("PT", rng.randbytes(16)),
+                ("CT", rng.randbytes(16))] for _ in range(rng.randint(1, 6))]
+    lines = ["# header", "#\tcomment", ""] if variant == "header" else []
+    for i, fields in enumerate(records):
+        if i and variant == "comments":
+            lines += rng.choices(["#", "# note", f"#KEY={'ab' * 16}"], k=rng.randint(1, 3))
+        elif i and variant != "adjacent":
+            lines += [""] * rng.randint(1, 3)
+        if variant == "reordered":
+            rng.shuffle(fields)
+        for name, value in fields:
+            digits = value.hex().upper() if rng.random() < 0.5 else value.hex()
+            if variant == "lower-case":
+                name = name.lower()
+            elif variant == "inline-comment":
+                digits += " # " + name
+            elif variant == "spaced":
+                name, digits = f" {name} ", " ".join(value.hex(" ").split())
+            lines.append(f"{name}={digits}")
+    text = "\n".join(lines) + "\n" * rng.randint(0, 2)
+    return text.replace("\n", "\r\n") if variant == "crlf" else text
+
+
+LAYOUT_VARIANTS = ["plain", "header", "comments"]
+
+
+@pytest.mark.parametrize("variant", LAYOUT_VARIANTS + [
+    "adjacent", "reordered", "lower-case", "inline-comment", "spaced", "crlf"])
+def test_parse_kat_file_matches_line_walker(variant):
+    rng = random.Random(f"kat-parse:{variant}")
+    for _ in range(40):
+        text = kat_text(rng, variant)
+        want = parsed(cli._walk_kat_lines, text)
+        assert parsed(cli.parse_kat_file, text) == want, text
+        scanned = cli._scan_kat_layout(text)
+        if variant in LAYOUT_VARIANTS:
+            # the documented layout, with or without a final newline, is
+            # read in one scan
+            assert scanned == want
+        elif variant == "adjacent" and text.count("KEY=") > 1:
+            assert want == "v.kat:4: duplicate KEY in record" and scanned is None
+        else:
+            assert scanned in (None, want)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n", "# only\n# comments", "# c\r\n\r\n"])
+def test_parse_kat_file_without_records(text):
+    assert cli._scan_kat_layout(text) is None
+    assert parsed(cli.parse_kat_file, text) == "v.kat: no records found"
+
+
+def test_parse_kat_file_damaged_layout_matches_line_walker():
+    # one character inserted, deleted or replaced anywhere in a file of the
+    # documented layout: whichever route takes it, the result is the walker's
+    rng = random.Random("kat-parse:damaged")
+    alphabet = "\n\r\x0b\x1c #=:0aGgKEYPTCkey"
+    for _ in range(600):
+        text = kat_text(rng, rng.choice(LAYOUT_VARIANTS))
+        at = rng.randrange(len(text) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        tail = text[at + 1:] if edit != "insert" else text[at:]
+        text = text[:at] + ("" if edit == "delete" else rng.choice(alphabet)) + tail
+        assert parsed(cli.parse_kat_file, text) == parsed(cli._walk_kat_lines, text), text

@@ -95,5 +95,13 @@ def test_camellia_f_tables_built_on_first_use(monkeypatch):
     sk = camellia.key_schedule_sliced(bytes(32))
     camellia.decrypt_sliced(camellia.encrypt_sliced(bytes(32), sk), sk)
     assert sk.consts is consts and "f_tables" not in vars(consts)
-    camellia.key_schedule(bytes(16), consts)   # its F rounds read them
+    # the single-key schedule and the byte-plane engine do not read them
+    sk = camellia.key_schedule(bytes(16), consts)
+    camellia.decrypt_blocks(camellia.encrypt_blocks(bytes(48), sk), sk)
+    assert "f_tables" not in vars(consts)
+    camellia.encrypt(bytes(16), sk)            # per-block F reads them
+    assert "f_tables" in vars(consts)
+    consts = cam_constants.CamelliaConstants(
+        ctab.parse((DATA / "camellia.ctab").read_text()))
+    camellia.f_function(0, 0, consts)
     assert "f_tables" in vars(consts)

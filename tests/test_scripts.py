@@ -2,7 +2,8 @@
 
 scripts/gen_constants.py writes the two .ctab files and scripts/gen_kat.py
 the two .kat files; each is run here into a temporary directory and its
-output compared with the packaged copy.
+output compared with the packaged copy.  The .kat files are also checked to
+be in the layout kat reads in one scan.
 """
 
 import importlib.util
@@ -36,6 +37,21 @@ def test_script_reproduces_shipped_files(script, out_dir_attr, shipped, names,
     module.main()
     for name in names:
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
+
+def test_kat_files_are_in_the_one_scan_layout(tmp_path, monkeypatch):
+    # kat reads the documented layout in one scan and falls back to its line
+    # walker for anything else: a regenerated file must not drop back
+    from hc3cam import cli
+    module = load_script("gen_kat", monkeypatch)
+    monkeypatch.setattr(module, "KAT_DIR", tmp_path)
+    module.main()
+    for path in (*sorted((DATA / "kat").glob("*.kat")), tmp_path / "hc3.kat",
+                 tmp_path / "camellia.kat"):
+        text = path.read_text(encoding="ascii")
+        scanned = cli._scan_kat_layout(text)
+        assert scanned is not None, path
+        assert scanned == cli._walk_kat_lines(text, str(path))
 
 
 def test_bench_summary_pairs_runs_by_seed(tmp_path, monkeypatch):
