@@ -533,7 +533,7 @@ def kat_text(rng, variant):
             elif variant == "inline-comment":
                 digits += " # " + name
             elif variant == "spaced":
-                name, digits = f" {name} ", " ".join(value.hex(" ").split())
+                name, digits = f" {name} ", value.hex(" ")
             lines.append(f"{name}={digits}")
     text = "\n".join(lines) + "\n" * rng.randint(0, 2)
     return text.replace("\n", "\r\n") if variant == "crlf" else text
