@@ -4,14 +4,22 @@ submodule is imported on its first attribute access (PEP 562)."""
 
 from importlib import import_module
 
-from .ctab import ConstantsError
-
 __version__ = "0.1.0"
 
 __all__ = ["archsim", "camellia", "ctab", "gf2", "gf256", "hc3",
-           "ConstantsError", "__version__"]
+           "ConstantsError", "ENV_CONSTANTS_DIR", "__version__"]
 
-_SUBMODULES = frozenset({"archsim", "camellia", "gf2", "gf256", "hc3", "planes"})
+
+class ConstantsError(ValueError):
+    """Raised for unparseable, corrupt, or structurally invalid constants."""
+
+
+# names a directory whose hc3.ctab / camellia.ctab replace the packaged sets;
+# both live here so that a command can name them without loading the .ctab
+# reader (hc3cam.ctab re-exports them)
+ENV_CONSTANTS_DIR = "HC3CAM_CONSTANTS_DIR"
+
+_SUBMODULES = frozenset({"archsim", "camellia", "ctab", "gf2", "gf256", "hc3", "planes"})
 
 
 def __getattr__(name: str):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import shlex
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
@@ -35,8 +34,10 @@ class MicroOp(NamedTuple):
     ns: float | None = None
 
 
-@dataclass(frozen=True)
-class ArchProfile:
+class ArchProfile(NamedTuple):
+    """One datapath variant's figures; _replace(**fields) gives a copy with
+    some of them changed."""
+
     variant: str
     cipher: str                      # "hc3" | "camellia"
     datapath: str                    # which built-in cycle schedule runs blocks
@@ -424,8 +425,7 @@ def throughput_model(clock_hz: float, cycles_per_block: int) -> float:
 DISCREPANCY_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class SimRow:
+class SimRow(NamedTuple):
     label: str
     cipher: str
     is_model: bool

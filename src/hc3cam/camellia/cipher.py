@@ -10,7 +10,6 @@ batch with one key per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .. import gf2
@@ -56,19 +55,38 @@ class KeyVars(NamedTuple):
     ka_var: int   # 128-bit K_A
 
 
-@dataclass(frozen=True)
 class CamelliaSubkeys:
-    kw: tuple[int, int, int, int]
-    k: tuple[int, ...]              # k1..k18
-    kl: tuple[int, int, int, int]
-    # the constant set the subkeys were derived with; the cipher uses it for
-    # every block, so a set loaded later can never be paired with these keys
-    consts: CamelliaConstants = field(compare=False, repr=False)
-    key_vars: KeyVars | None = None
-    # by direction, the program of the batch engine (encrypt_blocks) for
-    # the size of the last batch, built on first use
-    batch_tables: dict = field(default_factory=dict, init=False, compare=False,
-                               repr=False)
+    """The subkeys of one key.  Two are equal, and hash alike, when their
+    key material is: kw, k, kl and key_vars, whatever their consts or
+    batch_tables."""
+
+    __slots__ = ("kw", "k", "kl", "consts", "key_vars", "batch_tables")
+
+    def __init__(self, kw: tuple[int, int, int, int], k: tuple[int, ...],
+                 kl: tuple[int, int, int, int], consts: CamelliaConstants,
+                 key_vars: KeyVars | None = None):
+        self.kw = kw
+        self.k = k                  # k1..k18
+        self.kl = kl
+        # the constant set the subkeys were derived with; the cipher uses it
+        # for every block, so a set loaded later can never be paired with
+        # these keys
+        self.consts = consts
+        self.key_vars = key_vars
+        # by direction, the program of the batch engine (encrypt_blocks) for
+        # the size of the last batch, built on first use
+        self.batch_tables = {}
+
+    def _material(self):
+        return self.kw, self.k, self.kl, self.key_vars
+
+    def __eq__(self, other):
+        if type(other) is not CamelliaSubkeys:
+            return NotImplemented
+        return self._material() == other._material()
+
+    def __hash__(self):
+        return hash(self._material())
 
 
 def p_layer(x: int, consts: CamelliaConstants) -> int:
@@ -141,10 +159,17 @@ def key_schedule(key: bytes,
     kl_var = int.from_bytes(key, "big")
     kr_var = 0
 
+    lanes = tuple(zip(range(56, -8, -8), consts.sbox_order, consts.p_columns))
+
     def f(x, k):
-        # F without f_tables: the batch engines never read them, and the
-        # four KA rounds alone do not repay building them
-        return p_layer(sbox_layer(x ^ k, consts), consts)
+        # F as the s-boxes, then P as eight column lookups, without
+        # f_tables: the batch engines never read them, and the four KA
+        # rounds alone do not repay building them
+        x ^= k
+        out = 0
+        for shift, box, column in lanes:
+            out ^= column[box[x >> shift & MASK8]]
+        return out
 
     d1, d2 = _halves(kl_var ^ kr_var)
     d2 ^= f(d1, SIGMA.sigma1)

@@ -21,7 +21,8 @@ def _rotl8(x: int, n: int) -> int:
 
 
 class CamelliaConstants:
-    """Validated s-boxes and P pattern; f_tables is built on first use."""
+    """Validated s-boxes and P pattern; p_columns and f_tables are built
+    on first use."""
 
     def __init__(self, tab: ctab.Ctab):
         if tab.name != "camellia":
@@ -51,18 +52,21 @@ class CamelliaConstants:
                            self.s2, self.s3, self.s4, self.s1)
 
     @cached_property
+    def p_columns(self):
+        # p_columns[pos][v]: 64-bit P-layer image of byte v sitting alone
+        # at byte position pos.  One multiply by the column's mask of 0x01
+        # bytes puts v at every output byte it feeds; exact, as the bytes
+        # never overlap.
+        masks = [sum(1 << 8 * (7 - i) for i in range(8) if self.p_rows[i] >> pos & 1)
+                 for pos in range(8)]
+        return tuple(tuple(v * mask for v in range(256)) for mask in masks)
+
+    @cached_property
     def f_tables(self):
-        # f_tables[pos][v]: 64-bit P-layer image of sbox_pos(v) sitting
-        # alone at byte position pos; read by the per-block f_function
-        # only, not by the byte-plane networks.
-        tables = []
-        for pos in range(8):
-            box = self.sbox_order[pos]
-            shifts = [8 * (7 - i) for i in range(8) if self.p_rows[i] >> pos & 1]
-            tables.append(tuple(
-                sum(box[v] << s for s in shifts) for v in range(256)
-            ))
-        return tuple(tables)
+        # f_tables[pos][v]: p_columns[pos] of sbox_pos(v); read by the
+        # per-block f_function only, not by the byte-plane networks.
+        return tuple(tuple(map(column.__getitem__, box))
+                     for column, box in zip(self.p_columns, self.sbox_order))
 
 
 @lru_cache(maxsize=8)

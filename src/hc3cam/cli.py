@@ -29,11 +29,10 @@ import re
 import stat
 import sys
 import time
-from dataclasses import dataclass
 from importlib import import_module
 from typing import NamedTuple
 
-from .ctab import ConstantsError
+from . import ConstantsError
 
 BLOCK_BYTES = 16
 # encrypt/decrypt read, process and write this many blocks at a time, and
@@ -253,8 +252,7 @@ def cmd_kat(args) -> int:
     return 0
 
 
-@dataclass
-class BenchResult:
+class BenchResult(NamedTuple):
     cipher: str
     blocks: int
     seconds: float

@@ -20,15 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-
-class ConstantsError(ValueError):
-    """Raised for unparseable, corrupt, or structurally invalid constants."""
-
-
-# names a directory whose hc3.ctab / camellia.ctab replace the packaged sets
-ENV_CONSTANTS_DIR = "HC3CAM_CONSTANTS_DIR"
+from . import ENV_CONSTANTS_DIR, ConstantsError  # noqa: F401 (re-exported)
 
 
 _MAGIC = re.compile(r"%ctab\s+v(\d+)\s+(\S+)\s*$")
@@ -36,8 +30,7 @@ _SECTION = re.compile(r"\[([a-z0-9_]+)\]\s*$")
 _CHECKSUM = re.compile(r"%checksum\s+sha256\s+([0-9a-fA-F]{64})\s*$")
 
 
-@dataclass(frozen=True)
-class Ctab:
+class Ctab(NamedTuple):
     name: str
     version: int
     sections: dict[str, bytes]

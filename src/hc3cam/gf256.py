@@ -11,7 +11,7 @@ Bit 7 of a byte is the most significant bit throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 HC3_POLY = 0x163  # x^8 + x^6 + x^5 + x + 1
 
@@ -40,17 +40,17 @@ def _is_irreducible_deg8(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(namedtuple("FieldParams", "reduction_poly")):
     """Reduction polynomial for GF(2^8), checked irreducible on construction."""
 
-    reduction_poly: int = HC3_POLY
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_irreducible_deg8(self.reduction_poly):
+    def __new__(cls, reduction_poly: int = HC3_POLY):
+        if not _is_irreducible_deg8(reduction_poly):
             raise ValueError(
-                f"0x{self.reduction_poly:03x} is not an irreducible degree-8 polynomial"
+                f"0x{reduction_poly:03x} is not an irreducible degree-8 polynomial"
             )
+        return super().__new__(cls, reduction_poly)
 
 
 HC3_FIELD = FieldParams()
@@ -143,16 +143,16 @@ def mul_const_network(c: int, x: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class MdsMatrix4:
+class MdsMatrix4(namedtuple("MdsMatrix4", "entries params")):
     """4x4 matrix over GF(2^8), rows of 4 byte entries."""
 
-    entries: tuple[tuple[int, int, int, int], ...]
-    params: FieldParams = field(default=HC3_FIELD)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != 4 or any(len(r) != 4 for r in self.entries):
+    def __new__(cls, entries: tuple[tuple[int, int, int, int], ...],
+                params: FieldParams = HC3_FIELD):
+        if len(entries) != 4 or any(len(r) != 4 for r in entries):
             raise ValueError("need a 4x4 matrix")
+        return super().__new__(cls, entries, params)
 
     def apply(self, x: tuple[int, int, int, int]) -> tuple[int, ...]:
         return tuple(

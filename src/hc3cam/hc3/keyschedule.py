@@ -20,7 +20,6 @@ on byte planes (hc3cam.planes), one key per slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .. import gf2
@@ -81,18 +80,35 @@ class Cache1600(NamedTuple):
         return 256 * len(self.z_states) + 64 * len(self.f_outputs)
 
 
-@dataclass(frozen=True)
 class Hc3KeySchedule:
-    round_keys: tuple[RoundKey256, ...]
-    mode: str
-    # the constant set the keys were derived with; the cipher uses it for
-    # every block, so a set loaded later can never be paired with these keys
-    consts: Hc3Constants = field(compare=False, repr=False)
-    intermediate_cache: Cache1600 | None = None
-    # per-key tables of the batch engine (cipher.encrypt_blocks), by
-    # direction, built on first use
-    batch_tables: dict = field(default_factory=dict, init=False, compare=False,
-                               repr=False)
+    """The round keys of one main key.  Two schedules are equal, and hash
+    alike, when their key material is: round_keys, mode and
+    intermediate_cache, whatever their consts or batch_tables."""
+
+    __slots__ = ("round_keys", "mode", "consts", "intermediate_cache", "batch_tables")
+
+    def __init__(self, round_keys: tuple[RoundKey256, ...], mode: str,
+                 consts: Hc3Constants, intermediate_cache: Cache1600 | None = None):
+        self.round_keys = round_keys
+        self.mode = mode
+        # the constant set the keys were derived with; the cipher uses it for
+        # every block, so a set loaded later can never be paired with these keys
+        self.consts = consts
+        self.intermediate_cache = intermediate_cache
+        # per-key tables of the batch engine (cipher.encrypt_blocks), by
+        # direction, built on first use
+        self.batch_tables = {}
+
+    def _material(self):
+        return self.round_keys, self.mode, self.intermediate_cache
+
+    def __eq__(self, other):
+        if type(other) is not Hc3KeySchedule:
+            return NotImplemented
+        return self._material() == other._material()
+
+    def __hash__(self):
+        return hash(self._material())
 
 
 def _sigma_step(z: IntermediateKey, g: int, consts) -> tuple[IntermediateKey, int]:

@@ -144,8 +144,7 @@ def test_extensive_critical_path_bounds_clock():
 
 
 def test_run_block_rejects_unknown_datapath():
-    from dataclasses import replace
-    broken = replace(PROFILES["hc3-long"], datapath="hc3-nonesuch")
+    broken = PROFILES["hc3-long"]._replace(datapath="hc3-nonesuch")
     with pytest.raises(ValueError, match="no executable datapath"):
         run_block(broken, bytes(16), bytes(16))
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hc3cam import camellia
+from hc3cam import camellia, ctab
 from hc3cam.camellia import cipher as cam_cipher
 from hc3cam.camellia import (
     SIGMA,
@@ -206,6 +206,35 @@ def test_subkeys_pure_function_of_key():
     key = bytes(range(16))
     a, b = key_schedule(key), key_schedule(key)
     assert a.kw == b.kw and a.k == b.k and a.kl == b.kl
+
+
+def test_subkeys_compare_on_key_material_only():
+    # two constant objects with equal content: the subkeys are equal and
+    # hash alike, but each keeps its own constants and batch tables
+    text = (KAT_PATH.parent.parent / "camellia.ctab").read_text()
+    c1, c2 = (camellia.CamelliaConstants(ctab.parse(text)) for _ in range(2))
+    a, b = key_schedule(OFFICIAL_KEY, c1), key_schedule(OFFICIAL_KEY, c2)
+    assert a.consts is c1 and b.consts is c2
+    assert a == b and hash(a) == hash(b)
+    assert a.batch_tables is not b.batch_tables
+    camellia.encrypt_blocks(bytes(32), a)
+    assert a.batch_tables and not b.batch_tables
+    assert a == b and hash(a) == hash(b)
+    assert a != key_schedule(bytes(16), c1)
+    assert a != cam_cipher.reverse_subkeys(a)
+
+
+def test_p_columns_match_row_wise_p_layer():
+    # the column tables the key schedule and f_tables are built from,
+    # against the row-wise P and s-box layers
+    rng = random.Random(47)
+    for _ in range(2000):
+        x = rng.getrandbits(64)
+        got = 0
+        for pos, (box, column) in enumerate(zip(C.sbox_order, C.p_columns)):
+            got ^= column[box[x >> 8 * (7 - pos) & 0xFF]]
+        assert got == p_layer(sbox_layer(x, C), C)
+        assert got == f_function(x, 0, C)
 
 
 def test_packaged_vectors():

@@ -17,34 +17,47 @@ DATA = SRC / "hc3cam" / "data"
 KEY = "000102030405060708090a0b0c0d0e0f"
 
 # runs `python -m hc3cam.cli ARGS` and prints its exit code, then the
-# hc3cam modules it imported
-PROBE = """
+# hc3cam modules it imported and those of WATCHED
+WATCHED = ("dataclasses", "inspect", "hashlib")
+PROBE = f"""
 import runpy, sys
 try:
     runpy.run_module("hc3cam.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(code, *sorted(m for m in sys.modules if m.startswith("hc3cam")))
+print(code, *sorted(m for m in sys.modules if m.startswith("hc3cam") or m in {WATCHED}))
 """
 
 
-def imported_by(argv):
+def probe(argv, constants_dir=None):
+    """Exit code, modules imported (each with the package it belongs to)
+    and standard error of one command."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop(ctab.ENV_CONSTANTS_DIR, None)
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    code, *modules = out.splitlines()[-1].split()
-    assert code == "0", out
-    # each module and the package it belongs to
-    return {m for name in modules for m in (name, name.rsplit(".", 1)[0])}
+    if constants_dir is not None:
+        env[ctab.ENV_CONSTANTS_DIR] = str(constants_dir)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), {m for name in modules for m in (name, name.rsplit(".", 1)[0])}, proc.stderr
+
+
+def imported_by(argv):
+    code, mods, err = probe(argv)
+    assert code == 0, err
+    return mods
+
+
+def crypt_args(tmp_path, command="encrypt", cipher="camellia"):
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(48))
+    return [command, "--cipher", cipher, "--key", KEY, "--in", str(src),
+            "--out", str(tmp_path / "out.bin")]
 
 
 def test_encrypt_camellia_loads_no_hc3_or_archsim(tmp_path):
-    src = tmp_path / "plain.bin"
-    src.write_bytes(bytes(48))
-    mods = imported_by(["encrypt", "--cipher", "camellia", "--key", KEY,
-                        "--in", str(src), "--out", str(tmp_path / "ct.bin")])
+    mods = imported_by(crypt_args(tmp_path))
     assert "hc3cam.camellia" in mods
     assert not mods & {"hc3cam.hc3", "hc3cam.archsim", "hc3cam.gf256"}
 
@@ -61,6 +74,48 @@ def test_simulate_hc3_loads_no_camellia(blocks, cipher):
     mods = imported_by(["simulate", "--variant", "hc3-long", "--blocks", blocks])
     assert "hc3cam.archsim" in mods
     assert mods & {"hc3cam.hc3", "hc3cam.camellia"} == cipher
+
+
+COMMANDS = {
+    "encrypt": lambda tmp: crypt_args(tmp, "encrypt", "hc3"),
+    "decrypt": lambda tmp: crypt_args(tmp, "decrypt", "camellia"),
+    "kat": lambda tmp: ["kat", "--cipher", "camellia", "--vectors",
+                        str(DATA / "kat" / "camellia.kat")],
+    "bench": lambda tmp: ["bench", "--cipher", "hc3", "--blocks", "1"],
+    "simulate-0": lambda tmp: ["simulate", "--variant", "hc3-long", "--blocks", "0"],
+    "simulate-1": lambda tmp: ["simulate", "--variant", "camellia-lu3", "--blocks", "1"],
+    "usage-error": lambda tmp: ["simulate", "--blocks", "many"],
+    "help": lambda tmp: ["--help"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_imports_dataclasses(command, tmp_path):
+    code, mods, err = probe(COMMANDS[command](tmp_path))
+    assert code == (2 if command == "usage-error" else 0), err
+    assert not mods & {"dataclasses", "inspect"}
+    # a command that loads no constant set loads no .ctab reader
+    if command in ("simulate-0", "usage-error", "help"):
+        assert not mods & {"hc3cam.ctab", "hashlib"}
+    else:
+        assert {"hc3cam.ctab", "hashlib"} <= mods
+
+
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+def test_checksum_still_checked(cipher, tmp_path):
+    # a .ctab whose payload no longer matches its %checksum is refused
+    text = (DATA / f"{cipher}.ctab").read_text()
+    section = "[sbox]" if cipher == "hc3" else "[s1]"
+    head, tail = text.split(section + "\n", 1)
+    flipped = ("0" if tail[0] != "0" else "1") + tail[1:]
+    consts = tmp_path / "consts"
+    consts.mkdir()
+    (consts / f"{cipher}.ctab").write_text(f"{head}{section}\n{flipped}")
+    argv = (["kat", "--cipher", "hc3", "--vectors", str(DATA / "kat" / "hc3.kat")]
+            if cipher == "hc3" else crypt_args(tmp_path))
+    code, mods, err = probe(argv, consts)
+    assert code == 2
+    assert "checksum mismatch" in err and "hashlib" in mods
 
 
 HC3_TABLES = ("mdsl_tables", "mdsl_inv_tables", "merged_tables", "mds_h_tables",

@@ -136,6 +136,18 @@ def test_mds_l_inverse_rejects_singular():
         mds_l_inverse(MdsMatrix4(((0, 0, 0, 0),) * 4))
 
 
+def test_mds_matrix_value_semantics():
+    with pytest.raises(ValueError, match="4x4"):
+        MdsMatrix4(((1, 2, 3, 4),) * 3)
+    with pytest.raises(ValueError, match="4x4"):
+        MdsMatrix4(((1, 2, 3),) * 4)
+    # equal matrices are one key of a table cache
+    a, b = circulant(MDS_L_CONSTANTS), MdsMatrix4(MDS_L.entries, FieldParams(0x163))
+    assert a == b == MDS_L and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert MdsMatrix4(MDS_L.entries, FieldParams(0x11B)) != MDS_L
+
+
 def test_circulant_helper():
     m = circulant((1, 2, 3, 4))
     assert m.entries[1] == (4, 1, 2, 3)

@@ -87,3 +87,48 @@ def test_bench_summary_pairs_runs_by_seed(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="other provenance"):
         module.main(["--parent", str(tmp_path / "parent"), "--change",
                      str(tmp_path / "change"), "--out", str(out)])
+
+
+def test_bench_summary_layers_pairs_trace1_records(tmp_path, monkeypatch):
+    import json
+    module = load_script("bench_summary", monkeypatch)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
+             "platform": "p", "ctab": []}
+
+    def write(side, seed, trace, commit, metrics):
+        record = {"workload": "simulate", "seed": seed, "attempted": 1, "failed": 0,
+                  "metrics": {name: {"value": v, "unit": "ms"} for name, v in metrics.items()},
+                  "provenance": dict(stamp, commit=commit)}
+        (tmp_path / side).mkdir(exist_ok=True)
+        (tmp_path / side / f"simulate-seed{seed}-trace{trace}.json").write_text(
+            json.dumps(record))
+
+    e2e = {m["name"]: 1.0 for m in spec["end_to_end"]}
+    for seed, (before, after) in enumerate([(30.0, 20.0), (34.0, 22.0), (31.0, 40.0)]):
+        for side, commit, ms in (("parent", "c0", before), ("change", "c1", after)):
+            write(side, seed, 0, commit, e2e)
+            layers = {"import.ms": ms, "not.declared": 5.0}
+            if not (side == "change" and seed == 2):
+                layers["ctab.parse.ms"] = ms / 10
+            write(side, seed, 1, commit, layers)
+    # a trace-1 record without a trace-0 partner on the other side is unpaired
+    write("parent", 7, 1, "c0", {"import.ms": 99.0})
+    out = tmp_path / "BENCH.json"
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(out)]
+    module.main(args)
+    assert "layers" not in json.loads(out.read_text())
+    module.main(args + ["--layers"])
+    layers = json.loads(out.read_text())["layers"]["workloads"]["simulate"]
+    assert layers["seeds"] == [0, 1, 2]
+    # only declared metrics that every paired record carries
+    assert list(layers["metrics"]) == ["import.ms"]
+    assert layers["metrics"]["import.ms"]["parent"] == 31.0
+    assert layers["metrics"]["import.ms"]["change"] == 22.0
+
+    # trace-1 records of another commit than the side's trace-0 records
+    for seed in range(3):
+        write("change", seed, 1, "c2", {"import.ms": 1.0})
+    with pytest.raises(SystemExit, match="other provenance than the trace-0"):
+        module.main(args + ["--layers"])
