@@ -9,7 +9,9 @@ committed summary, BENCH_<n>.json.
 Reads the end-to-end records (``*-trace0.json``) of both sides, pairs them
 by workload and seed, and writes for every workload and every end-to-end
 metric that BENCHMARK.json declares: each side's runs, median and
-quartiles, and in how many pairs the change did better.  With --layers it
+quartiles, and in how many pairs the change did better; and, for the
+workloads that run ``simulate``, each side's median per-variant host rate
+(the "host ... blocks/s" of every record's simulate lines).  With --layers it
 also pairs the per-layer records (``*-trace1.json``) the same way and
 writes each side's median of every per-layer metric BENCHMARK.json
 declares that both sides' records carry.  Each side's provenance (commit,
@@ -22,12 +24,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 PROVENANCE_KEYS = ("commit", "src_sha256", "python", "nproc", "platform", "ctab")
+# a record's simulate line: the variant first, its host rate last
+HOST_RATE = re.compile(r"^(\S+) .* host ([0-9.]+) blocks/s$")
 
 
 def load_side(results: Path, trace: int = 0) -> tuple[dict, dict]:
@@ -62,6 +67,17 @@ def paired(parent: dict, change: dict, spec: dict):
             yield workload, seeds, [(parent[workload, s], change[workload, s]) for s in seeds]
 
 
+def host_rates(records: list[dict]) -> dict:
+    """{variant: median host blocks/s} over the simulate lines of records."""
+    rates = {}
+    for rec in records:
+        for line in rec.get("simulate", []):
+            m = HOST_RATE.match(line)
+            if m:
+                rates.setdefault(m[1], []).append(float(m[2]))
+    return {variant: median(values) for variant, values in sorted(rates.items())}
+
+
 def summarise(parent: dict, change: dict, spec: dict) -> dict:
     out = {}
     for workload, seeds, pairs in paired(parent, change, spec):
@@ -82,6 +98,13 @@ def summarise(parent: dict, change: dict, spec: dict) -> dict:
                        "change": sum(b["failed"] for _, b in pairs)},
             "metrics": metrics,
         }
+        hosts = {"parent": host_rates([a for a, _ in pairs]),
+                 "change": host_rates([b for _, b in pairs])}
+        if hosts["parent"] or hosts["change"]:
+            out[workload]["simulate_host_blocks_per_s"] = {
+                "statistic": "median over the paired seeds of the last run of each "
+                             "variant in the measured rounds, wall time unscaled",
+                **hosts}
     return out
 
 

@@ -188,11 +188,13 @@ def initial_state(profile: ArchProfile) -> DeviceState:
     return DeviceState(profile=profile)
 
 
+_new_state = tuple.__new__
+
+
 def step(state: DeviceState, reset_edge: bool = False,
          start_edge: bool = False) -> DeviceState:
     """Advance one clock tick; inputs are this tick's edges."""
-    profile, phase, ready, work = state.profile, state.phase, state.ready, state.work
-    blocks, idx, left = state.blocks_done, state.setup_index, state.work_left
+    profile, phase, ready, work, cycle, blocks, idx, left = state
 
     if phase == SETUP:
         # START is ignored while READY is low; RESET restarts the setup.
@@ -215,8 +217,8 @@ def step(state: DeviceState, reset_edge: bool = False,
         elif start_edge and not reset_edge:
             # phase == READY with READY high
             phase, work, left = WORKING, True, profile.work_cycles_per_block
-    return DeviceState(profile, phase, ready, work, state.cycle_counter + 1,
-                       blocks, idx, left)
+    # the fields in order, without NamedTuple.__new__'s keyword handling
+    return _new_state(DeviceState, (profile, phase, ready, work, cycle + 1, blocks, idx, left))
 
 
 # --- per-cycle block execution -------------------------------------------
@@ -240,6 +242,32 @@ def _hold_z0(hc3: ModuleType, key: bytes, consts) -> tuple:
     return consts, hc3.pad_and_prewhiten(key, consts)
 
 
+# Each datapath's per-cycle op labels, built once: hc3-short's cycle r + 1
+# runs round r beside the key round of schedule step r + 1 (sigma up to
+# step 4, sigma-inverse after it).
+_HC3_SHORT_OPS = (
+    ("load plaintext",),
+    *((f"rho round {r} (K({r}))",
+       f"key round: {'sigma' if r < 4 else 'sigma-inv'} step {r + 1} -> K({r + 1})")
+      for r in range(1, 6)),
+    ("XS (K(6))", "key round: sigma-inv step 7 -> K(7)"),
+    ("AK (K(7) first half)", "restore Z(0) and K(1) for next block"),
+)
+
+
+@lru_cache(maxsize=None)
+def _cached_ops(merged: bool, merge_xs_ak: bool) -> tuple[tuple[str, ...], ...]:
+    via = " via fused tables" if merged else ""
+    from_cache = "subkey from 1600-bit cache"
+    ops = [("load plaintext", from_cache)]
+    ops += [(f"rho round {r} (K({r})){via}", from_cache) for r in range(1, 6)]
+    if merge_xs_ak:
+        ops.append((f"XS (K(6)){via} + AK (K(7)) merged",))
+    else:
+        ops += [(f"XS (K(6)){via}",), ("AK (K(7) first half)",)]
+    return tuple(ops)
+
+
 def _run_hc3_short(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
     # Only Z(0) is held; subkeys are regenerated alongside the rounds for
     # every block, and the last cycle restores the round-1 state for the
@@ -247,26 +275,19 @@ def _run_hc3_short(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
     consts, z0 = held
     steps = hc3.iter_schedule(z0, consts)
     keys = {1: next(steps).round_key}
-    cycles = []
+    ops = _HC3_SHORT_OPS
     x = block
-    cycles.append(CycleRecord(1, ("load plaintext",), x.hex()))
+    cycles = [CycleRecord(1, ops[0], x.hex())]
     for r in range(1, 6):
         nxt = next(steps)
         keys[nxt.step] = nxt.round_key
-        op = "sigma" if nxt.step <= hc3.T_TURN else "sigma-inv"
         x = hc3.rho(x, keys[r], consts)
-        cycles.append(CycleRecord(r + 1,
-                                  (f"rho round {r} (K({r}))",
-                                   f"key round: {op} step {nxt.step} -> K({nxt.step})"),
-                                  x.hex()))
-    nxt = next(steps)
-    keys[nxt.step] = nxt.round_key
+        cycles.append(CycleRecord(r + 1, ops[r], x.hex()))
+    keys[7] = next(steps).round_key
     x = hc3.xs(x, keys[6], consts)
-    cycles.append(CycleRecord(7, ("XS (K(6))",
-                                  "key round: sigma-inv step 7 -> K(7)"), x.hex()))
+    cycles.append(CycleRecord(7, ops[6], x.hex()))
     x = hc3.key_addition(x, keys[7])
-    cycles.append(CycleRecord(8, ("AK (K(7) first half)",
-                                  "restore Z(0) and K(1) for next block"), x.hex()))
+    cycles.append(CycleRecord(8, ops[7], x.hex()))
     return BlockTrace("hc3-short", tuple(cycles), x)
 
 
@@ -278,27 +299,24 @@ def _run_hc3_cached(variant: str, hc3: ModuleType, ks: Hc3KeySchedule,
                     block: bytes, merged: bool, merge_xs_ak: bool) -> BlockTrace:
     consts = ks.consts
     keys = ks.round_keys
-    via = " via fused tables" if merged else ""
-    from_cache = "subkey from 1600-bit cache"
-    cycles = []
+    ops = _cached_ops(merged, merge_xs_ak)
     x = block
-    cycles.append(CycleRecord(1, ("load plaintext", from_cache), x.hex()))
+    cycles = [CycleRecord(1, ops[0], x.hex())]
     for r in range(1, 6):
         if merged:
             x = hc3.mds_h(hc3.merged_xs(x, keys[r - 1], consts), consts)
         else:
             x = hc3.rho(x, keys[r - 1], consts)
-        cycles.append(CycleRecord(r + 1, (f"rho round {r} (K({r})){via}", from_cache),
-                                  x.hex()))
+        cycles.append(CycleRecord(r + 1, ops[r], x.hex()))
     if merge_xs_ak:
         x = hc3.merged_xs(x, keys[5], consts) if merged else hc3.xs(x, keys[5], consts)
         x = hc3.key_addition(x, keys[6])
-        cycles.append(CycleRecord(7, (f"XS (K(6)){via} + AK (K(7)) merged",), x.hex()))
+        cycles.append(CycleRecord(7, ops[6], x.hex()))
     else:
         x = hc3.xs(x, keys[5], consts)
-        cycles.append(CycleRecord(7, (f"XS (K(6)){via}",), x.hex()))
+        cycles.append(CycleRecord(7, ops[6], x.hex()))
         x = hc3.key_addition(x, keys[6])
-        cycles.append(CycleRecord(8, ("AK (K(7) first half)",), x.hex()))
+        cycles.append(CycleRecord(8, ops[7], x.hex()))
     return BlockTrace(variant, tuple(cycles), x)
 
 

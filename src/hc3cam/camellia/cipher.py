@@ -112,12 +112,7 @@ def sbox_layer(x: int, consts: CamelliaConstants) -> int:
 def f_function(x: int, k: int, consts: CamelliaConstants | None = None) -> int:
     """Key addition, s-boxes, P layer (fused per-byte tables)."""
     consts = consts or get_constants()
-    x ^= k
-    t = consts.f_tables
-    return (t[0][x >> 56 & MASK8] ^ t[1][x >> 48 & MASK8]
-            ^ t[2][x >> 40 & MASK8] ^ t[3][x >> 32 & MASK8]
-            ^ t[4][x >> 24 & MASK8] ^ t[5][x >> 16 & MASK8]
-            ^ t[6][x >> 8 & MASK8] ^ t[7][x & MASK8])
+    return consts.f_map(((x ^ k) & MASK64).to_bytes(8, "big"))
 
 
 def _rotl32(x: int, n: int) -> int:

@@ -21,8 +21,8 @@ def _rotl8(x: int, n: int) -> int:
 
 
 class CamelliaConstants:
-    """Validated s-boxes and P pattern; p_columns and f_tables are built
-    on first use."""
+    """Validated s-boxes and P pattern; p_columns, f_tables and f_map are
+    built on first use."""
 
     def __init__(self, tab: ctab.Ctab):
         if tab.name != "camellia":
@@ -54,19 +54,20 @@ class CamelliaConstants:
     @cached_property
     def p_columns(self):
         # p_columns[pos][v]: 64-bit P-layer image of byte v sitting alone
-        # at byte position pos.  One multiply by the column's mask of 0x01
-        # bytes puts v at every output byte it feeds; exact, as the bytes
-        # never overlap.
-        masks = [sum(1 << 8 * (7 - i) for i in range(8) if self.p_rows[i] >> pos & 1)
-                 for pos in range(8)]
-        return tuple(tuple(v * mask for v in range(256)) for mask in masks)
+        # at byte position pos
+        return gf2.lane_tables(self.p_rows, 8)
 
     @cached_property
     def f_tables(self):
         # f_tables[pos][v]: p_columns[pos] of sbox_pos(v); read by the
-        # per-block f_function only, not by the byte-plane networks.
+        # per-block F only, not by the key schedule or the byte-plane networks
         return tuple(tuple(map(column.__getitem__, box))
                      for column, box in zip(self.p_columns, self.sbox_order))
+
+    @cached_property
+    def f_map(self):
+        # the per-block F after its key addition, on the eight input bytes
+        return gf2.lane_map(self.f_tables)
 
 
 @lru_cache(maxsize=8)

@@ -14,7 +14,7 @@ from .. import gf2
 from ..planes import keyed_tables, run_program, run_sliced, sub
 from .constants import IDENTITY, Hc3Constants, get_constants
 from .keyschedule import Hc3KeySchedule, Hc3SlicedSchedule, RoundKey256, T_ROUNDS
-from .linear import check_block, lanes, mds_h, mds_h_inv
+from .linear import check_block, mds_h, mds_h_inv
 
 
 def _block_int(block: bytes) -> int:
@@ -26,7 +26,7 @@ def xs(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> byt
     consts = consts or get_constants()
     x = _block_int(block) ^ (rk.k1 << 64 | rk.k2)
     b = x.to_bytes(16, "big").translate(consts.sbox)
-    y = lanes(consts.mdsl_tables, b) ^ (rk.k3 << 64 | rk.k4)
+    y = consts.mdsl_map(b) ^ (rk.k3 << 64 | rk.k4)
     return y.to_bytes(16, "big").translate(consts.sbox)
 
 
@@ -34,7 +34,7 @@ def xs_inv(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) ->
     consts = consts or get_constants()
     b = check_block(block).translate(consts.sbox_inv)
     b = (int.from_bytes(b, "big") ^ (rk.k3 << 64 | rk.k4)).to_bytes(16, "big")
-    b = lanes(consts.mdsl_inv_tables, b).to_bytes(16, "big").translate(consts.sbox_inv)
+    b = consts.mdsl_inv_map(b).to_bytes(16, "big").translate(consts.sbox_inv)
     return (int.from_bytes(b, "big") ^ (rk.k1 << 64 | rk.k2)).to_bytes(16, "big")
 
 
@@ -80,7 +80,7 @@ def merged_xs(block: bytes, rk: RoundKey256,
     """XS via the fused tables; same function as xs, different datapath."""
     consts = consts or get_constants()
     b = (_block_int(block) ^ (rk.k1 << 64 | rk.k2)).to_bytes(16, "big")
-    y = lanes(consts.merged_tables, b) ^ (rk.k3 << 64 | rk.k4)
+    y = consts.merged_map(b) ^ (rk.k3 << 64 | rk.k4)
     return y.to_bytes(16, "big").translate(consts.sbox)
 
 

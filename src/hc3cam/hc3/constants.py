@@ -16,17 +16,19 @@ from importlib import resources
 from .. import ctab, gf2, gf256
 from ..ctab import ENV_CONSTANTS_DIR, ConstantsError  # noqa: F401 (re-exported)
 
-IDENTITY = bytes(range(256))
+IDENTITY = gf2.IDENTITY
 
 
-def _lazy(args):
-    """A table set built on first read, as _position_tables(*args(consts))."""
-    return cached_property(lambda self: self._position_tables(*args(self)))
+def _layer(args):
+    """A table set built on first read, as _position_tables(*args(consts)),
+    and its gf2.lane_map, built on first read from the set."""
+    tables = cached_property(lambda self: self._position_tables(*args(self)))
+    return tables, cached_property(lambda self: gf2.lane_map(tables.__get__(self)))
 
 
 class Hc3Constants:
-    """Validated constant set plus lookup tables derived from it, each
-    table set built when it is first read."""
+    """Validated constant set plus lookup tables derived from it and the
+    lane maps bound to them, each built when it is first read."""
 
     def __init__(self, tab: ctab.Ctab):
         if tab.name != "hc3":
@@ -58,16 +60,20 @@ class Hc3Constants:
             raise ConstantsError(f"singular linear layer: {exc}") from exc
         if not gf2.is_identity(gf2.apply_rows(self.mb3_rows, self.m5e_rows)):
             raise ConstantsError("mb3 . m5e is not the identity")
+        # sigma's and sigma-inverse's linear layers as byte rows over 16 bytes
+        w = _both_halves(self.mb3_rows)
+        self.sigma_rows = gf2.apply_rows(_both_halves(self.m5e_rows), _bytewise(self.p32_rows))
+        self.sigma_inv_rows = w + gf2.apply_rows(_bytewise(self.p32_inv_rows), w)
 
         # position-table sets by (layer, src), each built on first use
         self._built = {}
 
     def _position_tables(self, layer, src=IDENTITY):
         """tables[pos][x]: the layer's output for byte src[x] at input
-        position pos, for the `lanes` kernel.  layer is a GF(2^8)
-        MdsMatrix4 applied to every 32-bit word, or (rows, width): a
-        lane-selection row set over width-bit lanes.  Each distinct set is
-        built once, so an involution's inverse shares them."""
+        position pos, for gf2.lane_map.  layer is a GF(2^8) MdsMatrix4
+        applied to every 32-bit word, or (rows, width): a lane-selection
+        row set over width-bit lanes (gf2.lane_tables).  Each distinct set
+        is built once, so an involution's inverse shares them."""
         key = (layer, src)
         if key not in self._built:
             if isinstance(layer, gf256.MdsMatrix4):
@@ -75,35 +81,34 @@ class Hc3Constants:
                 m, products = layer.entries, _products(layer)
                 cols = [[sum(products[m[i][j]][x] << 8 * (3 - i) for i in range(4))
                          for x in range(256)] for j in range(4)]
-                parts = [(cols[j], 1 << 32 * (3 - w)) for w in range(4) for j in range(4)]
+                self._built[key] = tuple(tuple(cols[j][s] << 32 * (3 - w) for s in src)
+                                         for w in range(4) for j in range(4))
             else:
-                # one multiply by a mask of 1-bits puts the byte at every
-                # output byte it feeds; exact as the bytes never overlap
-                rows, width = layer
-                n, per = len(rows), width // 8
-                parts = [(IDENTITY, sum(1 << width * (n - 1 - i) + 8 * (per - 1 - k)
-                                        for i, row in enumerate(rows) if row >> j & 1))
-                         for j in range(n) for k in range(per)]
-            self._built[key] = tuple(tuple(base[s] * mult for s in src) for base, mult in parts)
+                self._built[key] = gf2.lane_tables(*layer, src)
         return self._built[key]
 
-    # Each layer's tables are built when a cipher path first reads them: a
-    # key schedule reads p32*, m5e, mb3 and f_sigma, the per-block rounds
-    # mdsl* and mds_h*, merged_xs merged, and the byte-plane engines only
-    # the mdsl*_columns.
-    mdsl_tables = _lazy(lambda c: (gf256.MDS_L,))
-    mdsl_inv_tables = _lazy(lambda c: (gf256.mds_l_inverse(gf256.MDS_L),))
+    # Each layer's tables and map are built when a cipher path first reads
+    # the map: a key schedule reads sigma, sigma_inv and f_sigma, the
+    # per-block rounds mdsl* and mds_h*, merged_xs merged, and the
+    # byte-plane engines only the mdsl*_columns.  m5e, mb3 and p32* serve
+    # the single-layer functions of hc3.linear.
+    mdsl_tables, mdsl_map = _layer(lambda c: (gf256.MDS_L,))
+    mdsl_inv_tables, mdsl_inv_map = _layer(lambda c: (gf256.mds_l_inverse(gf256.MDS_L),))
     # s-box folded into the column products; the "one bijective sbox per
     # constant" datapath
-    merged_tables = _lazy(lambda c: (gf256.MDS_L, c.sbox))
-    mds_h_tables = _lazy(lambda c: ((c.mds_h_rows, 8),))
-    mds_h_inv_tables = _lazy(lambda c: ((c.mds_h_inv_rows, 8),))
-    m5e_tables = _lazy(lambda c: ((c.m5e_rows, 8),))
-    mb3_tables = _lazy(lambda c: ((c.mb3_rows, 8),))
-    p32_tables = _lazy(lambda c: ((c.p32_rows, 32),))
-    p32_inv_tables = _lazy(lambda c: ((c.p32_inv_rows, 32),))
+    merged_tables, merged_map = _layer(lambda c: (gf256.MDS_L, c.sbox))
+    mds_h_tables, mds_h_map = _layer(lambda c: ((c.mds_h_rows, 8),))
+    mds_h_inv_tables, mds_h_inv_map = _layer(lambda c: ((c.mds_h_inv_rows, 8),))
+    m5e_tables, m5e_map = _layer(lambda c: ((c.m5e_rows, 8),))
+    mb3_tables, mb3_map = _layer(lambda c: ((c.mb3_rows, 8),))
+    p32_tables, p32_map = _layer(lambda c: ((c.p32_rows, 32),))
+    p32_inv_tables, p32_inv_map = _layer(lambda c: ((c.p32_inv_rows, 32),))
     # F-sigma: the s-box fused into P(16)
-    f_sigma_tables = _lazy(lambda c: ((c.p16_rows, 16), c.sbox))
+    f_sigma_tables, f_sigma_map = _layer(lambda c: ((c.p16_rows, 16), c.sbox))
+    # sigma: z3 || z4 -> M_5E on both halves of P(32)(z3 || z4), before G
+    sigma_tables, sigma_map = _layer(lambda c: ((c.sigma_rows, 8),))
+    # sigma-inverse: (z3 ^ G) || z4 -> W1 || W2 || P(32)^-1(W1 || W2)
+    sigma_inv_tables, sigma_inv_map = _layer(lambda c: ((c.sigma_inv_rows, 8),))
 
     @cached_property
     def mdsl_columns(self):
@@ -114,6 +119,18 @@ class Hc3Constants:
         return _plane_columns(gf256.mds_l_inverse(gf256.MDS_L))
 
 
+def _both_halves(rows):
+    """Byte rows over 8 bytes, as rows over 16 applying them to each half."""
+    return (*rows, *(row << 8 for row in rows))
+
+
+def _bytewise(rows):
+    """Rows over four 32-bit lanes, as rows over their 16 bytes."""
+    return tuple(sum(1 << 4 * j + k for j in range(4) if row >> j & 1)
+                 for row in rows for k in range(4))
+
+
+@lru_cache(maxsize=4)
 def _products(layer):
     """{c: c * x for every byte x} in the field of an MdsMatrix4, for each
     entry c of the matrix."""

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 from .. import gf2
 from ..planes import key_planes, lookup, ones, xor
 from .constants import Hc3Constants, get_constants
-from .linear import f_sigma, m5e, mb3, p32_pair
+from .linear import f_sigma
 
 T_ROUNDS = 6   # rounds of the 128-bit-key cipher
 T_TURN = 4     # last forward (sigma) step of the schedule
@@ -112,23 +112,27 @@ class Hc3KeySchedule:
 
 
 def _sigma_step(z: IntermediateKey, g: int, consts) -> tuple[IntermediateKey, int]:
-    """One sigma update; also returns the F-sigma word it computed."""
-    w1, w2 = p32_pair(z.z3, z.z4, consts)
-    z3 = m5e(w1, consts) ^ g
-    z4 = m5e(w2, consts)
-    f_out = f_sigma(z.z2 ^ z3, consts)   # reads the new z3
-    return IntermediateKey(z.z2, z.z1 ^ f_out, z3, z4), f_out
+    """One sigma update; also returns the F-sigma word it computed.
+
+    P(32) of z3 || z4 and M_5E of both halves are one fused 16-byte map.
+    """
+    y = consts.sigma_map((z.z3 << 64 | z.z4).to_bytes(16, "big"))
+    z3 = y >> 64 ^ g
+    f_out = consts.f_sigma_map((z.z2 ^ z3).to_bytes(8, "big"))   # reads the new z3
+    return IntermediateKey(z.z2, z.z1 ^ f_out, z3, y & MASK64), f_out
 
 
 def _sigma_inv_step(z: IntermediateKey, g: int, consts) -> tuple[IntermediateKey, int, int]:
     """One sigma-inverse update; also returns its W words, which the
-    second-regime round keys consume."""
-    z1 = z.z2 ^ f_sigma(z.z1 ^ z.z3, consts)
-    z2 = z.z1
-    w1 = mb3(z.z3 ^ g, consts)
-    w2 = mb3(z.z4, consts)
-    z3, z4 = p32_pair(w1, w2, consts, inverse=True)
-    return IntermediateKey(z1, z2, z3, z4), w1, w2
+    second-regime round keys consume.
+
+    M_B3 of both halves, and P(32)^-1 after it, are one fused 16-byte map
+    giving W1 || W2 || z3 || z4.
+    """
+    y = consts.sigma_inv_map(((z.z3 ^ g) << 64 | z.z4).to_bytes(16, "big"))
+    z1 = z.z2 ^ consts.f_sigma_map((z.z1 ^ z.z3).to_bytes(8, "big"))
+    return (IntermediateKey(z1, z.z1, y >> 64 & MASK64, y & MASK64),
+            y >> 192, y >> 128 & MASK64)
 
 
 def sigma(z: IntermediateKey, g: int, consts: Hc3Constants | None = None) -> IntermediateKey:
@@ -142,7 +146,7 @@ def sigma_inv(z: IntermediateKey, g: int, consts: Hc3Constants | None = None) ->
 def round_keys_fwd(z_prev: IntermediateKey, z_next: IntermediateKey,
                    consts: Hc3Constants) -> tuple[RoundKey256, int]:
     """Round key of a forward (sigma) step, plus the F-sigma word V."""
-    v = f_sigma(z_prev.z2 ^ z_prev.z3, consts)
+    v = consts.f_sigma_map((z_prev.z2 ^ z_prev.z3).to_bytes(8, "big"))
     key = RoundKey256(
         z_prev.z1 ^ v,
         z_next.z3 ^ v,
@@ -156,7 +160,7 @@ def round_keys_bwd(z_prev: IntermediateKey, z_next: IntermediateKey,
                    w1: int, w2: int,
                    consts: Hc3Constants) -> tuple[RoundKey256, int]:
     """Round key of a backward (sigma-inverse) step."""
-    v = f_sigma(z_prev.z1 ^ z_next.z3, consts)
+    v = consts.f_sigma_map((z_prev.z1 ^ z_next.z3).to_bytes(8, "big"))
     key = RoundKey256(
         z_next.z1 ^ z_prev.z3,
         w1 ^ v,

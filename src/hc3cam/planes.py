@@ -18,6 +18,10 @@ translate, and the key schedules run on the planes too.
 from __future__ import annotations
 
 BLOCK_BYTES = 16
+# bytes(range(256)) and 256 bytes of 1 as ints: ID_INT ^ k * ONES_256 is
+# the table x -> x ^ k in one XOR
+ID_INT = int.from_bytes(bytes(range(256)), "big")
+ONES_256 = int.from_bytes(b"\x01" * 256, "big")
 
 
 def keyed_tables(boxes, key: bytes, inverse: bool = False) -> tuple[bytes, ...]:
@@ -25,7 +29,7 @@ def keyed_tables(boxes, key: bytes, inverse: bool = False) -> tuple[bytes, ...]:
     (key added before the box), or boxes[p][x] ^ k_p (after) if inverse."""
     out = []
     for box, k in zip(boxes, key, strict=True):
-        xor = bytes(x ^ k for x in range(256))
+        xor = (ID_INT ^ k * ONES_256).to_bytes(256, "big")
         out.append(box.translate(xor) if inverse else xor.translate(box))
     return tuple(out)
 

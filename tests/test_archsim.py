@@ -244,6 +244,51 @@ def test_step_transitions_pinned(variant):
     assert h.hexdigest() == STEP_DIGESTS[variant]
 
 
+def field_by_field_step(state, reset_edge=False, start_edge=False):
+    """step() as it was before it unpacked the state as one tuple: fields
+    read by name, the successor built through the NamedTuple constructor."""
+    profile, phase, ready, work = state.profile, state.phase, state.ready, state.work
+    blocks, idx, left = state.blocks_done, state.setup_index, state.work_left
+    if phase == archsim.SETUP:
+        idx = 0 if reset_edge else idx + 1
+        if idx >= len(profile.setup_schedule):
+            phase, ready = archsim.READY, True
+    else:
+        if reset_edge:
+            ready = False
+        if phase == archsim.WORKING:
+            left -= 1
+            if left <= 0:
+                phase = archsim.READY if ready else archsim.REARM
+                work, left, blocks = False, 0, blocks + 1
+        elif phase == archsim.REARM or not ready:
+            if reset_edge:
+                phase = archsim.REARM
+            else:
+                phase, ready = archsim.READY, True
+        elif start_edge and not reset_edge:
+            phase, work, left = archsim.WORKING, True, profile.work_cycles_per_block
+    return archsim.DeviceState(profile, phase, ready, work, state.cycle_counter + 1,
+                               blocks, idx, left)
+
+
+@pytest.mark.parametrize("variant", sorted(PROFILES))
+def test_step_matches_field_by_field_step(variant):
+    rng = random.Random(f"step-vs-fields-{variant}")
+    st = initial_state(PROFILES[variant])
+    mid_block_resets = 0
+    for _ in range(5000):
+        # RESET and START at random, and RESET on a tenth of working ticks
+        reset = rng.random() < (0.1 if st.phase == archsim.WORKING else 0.03)
+        start = rng.random() < 0.3
+        mid_block_resets += reset and st.phase == archsim.WORKING
+        new = step(st, reset_edge=reset, start_edge=start)
+        assert type(new) is archsim.DeviceState
+        assert new == field_by_field_step(st, reset, start)
+        st = new
+    assert mid_block_resets >= 20
+
+
 def test_randomized_edges_never_violate_invariants():
     rng = random.Random(0xBEEF)
     p = PROFILES["hc3-verylong"]

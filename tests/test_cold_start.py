@@ -118,25 +118,28 @@ def test_checksum_still_checked(cipher, tmp_path):
     assert "checksum mismatch" in err and "hashlib" in mods
 
 
-HC3_TABLES = ("mdsl_tables", "mdsl_inv_tables", "merged_tables", "mds_h_tables",
-              "mds_h_inv_tables", "m5e_tables", "mb3_tables", "p32_tables",
-              "p32_inv_tables", "f_sigma_tables", "mdsl_columns", "mdsl_inv_columns")
-
-
 def fresh_hc3():
     return hc3_constants.Hc3Constants(ctab.parse((DATA / "hc3.ctab").read_text()))
+
+
+def built(consts):
+    """The table sets, their bound lane maps and the plane columns built so far."""
+    return {name for name in vars(consts) if name.endswith(("_tables", "_map", "_columns"))}
 
 
 def test_hc3_tables_built_per_layer_on_first_use():
     from hc3cam import hc3
     consts = fresh_hc3()
-    assert not set(HC3_TABLES) & set(vars(consts))
-    built = {"m5e_tables", "mb3_tables", "p32_tables", "p32_inv_tables", "f_sigma_tables"}
+    assert not built(consts)
+    # the key schedule reads the fused sigma/sigma-inverse sets and F-sigma,
+    # not the single-layer P(32), M_5E and M_B3 sets
+    schedule = {"sigma_tables", "sigma_inv_tables", "f_sigma_tables",
+                "sigma_map", "sigma_inv_map", "f_sigma_map"}
     ks = hc3.key_schedule(bytes(16), consts=consts)
-    assert {t for t in HC3_TABLES if t in vars(consts)} == built
+    assert built(consts) == schedule
     # the byte-plane engine's columns are built without the position tables
     hc3.encrypt_blocks(bytes(32), ks)
-    assert {t for t in HC3_TABLES if t in vars(consts)} == built | {"mdsl_columns"}
+    assert built(consts) == schedule | {"mdsl_columns"}
     # the packaged mds_h and p32 are involutions: their inverses share tables
     assert consts.p32_inv_tables is consts.p32_tables
     assert consts.mds_h_inv_tables is consts.mds_h_tables

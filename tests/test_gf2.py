@@ -51,3 +51,45 @@ def test_apply_rows_on_rows_is_composition():
 def test_invert_rejects_non_square():
     with pytest.raises(ValueError):
         gf2.invert((1, 2, 3), 4)
+
+
+@pytest.mark.parametrize("arity, bits", [(8, 64), (16, 128), (16, 256)])
+def test_lane_map_matches_plain_loop(arity, bits):
+    rng = random.Random(f"lane-map-{arity}-{bits}")
+    tables = tuple(tuple(rng.getrandbits(bits) for _ in range(256)) for _ in range(arity))
+    lane_map = gf2.lane_map(tables)
+    for _ in range(500):
+        data = rng.randbytes(arity)
+        want = 0
+        for table, byte in zip(tables, data):
+            want ^= table[byte]
+        assert lane_map(data) == want
+
+
+@pytest.mark.parametrize("arity", [0, 4, 7, 9, 15, 17, 32])
+def test_lane_map_rejects_other_arities(arity):
+    with pytest.raises(ValueError, match="8 or 16 tables"):
+        gf2.lane_map(((0,) * 256,) * arity)
+
+
+@pytest.mark.parametrize("n_rows, n_in, width", [(4, 4, 32), (16, 16, 8), (32, 16, 8),
+                                                 (4, 4, 16)])
+def test_lane_tables_match_apply_rows(n_rows, n_in, width):
+    # the lane count comes from the rows: 32 rows over 16 lanes give 16 tables
+    rng = random.Random(f"lane-tables-{n_rows}-{n_in}-{width}")
+    rows = [rng.getrandbits(n_in) for _ in range(n_rows)]
+    rows[0] |= 1 << n_in - 1   # the rows read the last input lane
+    tables = gf2.lane_tables(rows, width)
+    assert len(tables) == n_in * width // 8
+    mask = (1 << width) - 1
+    for _ in range(200):
+        data = rng.randbytes(len(tables))
+        lanes = [int.from_bytes(data[i:i + width // 8], "big")
+                 for i in range(0, len(data), width // 8)]
+        want = 0
+        for lane in gf2.apply_rows(rows, lanes):
+            want = want << width | lane & mask
+        got = 0
+        for table, byte in zip(tables, data):
+            got ^= table[byte]
+        assert got == want

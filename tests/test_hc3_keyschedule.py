@@ -20,9 +20,13 @@ from hc3cam.hc3 import (
     pad_key,
     round_keys_bwd,
     round_keys_fwd,
+    m5e,
+    mb3,
+    p32_pair,
     sigma,
     sigma_inv,
 )
+from hc3cam.hc3 import keyschedule
 
 C = get_constants()
 
@@ -166,3 +170,36 @@ def test_schedules_compare_on_key_material_only():
         assert a == b and hash(a) == hash(b)
     assert key_schedule(key, "full_precompute", c1) != key_schedule(key, "cached_1600", c1)
     assert key_schedule(key, "full_precompute", c1) != key_schedule(bytes(16), "full_precompute", c1)
+
+
+# --- fused sigma / sigma-inverse maps ----------------------------------------
+#
+# _sigma_step and _sigma_inv_step run P(32) and M_5E (M_B3 and P(32)^-1) as
+# one fused 16-byte map; the single-layer composition they replaced is the
+# oracle here.
+
+def composed_sigma_step(z, g, consts):
+    w1, w2 = p32_pair(z.z3, z.z4, consts)
+    z3 = m5e(w1, consts) ^ g
+    z4 = m5e(w2, consts)
+    f_out = f_sigma(z.z2 ^ z3, consts)
+    return IntermediateKey(z.z2, z.z1 ^ f_out, z3, z4), f_out
+
+
+def composed_sigma_inv_step(z, g, consts):
+    z1 = z.z2 ^ f_sigma(z.z1 ^ z.z3, consts)
+    w1 = mb3(z.z3 ^ g, consts)
+    w2 = mb3(z.z4, consts)
+    z3, z4 = p32_pair(w1, w2, consts, inverse=True)
+    return IntermediateKey(z1, z.z1, z3, z4), w1, w2
+
+
+@pytest.mark.parametrize("g_index", range(6))
+def test_fused_sigma_steps_match_layer_composition(g_index):
+    g = C.g0[g_index]
+    rng = random.Random(f"fused-sigma-{g_index}")
+    for _ in range(2000):
+        z = rand_state(rng)
+        assert keyschedule._sigma_step(z, g, C) == composed_sigma_step(z, g, C)
+        # W1 and W2 as well as the state
+        assert keyschedule._sigma_inv_step(z, g, C) == composed_sigma_inv_step(z, g, C)

@@ -132,3 +132,40 @@ def test_bench_summary_layers_pairs_trace1_records(tmp_path, monkeypatch):
         write("change", seed, 1, "c2", {"import.ms": 1.0})
     with pytest.raises(SystemExit, match="other provenance than the trace-0"):
         module.main(args + ["--layers"])
+
+
+def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
+    import json
+    module = load_script("bench_summary", monkeypatch)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
+             "platform": "p", "ctab": []}
+
+    def line(variant, rate):
+        # the layout of perfbench's simulate lines
+        return (f"{variant:<14} modeled 128.80 Mb/s  published 115.00 Mb/s  "
+                f"deviation 12.00%  host {rate:.1f} blocks/s")
+
+    def write(side, workload, seed, commit, lines):
+        record = {"workload": workload, "seed": seed, "attempted": 5, "failed": 0,
+                  "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                              for m in spec["end_to_end"]},
+                  "provenance": dict(stamp, commit=commit), "simulate": lines}
+        (tmp_path / side).mkdir(exist_ok=True)
+        (tmp_path / side / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+    rates = [(5000.0, 6000.0, 11000.0), (5400.0, 6500.0, 11500.0), (5200.0, 6800.0, 12500.0)]
+    for seed, (before, after, cam) in enumerate(rates):
+        for side, commit, rate in (("parent", "c0", before), ("change", "c1", after)):
+            write(side, "simulate", seed, commit,
+                  [line("hc3-short", rate), line("camellia-lu3", cam), "not a rate line"])
+            write(side, "many-keys", seed, commit, [])
+    out = tmp_path / "BENCH.json"
+    module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--out", str(out)])
+    workloads = json.loads(out.read_text())["workloads"]
+    hosts = workloads["simulate"]["simulate_host_blocks_per_s"]
+    assert hosts["parent"] == {"camellia-lu3": 11500.0, "hc3-short": 5200.0}
+    assert hosts["change"] == {"camellia-lu3": 11500.0, "hc3-short": 6500.0}
+    # a workload without simulate lines gets no such entry
+    assert "simulate_host_blocks_per_s" not in workloads["many-keys"]
