@@ -194,12 +194,25 @@ def composed_sigma_inv_step(z, g, consts):
     return IntermediateKey(z1, z.z1, z3, z4), w1, w2
 
 
+def permuted_p32_constants():
+    """The packaged set with P(32) a 3-cycle of lanes: unlike the packaged
+    P(32), not its own inverse."""
+    tab = C.source
+    sections = [(name, bytes((0x02, 0x04, 0x01, 0x08)) if name == "p32" else data)
+                for name, data in tab.sections.items()]
+    return Hc3Constants(ctab.parse(ctab.write("hc3", sections)))
+
+
+@pytest.mark.parametrize("packaged", [True, False], ids=["packaged", "p32-not-involution"])
 @pytest.mark.parametrize("g_index", range(6))
-def test_fused_sigma_steps_match_layer_composition(g_index):
-    g = C.g0[g_index]
+def test_fused_sigma_steps_match_layer_composition(g_index, packaged):
+    consts = C if packaged else permuted_p32_constants()
+    assert packaged == (consts.p32_inv_rows == consts.p32_rows)
+    g = consts.g0[g_index]
     rng = random.Random(f"fused-sigma-{g_index}")
-    for _ in range(2000):
+    for _ in range(2000 if packaged else 200):
         z = rand_state(rng)
-        assert keyschedule._sigma_step(z, g, C) == composed_sigma_step(z, g, C)
+        assert keyschedule._sigma_step(z, g, consts) == composed_sigma_step(z, g, consts)
         # W1 and W2 as well as the state
-        assert keyschedule._sigma_inv_step(z, g, C) == composed_sigma_inv_step(z, g, C)
+        assert (keyschedule._sigma_inv_step(z, g, consts)
+                == composed_sigma_inv_step(z, g, consts))

@@ -154,7 +154,7 @@ def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
         (tmp_path / side).mkdir(exist_ok=True)
         (tmp_path / side / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
 
-    rates = [(5000.0, 6000.0, 11000.0), (5400.0, 6500.0, 11500.0), (5200.0, 6800.0, 12500.0)]
+    rates = [(5000.5, 6000.5, 11000.5), (5400.5, 6500.5, 11500.5), (5200.5, 6800.5, 12500.5)]
     for seed, (before, after, cam) in enumerate(rates):
         for side, commit, rate in (("parent", "c0", before), ("change", "c1", after)):
             write(side, "simulate", seed, commit,
@@ -165,7 +165,7 @@ def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
                  "--out", str(out)])
     workloads = json.loads(out.read_text())["workloads"]
     hosts = workloads["simulate"]["simulate_host_blocks_per_s"]
-    assert hosts["parent"] == {"camellia-lu3": 11500.0, "hc3-short": 5200.0}
-    assert hosts["change"] == {"camellia-lu3": 11500.0, "hc3-short": 6500.0}
+    assert hosts["parent"] == {"camellia-lu3": 11500.5, "hc3-short": 5200.5}
+    assert hosts["change"] == {"camellia-lu3": 11500.5, "hc3-short": 6500.5}
     # a workload without simulate lines gets no such entry
     assert "simulate_host_blocks_per_s" not in workloads["many-keys"]
