@@ -11,7 +11,8 @@ by workload and seed, and writes for every workload and every end-to-end
 metric that BENCHMARK.json declares: each side's runs, median and
 quartiles, and in how many pairs the change did better; and, for the
 workloads that run ``simulate``, each side's median per-variant host rate
-(the "host ... blocks/s" of every record's simulate lines).  With --layers it
+(the "host ... blocks/s" of every record's simulate lines) and in how many
+pairs the change's rate of each variant was higher.  With --layers it
 also pairs the per-layer records (``*-trace1.json``) the same way and
 writes each side's median of every per-layer metric BENCHMARK.json
 declares that both sides' records carry.  Each side's provenance (commit,
@@ -67,15 +68,22 @@ def paired(parent: dict, change: dict, spec: dict):
             yield workload, seeds, [(parent[workload, s], change[workload, s]) for s in seeds]
 
 
-def host_rates(records: list[dict]) -> dict:
-    """{variant: median host blocks/s} over the simulate lines of records."""
-    rates = {}
-    for rec in records:
-        for line in rec.get("simulate", []):
-            m = HOST_RATE.match(line)
-            if m:
-                rates.setdefault(m[1], []).append(float(m[2]))
-    return {variant: median(values) for variant, values in sorted(rates.items())}
+def host_rates(pairs: list) -> dict:
+    """Each side's {variant: median host blocks/s} over the simulate lines
+    of the paired records, and per variant in how many of the pairs that
+    carry it on both sides the change's rate was higher."""
+    rates = [tuple({m[1]: float(m[2]) for m in map(HOST_RATE.match, rec.get("simulate", []))
+                    if m} for rec in pair) for pair in pairs]
+    out = {"parent": {}, "change": {}, "change_better_pairs": {}}
+    for variant in sorted({v for pair in rates for side in pair for v in side}):
+        for i, side in enumerate(("parent", "change")):
+            values = [pair[i][variant] for pair in rates if variant in pair[i]]
+            if values:
+                out[side][variant] = median(values)
+        both = [(p[variant], c[variant]) for p, c in rates if variant in p and variant in c]
+        if both:
+            out["change_better_pairs"][variant] = f"{sum(c > p for p, c in both)}/{len(both)}"
+    return out
 
 
 def summarise(parent: dict, change: dict, spec: dict) -> dict:
@@ -98,8 +106,7 @@ def summarise(parent: dict, change: dict, spec: dict) -> dict:
                        "change": sum(b["failed"] for _, b in pairs)},
             "metrics": metrics,
         }
-        hosts = {"parent": host_rates([a for a, _ in pairs]),
-                 "change": host_rates([b for _, b in pairs])}
+        hosts = host_rates(pairs)
         if hosts["parent"] or hosts["change"]:
             out[workload]["simulate_host_blocks_per_s"] = {
                 "statistic": "median over the paired seeds of the last run of each "

@@ -226,7 +226,11 @@ def step(state: DeviceState, reset_edge: bool = False,
 class CycleRecord(NamedTuple):
     index: int                 # 1-based work cycle number
     ops: tuple[str, ...]
-    state_hex: str             # datapath state after the cycle
+    state: bytes               # the 16-byte datapath state after the cycle
+
+    @property
+    def state_hex(self) -> str:
+        return self.state.hex()
 
 
 class BlockTrace(NamedTuple):
@@ -277,17 +281,17 @@ def _run_hc3_short(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
     keys = {1: next(steps).round_key}
     ops = _HC3_SHORT_OPS
     x = block
-    cycles = [CycleRecord(1, ops[0], x.hex())]
+    cycles = [CycleRecord(1, ops[0], x)]
     for r in range(1, 6):
         nxt = next(steps)
         keys[nxt.step] = nxt.round_key
         x = hc3.rho(x, keys[r], consts)
-        cycles.append(CycleRecord(r + 1, ops[r], x.hex()))
+        cycles.append(CycleRecord(r + 1, ops[r], x))
     keys[7] = next(steps).round_key
     x = hc3.xs(x, keys[6], consts)
-    cycles.append(CycleRecord(7, ops[6], x.hex()))
+    cycles.append(CycleRecord(7, ops[6], x))
     x = hc3.key_addition(x, keys[7])
-    cycles.append(CycleRecord(8, ops[7], x.hex()))
+    cycles.append(CycleRecord(8, ops[7], x))
     return BlockTrace("hc3-short", tuple(cycles), x)
 
 
@@ -301,22 +305,22 @@ def _run_hc3_cached(variant: str, hc3: ModuleType, ks: Hc3KeySchedule,
     keys = ks.round_keys
     ops = _cached_ops(merged, merge_xs_ak)
     x = block
-    cycles = [CycleRecord(1, ops[0], x.hex())]
+    cycles = [CycleRecord(1, ops[0], x)]
     for r in range(1, 6):
         if merged:
             x = hc3.mds_h(hc3.merged_xs(x, keys[r - 1], consts), consts)
         else:
             x = hc3.rho(x, keys[r - 1], consts)
-        cycles.append(CycleRecord(r + 1, ops[r], x.hex()))
+        cycles.append(CycleRecord(r + 1, ops[r], x))
     if merge_xs_ak:
         x = hc3.merged_xs(x, keys[5], consts) if merged else hc3.xs(x, keys[5], consts)
         x = hc3.key_addition(x, keys[6])
-        cycles.append(CycleRecord(7, ops[6], x.hex()))
+        cycles.append(CycleRecord(7, ops[6], x))
     else:
         x = hc3.xs(x, keys[5], consts)
-        cycles.append(CycleRecord(7, ops[6], x.hex()))
+        cycles.append(CycleRecord(7, ops[6], x))
         x = hc3.key_addition(x, keys[6])
-        cycles.append(CycleRecord(8, ops[7], x.hex()))
+        cycles.append(CycleRecord(8, ops[7], x))
     return BlockTrace(variant, tuple(cycles), x)
 
 
@@ -332,44 +336,39 @@ def _run_hc3_extensive(hc3: ModuleType, ks: Hc3KeySchedule, block: bytes) -> Blo
     return _run_hc3_cached("hc3-extensive", hc3, ks, block, merged=True, merge_xs_ak=True)
 
 
+# camellia-lu3's cycle i + 1 runs rounds 3i + 1 .. 3i + 3; cycles 2 and 4
+# end with the FL layer, the last with the swap and post-whitening.
+_CAMELLIA_LU3_OPS = (
+    ("pre-whitening; rounds 1-3",),
+    ("rounds 4-6", "FL / FL-inverse layer (kl1, kl2)"),
+    ("rounds 7-9",),
+    ("rounds 10-12", "FL / FL-inverse layer (kl3, kl4)"),
+    ("rounds 13-15",),
+    ("rounds 16-18", "swap halves; post-whitening"),
+)
+
+
 def _hold_subkeys(cam: ModuleType, key: bytes, consts) -> CamelliaSubkeys:
     return cam.key_schedule(key, consts)
 
 
 def _run_camellia_lu3(cam: ModuleType, sk: CamelliaSubkeys, block: bytes) -> BlockTrace:
-    consts = sk.consts
+    consts, k, kl, kw = sk.consts, sk.k, sk.kl, sk.kw
+    f = cam.f_function
     m = int.from_bytes(block, "big")
-    left = (m >> 64) ^ sk.kw[0]
-    right = (m & ((1 << 64) - 1)) ^ sk.kw[1]
-
-    def rounds3(left, right, first):
-        for r in range(first, first + 3):
-            left, right = right ^ cam.f_function(left, sk.k[r - 1], consts), left
-        return left, right
-
+    left, right = (m >> 64) ^ kw[0], (m & ((1 << 64) - 1)) ^ kw[1]
     cycles = []
-
-    def record(i, ops, l, r):
-        cycles.append(CycleRecord(i, ops, f"{l:016x}{r:016x}"))
-
-    left, right = rounds3(left, right, 1)
-    record(1, ("pre-whitening; rounds 1-3",), left, right)
-    left, right = rounds3(left, right, 4)
-    left, right = cam.fl(left, sk.kl[0]), cam.fl_inv(right, sk.kl[1])
-    record(2, ("rounds 4-6", "FL / FL-inverse layer (kl1, kl2)"), left, right)
-    left, right = rounds3(left, right, 7)
-    record(3, ("rounds 7-9",), left, right)
-    left, right = rounds3(left, right, 10)
-    left, right = cam.fl(left, sk.kl[2]), cam.fl_inv(right, sk.kl[3])
-    record(4, ("rounds 10-12", "FL / FL-inverse layer (kl3, kl4)"), left, right)
-    left, right = rounds3(left, right, 13)
-    record(5, ("rounds 13-15",), left, right)
-    left, right = rounds3(left, right, 16)
-    c = ((right ^ sk.kw[2]) << 64) | (left ^ sk.kw[3])
-    ct = c.to_bytes(16, "big")
-    cycles.append(CycleRecord(6, ("rounds 16-18", "swap halves; post-whitening"),
-                              ct.hex()))
-    return BlockTrace("camellia-lu3", tuple(cycles), ct)
+    for i, ops in enumerate(_CAMELLIA_LU3_OPS):
+        r = 3 * i
+        left, right = right ^ f(left, k[r], consts), left
+        left, right = right ^ f(left, k[r + 1], consts), left
+        left, right = right ^ f(left, k[r + 2], consts), left
+        if i == 1 or i == 3:
+            left, right = cam.fl(left, kl[i - 1]), cam.fl_inv(right, kl[i])
+        elif i == 5:
+            left, right = right ^ kw[2], left ^ kw[3]
+        cycles.append(CycleRecord(i + 1, ops, (left << 64 | right).to_bytes(16, "big")))
+    return BlockTrace("camellia-lu3", tuple(cycles), cycles[-1].state)
 
 
 class Datapath(NamedTuple):

@@ -77,12 +77,14 @@ class Hc3Constants:
         key = (layer, src)
         if key not in self._built:
             if isinstance(layer, gf256.MdsMatrix4):
-                # the four 32-bit column tables, shifted into each word
+                # column j of the matrix shifted into word w, a linear map
+                # of the byte, built from its images of 1, 2, ..., 128
                 m, products = layer.entries, _products(layer)
-                cols = [[sum(products[m[i][j]][x] << 8 * (3 - i) for i in range(4))
-                         for x in range(256)] for j in range(4)]
-                self._built[key] = tuple(tuple(cols[j][s] << 32 * (3 - w) for s in src)
-                                         for w in range(4) for j in range(4))
+                cols = [[sum(products[m[i][j]][1 << b] << 8 * (3 - i) for i in range(4))
+                         for b in range(8)] for j in range(4)]
+                self._built[key] = tuple(
+                    tuple(map(_linear([v << 32 * (3 - w) for v in cols[j]]).__getitem__, src))
+                    for w in range(4) for j in range(4))
             else:
                 self._built[key] = gf2.lane_tables(*layer, src)
         return self._built[key]
@@ -130,11 +132,22 @@ def _bytewise(rows):
                  for row in rows for k in range(4))
 
 
+def _linear(basis):
+    """[T(x) for every byte x] of a GF(2)-linear map T, from its images
+    basis[b] = T(1 << b), by XOR doubling: T(x | 1 << b) = T(x) ^ T(1 << b)
+    for every x below 1 << b."""
+    table = [0]
+    for v in basis:
+        table += [t ^ v for t in table]
+    return table
+
+
 @lru_cache(maxsize=4)
 def _products(layer):
     """{c: c * x for every byte x} in the field of an MdsMatrix4, for each
-    entry c of the matrix."""
-    return {c: bytes(gf256.gf_mul(c, x, layer.params) for x in range(256))
+    entry c of the matrix; multiplying by c is linear, so gf_mul gives only
+    the products c * 2^b."""
+    return {c: bytes(_linear([gf256.gf_mul(c, 1 << b, layer.params) for b in range(8)]))
             for c in set().union(*layer.entries)}
 
 

@@ -414,4 +414,111 @@ def test_profile_file_cipher_mismatch_rejected():
 def test_trace_final_state_is_the_ciphertext():
     for variant, p in PROFILES.items():
         trace = run_block(p, bytes(range(16)), bytes(16))
+        assert all(type(c.state) is bytes and len(c.state) == 16 for c in trace.cycles)
+        assert trace.cycles[-1].state == trace.ciphertext, variant
         assert trace.cycles[-1].state_hex == trace.ciphertext.hex(), variant
+
+
+# The work functions as they were when every cycle formatted its state into
+# hex at once, with camellia-lu3's rounds in per-block closures: the oracle
+# of each cycle's index, ops and state_hex.  Each returns (cycles, ciphertext)
+# with a cycle as (index, ops, state_hex).
+
+def eager_hc3_short(key, block):
+    consts = hc3.get_constants()
+    steps = hc3.iter_schedule(hc3.pad_and_prewhiten(key, consts), consts)
+    keys = {1: next(steps).round_key}
+    ops = archsim._HC3_SHORT_OPS
+    x = block
+    cycles = [(1, ops[0], x.hex())]
+    for r in range(1, 6):
+        nxt = next(steps)
+        keys[nxt.step] = nxt.round_key
+        x = hc3.rho(x, keys[r], consts)
+        cycles.append((r + 1, ops[r], x.hex()))
+    keys[7] = next(steps).round_key
+    x = hc3.xs(x, keys[6], consts)
+    cycles.append((7, ops[6], x.hex()))
+    x = hc3.key_addition(x, keys[7])
+    cycles.append((8, ops[7], x.hex()))
+    return cycles, x
+
+
+def eager_hc3_cached(key, block, merged, merge_xs_ak):
+    consts = hc3.get_constants()
+    keys = hc3.key_schedule(key, "cached_1600", consts).round_keys
+    ops = archsim._cached_ops(merged, merge_xs_ak)
+    x = block
+    cycles = [(1, ops[0], x.hex())]
+    for r in range(1, 6):
+        if merged:
+            x = hc3.mds_h(hc3.merged_xs(x, keys[r - 1], consts), consts)
+        else:
+            x = hc3.rho(x, keys[r - 1], consts)
+        cycles.append((r + 1, ops[r], x.hex()))
+    if merge_xs_ak:
+        x = hc3.merged_xs(x, keys[5], consts) if merged else hc3.xs(x, keys[5], consts)
+        x = hc3.key_addition(x, keys[6])
+        cycles.append((7, ops[6], x.hex()))
+    else:
+        x = hc3.xs(x, keys[5], consts)
+        cycles.append((7, ops[6], x.hex()))
+        x = hc3.key_addition(x, keys[6])
+        cycles.append((8, ops[7], x.hex()))
+    return cycles, x
+
+
+def eager_camellia_lu3(key, block):
+    sk = camellia.key_schedule(key)
+    consts = sk.consts
+    m = int.from_bytes(block, "big")
+    left = (m >> 64) ^ sk.kw[0]
+    right = (m & ((1 << 64) - 1)) ^ sk.kw[1]
+
+    def rounds3(left, right, first):
+        for r in range(first, first + 3):
+            left, right = right ^ camellia.f_function(left, sk.k[r - 1], consts), left
+        return left, right
+
+    cycles = []
+
+    def record(i, ops, l, r):
+        cycles.append((i, ops, f"{l:016x}{r:016x}"))
+
+    left, right = rounds3(left, right, 1)
+    record(1, ("pre-whitening; rounds 1-3",), left, right)
+    left, right = rounds3(left, right, 4)
+    left, right = camellia.fl(left, sk.kl[0]), camellia.fl_inv(right, sk.kl[1])
+    record(2, ("rounds 4-6", "FL / FL-inverse layer (kl1, kl2)"), left, right)
+    left, right = rounds3(left, right, 7)
+    record(3, ("rounds 7-9",), left, right)
+    left, right = rounds3(left, right, 10)
+    left, right = camellia.fl(left, sk.kl[2]), camellia.fl_inv(right, sk.kl[3])
+    record(4, ("rounds 10-12", "FL / FL-inverse layer (kl3, kl4)"), left, right)
+    left, right = rounds3(left, right, 13)
+    record(5, ("rounds 13-15",), left, right)
+    left, right = rounds3(left, right, 16)
+    ct = (((right ^ sk.kw[2]) << 64) | (left ^ sk.kw[3])).to_bytes(16, "big")
+    cycles.append((6, ("rounds 16-18", "swap halves; post-whitening"), ct.hex()))
+    return cycles, ct
+
+
+EAGER = {
+    "hc3-short": eager_hc3_short,
+    "hc3-long": lambda k, b: eager_hc3_cached(k, b, merged=False, merge_xs_ak=False),
+    "hc3-verylong": lambda k, b: eager_hc3_cached(k, b, merged=False, merge_xs_ak=True),
+    "hc3-extensive": lambda k, b: eager_hc3_cached(k, b, merged=True, merge_xs_ak=True),
+    "camellia-lu3": eager_camellia_lu3,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PROFILES))
+def test_cycle_states_match_eager_hex_datapaths(variant):
+    profile = PROFILES[variant]
+    rng = random.Random(f"eager-{variant}")
+    for _ in range(2000):
+        key, block = rng.randbytes(16), rng.randbytes(16)
+        trace = run_block(profile, key, block)
+        cycles, ct = EAGER[variant](key, block)
+        assert [(c.index, c.ops, c.state_hex) for c in trace.cycles] == cycles
+        assert trace.ciphertext == ct

@@ -156,9 +156,11 @@ def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
 
     rates = [(5000.5, 6000.5, 11000.5), (5400.5, 6500.5, 11500.5), (5200.5, 6800.5, 12500.5)]
     for seed, (before, after, cam) in enumerate(rates):
-        for side, commit, rate in (("parent", "c0", before), ("change", "c1", after)):
+        # the change's camellia-lu3 rate is higher on seed 1 only
+        for side, commit, rate, cam_rate in (("parent", "c0", before, cam),
+                                             ("change", "c1", after, cam + 100 * (seed == 1))):
             write(side, "simulate", seed, commit,
-                  [line("hc3-short", rate), line("camellia-lu3", cam), "not a rate line"])
+                  [line("hc3-short", rate), line("camellia-lu3", cam_rate), "not a rate line"])
             write(side, "many-keys", seed, commit, [])
     out = tmp_path / "BENCH.json"
     module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
@@ -166,6 +168,8 @@ def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
     workloads = json.loads(out.read_text())["workloads"]
     hosts = workloads["simulate"]["simulate_host_blocks_per_s"]
     assert hosts["parent"] == {"camellia-lu3": 11500.5, "hc3-short": 5200.5}
-    assert hosts["change"] == {"camellia-lu3": 11500.5, "hc3-short": 6500.5}
+    assert hosts["change"] == {"camellia-lu3": 11600.5, "hc3-short": 6500.5}
+    # pair by pair; an equal rate is not better
+    assert hosts["change_better_pairs"] == {"camellia-lu3": "1/3", "hc3-short": "3/3"}
     # a workload without simulate lines gets no such entry
     assert "simulate_host_blocks_per_s" not in workloads["many-keys"]
