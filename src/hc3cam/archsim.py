@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 if TYPE_CHECKING:
     from .camellia import CamelliaSubkeys
-    from .hc3 import Hc3KeySchedule
 
 
 class MicroOp(NamedTuple):
@@ -188,7 +187,9 @@ def initial_state(profile: ArchProfile) -> DeviceState:
     return DeviceState(profile=profile)
 
 
-_new_state = tuple.__new__
+# builds a NamedTuple from its fields in order, without NamedTuple.__new__'s
+# keyword handling
+_new = tuple.__new__
 
 
 def step(state: DeviceState, reset_edge: bool = False,
@@ -217,8 +218,7 @@ def step(state: DeviceState, reset_edge: bool = False,
         elif start_edge and not reset_edge:
             # phase == READY with READY high
             phase, work, left = WORKING, True, profile.work_cycles_per_block
-    # the fields in order, without NamedTuple.__new__'s keyword handling
-    return _new_state(DeviceState, (profile, phase, ready, work, cycle + 1, blocks, idx, left))
+    return _new(DeviceState, (profile, phase, ready, work, cycle + 1, blocks, idx, left))
 
 
 # --- per-cycle block execution -------------------------------------------
@@ -272,68 +272,61 @@ def _cached_ops(merged: bool, merge_xs_ak: bool) -> tuple[tuple[str, ...], ...]:
     return tuple(ops)
 
 
-def _run_hc3_short(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
-    # Only Z(0) is held; subkeys are regenerated alongside the rounds for
-    # every block, and the last cycle restores the round-1 state for the
-    # next one.
-    consts, z0 = held
-    steps = hc3.iter_schedule(z0, consts)
-    keys = {1: next(steps).round_key}
-    ops = _HC3_SHORT_OPS
-    x = block
-    cycles = [CycleRecord(1, ops[0], x)]
+def _run_hc3(variant: str, hc3: ModuleType, consts, keys, block: bytes, ops,
+             merged: bool = False, merge_xs_ak: bool = False) -> BlockTrace:
+    """Five rho rounds, XS and AK on one integer state.  keys yields the
+    (K1 K2, K3 K4) pair of K(1)..K(7) in order; a rho round is the XS core
+    followed by the s-box-fused MDS-higher map, and bytes are made for each
+    cycle's state."""
+    core, fused = hc3.xs_core, consts.sbox_mds_h_map
+    keys = iter(keys)
+    v = int.from_bytes(block, "big")
+    cycles = [_new(CycleRecord, (1, ops[0], block))]
     for r in range(1, 6):
-        nxt = next(steps)
-        keys[nxt.step] = nxt.round_key
-        x = hc3.rho(x, keys[r], consts)
-        cycles.append(CycleRecord(r + 1, ops[r], x))
-    keys[7] = next(steps).round_key
-    x = hc3.xs(x, keys[6], consts)
-    cycles.append(CycleRecord(7, ops[6], x))
-    x = hc3.key_addition(x, keys[7])
-    cycles.append(CycleRecord(8, ops[7], x))
-    return BlockTrace("hc3-short", tuple(cycles), x)
-
-
-def _hold_cache_1600(hc3: ModuleType, key: bytes, consts) -> Hc3KeySchedule:
-    return hc3.key_schedule(key, "cached_1600", consts)
-
-
-def _run_hc3_cached(variant: str, hc3: ModuleType, ks: Hc3KeySchedule,
-                    block: bytes, merged: bool, merge_xs_ak: bool) -> BlockTrace:
-    consts = ks.consts
-    keys = ks.round_keys
-    ops = _cached_ops(merged, merge_xs_ak)
-    x = block
-    cycles = [CycleRecord(1, ops[0], x)]
-    for r in range(1, 6):
-        if merged:
-            x = hc3.mds_h(hc3.merged_xs(x, keys[r - 1], consts), consts)
-        else:
-            x = hc3.rho(x, keys[r - 1], consts)
-        cycles.append(CycleRecord(r + 1, ops[r], x))
+        k12, k34 = next(keys)
+        v = fused(core(v, k12, k34, consts, merged))
+        cycles.append(_new(CycleRecord, (r + 1, ops[r], v.to_bytes(16, "big"))))
+    k12, k34 = next(keys)
+    x = core(v, k12, k34, consts, merged).translate(consts.sbox)
+    ct = (int.from_bytes(x, "big") ^ next(keys)[0]).to_bytes(16, "big")
     if merge_xs_ak:
-        x = hc3.merged_xs(x, keys[5], consts) if merged else hc3.xs(x, keys[5], consts)
-        x = hc3.key_addition(x, keys[6])
-        cycles.append(CycleRecord(7, ops[6], x))
+        cycles.append(_new(CycleRecord, (7, ops[6], ct)))
     else:
-        x = hc3.xs(x, keys[5], consts)
-        cycles.append(CycleRecord(7, ops[6], x))
-        x = hc3.key_addition(x, keys[6])
-        cycles.append(CycleRecord(8, ops[7], x))
-    return BlockTrace(variant, tuple(cycles), x)
+        cycles += (_new(CycleRecord, (7, ops[6], x)), _new(CycleRecord, (8, ops[7], ct)))
+    return BlockTrace(variant, tuple(cycles), ct)
 
 
-def _run_hc3_long(hc3: ModuleType, ks: Hc3KeySchedule, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-long", hc3, ks, block, merged=False, merge_xs_ak=False)
+def _run_hc3_short(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
+    # Only Z(0) is held; the seven round keys are regenerated from it for
+    # every block, each as its round takes it, and the last cycle restores
+    # the round-1 state for the next one.
+    consts, z0 = held
+    keys = (hc3.key_halves(key) for key, _, _ in hc3.walk_schedule(z0, consts))
+    return _run_hc3("hc3-short", hc3, consts, keys, block, _HC3_SHORT_OPS)
 
 
-def _run_hc3_verylong(hc3: ModuleType, ks: Hc3KeySchedule, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-verylong", hc3, ks, block, merged=False, merge_xs_ak=True)
+def _hold_cache_1600(hc3: ModuleType, key: bytes, consts) -> tuple:
+    ks = hc3.key_schedule(key, "cached_1600", consts)
+    return ks, tuple(map(hc3.key_halves, ks.round_keys))
 
 
-def _run_hc3_extensive(hc3: ModuleType, ks: Hc3KeySchedule, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-extensive", hc3, ks, block, merged=True, merge_xs_ak=True)
+def _run_hc3_cached(variant: str, hc3: ModuleType, held: tuple, block: bytes,
+                    merged: bool, merge_xs_ak: bool) -> BlockTrace:
+    ks, keys = held
+    return _run_hc3(variant, hc3, ks.consts, keys, block,
+                    _cached_ops(merged, merge_xs_ak), merged, merge_xs_ak)
+
+
+def _run_hc3_long(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-long", hc3, held, block, merged=False, merge_xs_ak=False)
+
+
+def _run_hc3_verylong(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-verylong", hc3, held, block, merged=False, merge_xs_ak=True)
+
+
+def _run_hc3_extensive(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
+    return _run_hc3_cached("hc3-extensive", hc3, held, block, merged=True, merge_xs_ak=True)
 
 
 # camellia-lu3's cycle i + 1 runs rounds 3i + 1 .. 3i + 3; cycles 2 and 4
@@ -353,21 +346,21 @@ def _hold_subkeys(cam: ModuleType, key: bytes, consts) -> CamelliaSubkeys:
 
 
 def _run_camellia_lu3(cam: ModuleType, sk: CamelliaSubkeys, block: bytes) -> BlockTrace:
-    consts, k, kl, kw = sk.consts, sk.k, sk.kl, sk.kw
-    f = cam.f_function
+    k, kl, kw = sk.k, sk.kl, sk.kw
+    f = sk.consts.f_map         # F of (x ^ k) as 8 bytes; both halves stay 64-bit
     m = int.from_bytes(block, "big")
     left, right = (m >> 64) ^ kw[0], (m & ((1 << 64) - 1)) ^ kw[1]
     cycles = []
     for i, ops in enumerate(_CAMELLIA_LU3_OPS):
         r = 3 * i
-        left, right = right ^ f(left, k[r], consts), left
-        left, right = right ^ f(left, k[r + 1], consts), left
-        left, right = right ^ f(left, k[r + 2], consts), left
+        left, right = right ^ f((left ^ k[r]).to_bytes(8, "big")), left
+        left, right = right ^ f((left ^ k[r + 1]).to_bytes(8, "big")), left
+        left, right = right ^ f((left ^ k[r + 2]).to_bytes(8, "big")), left
         if i == 1 or i == 3:
             left, right = cam.fl(left, kl[i - 1]), cam.fl_inv(right, kl[i])
         elif i == 5:
             left, right = right ^ kw[2], left ^ kw[3]
-        cycles.append(CycleRecord(i + 1, ops, (left << 64 | right).to_bytes(16, "big")))
+        cycles.append(_new(CycleRecord, (i + 1, ops, (left << 64 | right).to_bytes(16, "big"))))
     return BlockTrace("camellia-lu3", tuple(cycles), cycles[-1].state)
 
 
@@ -512,24 +505,6 @@ def render_report(rows, cipher: str | None = None) -> str:
         if idx == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def render_csv(rows) -> str:
-    out = ["label,cipher,kind,cycles,clock_mhz,model_mbps,paper_mbps,deviation,flagged,resources"]
-    for r in rows:
-        out.append(",".join([
-            r.label.replace(",", ";"),
-            r.cipher,
-            "model" if r.is_model else "reference",
-            "" if r.cycles_per_block is None else str(r.cycles_per_block),
-            "" if r.clock_mhz is None else f"{r.clock_mhz:.4f}",
-            "" if r.modeled_mbps is None else f"{r.modeled_mbps:.4f}",
-            "" if r.paper_mbps is None else f"{r.paper_mbps:.4f}",
-            "" if r.deviation is None else f"{r.deviation:.6f}",
-            "1" if r.flagged else "0",
-            r.resources.replace(",", ";"),
-        ]))
-    return "\n".join(out)
 
 
 # --- profile files ---------------------------------------------------------

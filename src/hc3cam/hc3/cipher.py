@@ -21,21 +21,38 @@ def _block_int(block: bytes) -> int:
     return int.from_bytes(check_block(block), "big")
 
 
+def key_halves(rk) -> tuple[int, int]:
+    """(K1 K2, K3 K4) of a round key's four words as two 128-bit ints: the
+    halves XS adds before and after MDS-lower."""
+    k1, k2, k3, k4 = rk
+    return k1 << 64 | k2, k3 << 64 | k4
+
+
+def xs_core(v: int, k12: int, k34: int, consts: Hc3Constants, merged: bool = False) -> bytes:
+    """The integer round core: XS of the state v up to its second s-box
+    layer, as the 16 bytes that layer, or a map fused with it, reads.
+
+    merged runs the first s-box layer and MDS-lower as the fused
+    merged_map instead of a translate and mdsl_map.
+    """
+    b = (v ^ k12).to_bytes(16, "big")
+    y = consts.merged_map(b) if merged else consts.mdsl_map(b.translate(consts.sbox))
+    return (y ^ k34).to_bytes(16, "big")
+
+
 def xs(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
     """Key add, 16 s-boxes, per-word MDS lower, key add, 16 s-boxes."""
     consts = consts or get_constants()
-    x = _block_int(block) ^ (rk.k1 << 64 | rk.k2)
-    b = x.to_bytes(16, "big").translate(consts.sbox)
-    y = consts.mdsl_map(b) ^ (rk.k3 << 64 | rk.k4)
-    return y.to_bytes(16, "big").translate(consts.sbox)
+    return xs_core(_block_int(block), *key_halves(rk), consts).translate(consts.sbox)
 
 
 def xs_inv(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
     consts = consts or get_constants()
+    k12, k34 = key_halves(rk)
     b = check_block(block).translate(consts.sbox_inv)
-    b = (int.from_bytes(b, "big") ^ (rk.k3 << 64 | rk.k4)).to_bytes(16, "big")
+    b = (int.from_bytes(b, "big") ^ k34).to_bytes(16, "big")
     b = consts.mdsl_inv_map(b).to_bytes(16, "big").translate(consts.sbox_inv)
-    return (int.from_bytes(b, "big") ^ (rk.k1 << 64 | rk.k2)).to_bytes(16, "big")
+    return (int.from_bytes(b, "big") ^ k12).to_bytes(16, "big")
 
 
 def rho(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:
@@ -50,7 +67,7 @@ def rho_inv(block: bytes, rk: RoundKey256, consts: Hc3Constants) -> bytes:
 
 def key_addition(block: bytes, rk: RoundKey256) -> bytes:
     """Final XOR with the first half of the round key."""
-    x = _block_int(block) ^ (rk.k1 << 64 | rk.k2)
+    x = _block_int(block) ^ key_halves(rk)[0]
     return x.to_bytes(16, "big")
 
 
@@ -79,9 +96,7 @@ def merged_xs(block: bytes, rk: RoundKey256,
               consts: Hc3Constants | None = None) -> bytes:
     """XS via the fused tables; same function as xs, different datapath."""
     consts = consts or get_constants()
-    b = (_block_int(block) ^ (rk.k1 << 64 | rk.k2)).to_bytes(16, "big")
-    y = consts.merged_map(b) ^ (rk.k3 << 64 | rk.k4)
-    return y.to_bytes(16, "big").translate(consts.sbox)
+    return xs_core(_block_int(block), *key_halves(rk), consts, True).translate(consts.sbox)
 
 
 # --- byte-plane batch engine (see hc3cam.planes) ----------------------------
@@ -161,8 +176,7 @@ def _program(consts: Hc3Constants, halves, keyed, inverse: bool):
 
 
 def _plane_program(ks: Hc3KeySchedule, inverse: bool):
-    halves = [(rk.k1 << 64 | rk.k2, rk.k3 << 64 | rk.k4) for rk in ks.round_keys]
-    return _program(ks.consts, halves,
+    return _program(ks.consts, list(map(key_halves, ks.round_keys)),
                     lambda k, box: (sub, _keyed_tables(box, k, inverse)), inverse)
 
 

@@ -91,9 +91,10 @@ class Hc3Constants:
 
     # Each layer's tables and map are built when a cipher path first reads
     # the map: a key schedule reads sigma, sigma_inv and f_sigma, the
-    # per-block rounds mdsl* and mds_h*, merged_xs merged, and the
-    # byte-plane engines only the mdsl*_columns.  m5e, mb3 and p32* serve
-    # the single-layer functions of hc3.linear.
+    # per-block rounds mdsl* and mds_h*, merged_xs merged, archsim's
+    # datapaths mdsl (or merged) and sbox_mds_h, and the byte-plane
+    # engines only the mdsl*_columns.  m5e, mb3 and p32* serve the
+    # single-layer functions of hc3.linear.
     mdsl_tables, mdsl_map = _layer(lambda c: (gf256.MDS_L,))
     mdsl_inv_tables, mdsl_inv_map = _layer(lambda c: (gf256.mds_l_inverse(gf256.MDS_L),))
     # s-box folded into the column products; the "one bijective sbox per
@@ -101,6 +102,8 @@ class Hc3Constants:
     merged_tables, merged_map = _layer(lambda c: (gf256.MDS_L, c.sbox))
     mds_h_tables, mds_h_map = _layer(lambda c: ((c.mds_h_rows, 8),))
     mds_h_inv_tables, mds_h_inv_map = _layer(lambda c: ((c.mds_h_inv_rows, 8),))
+    # the second s-box layer of XS folded into the MDS-higher after it
+    sbox_mds_h_tables, sbox_mds_h_map = _layer(lambda c: ((c.mds_h_rows, 8), c.sbox))
     m5e_tables, m5e_map = _layer(lambda c: ((c.m5e_rows, 8),))
     mb3_tables, mb3_map = _layer(lambda c: ((c.mb3_rows, 8),))
     p32_tables, p32_map = _layer(lambda c: ((c.p32_rows, 32),))

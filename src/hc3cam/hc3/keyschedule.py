@@ -70,14 +70,10 @@ MODES = ("on_the_fly_ready", "full_precompute", "cached_1600")
 class Cache1600(NamedTuple):
     """The precomputed material of the long-setup datapaths: the five
     intermediate states reached after steps 0..4 plus the five F-sigma
-    words entering K(1)..K(5)."""
+    words entering K(1)..K(5), 5 * 256 + 5 * 64 = 1600 bits."""
 
     z_states: tuple[IntermediateKey, ...]
     f_outputs: tuple[int, ...]
-
-    @property
-    def n_bits(self) -> int:
-        return 256 * len(self.z_states) + 64 * len(self.f_outputs)
 
 
 class Hc3KeySchedule:
@@ -111,63 +107,67 @@ class Hc3KeySchedule:
         return hash(self._material())
 
 
-def _sigma_step(z: IntermediateKey, g: int, consts) -> tuple[IntermediateKey, int]:
+# The step and round-key functions take the 256-bit state as any tuple
+# (z1, z2, z3, z4) and return plain tuples, so a per-block walk builds no
+# NamedTuple; sigma, sigma_inv, pad_and_prewhiten, iter_schedule and
+# key_schedule wrap theirs in IntermediateKey and RoundKey256.
+
+def _sigma_step(z, g: int, consts) -> tuple[tuple[int, ...], int]:
     """One sigma update; also returns the F-sigma word it computed.
 
     P(32) of z3 || z4 and M_5E of both halves are one fused 16-byte map.
     """
-    y = consts.sigma_map((z.z3 << 64 | z.z4).to_bytes(16, "big"))
+    z1, z2, z3, z4 = z
+    y = consts.sigma_map((z3 << 64 | z4).to_bytes(16, "big"))
     z3 = y >> 64 ^ g
-    f_out = consts.f_sigma_map((z.z2 ^ z3).to_bytes(8, "big"))   # reads the new z3
-    return IntermediateKey(z.z2, z.z1 ^ f_out, z3, y & MASK64), f_out
+    f_out = consts.f_sigma_map((z2 ^ z3).to_bytes(8, "big"))   # reads the new z3
+    return (z2, z1 ^ f_out, z3, y & MASK64), f_out
 
 
-def _sigma_inv_step(z: IntermediateKey, g: int, consts) -> tuple[IntermediateKey, int, int]:
+def _sigma_inv_step(z, g: int, consts) -> tuple[tuple[int, ...], int, int]:
     """One sigma-inverse update; also returns its W words, which the
     second-regime round keys consume.
 
     M_B3 of both halves, and P(32)^-1 after it, are one fused 16-byte map
     giving W1 || W2 || z3 || z4.
     """
-    y = consts.sigma_inv_map(((z.z3 ^ g) << 64 | z.z4).to_bytes(16, "big"))
-    z1 = z.z2 ^ consts.f_sigma_map((z.z1 ^ z.z3).to_bytes(8, "big"))
-    return (IntermediateKey(z1, z.z1, y >> 64 & MASK64, y & MASK64),
-            y >> 192, y >> 128 & MASK64)
+    z1, z2, z3, z4 = z
+    y = consts.sigma_inv_map(((z3 ^ g) << 64 | z4).to_bytes(16, "big"))
+    return ((z2 ^ consts.f_sigma_map((z1 ^ z3).to_bytes(8, "big")), z1,
+             y >> 64 & MASK64, y & MASK64), y >> 192, y >> 128 & MASK64)
 
 
 def sigma(z: IntermediateKey, g: int, consts: Hc3Constants | None = None) -> IntermediateKey:
-    return _sigma_step(z, g, consts or get_constants())[0]
+    return IntermediateKey(*_sigma_step(z, g, consts or get_constants())[0])
 
 
 def sigma_inv(z: IntermediateKey, g: int, consts: Hc3Constants | None = None) -> IntermediateKey:
-    return _sigma_inv_step(z, g, consts or get_constants())[0]
+    return IntermediateKey(*_sigma_inv_step(z, g, consts or get_constants())[0])
+
+
+def _fwd_key(z_prev, z_next, v: int) -> tuple[int, ...]:
+    """K1..K4 of a forward (sigma) step, given its F-sigma word V."""
+    return z_prev[0] ^ v, z_next[2] ^ v, z_next[3] ^ v, z_prev[1] ^ z_next[3]
+
+
+def _bwd_key(z_prev, z_next, w1: int, w2: int, v: int) -> tuple[int, ...]:
+    """K1..K4 of a backward (sigma-inverse) step, given its V and W words."""
+    return z_next[0] ^ z_prev[2], w1 ^ v, w2 ^ v, z_prev[0] ^ w2
 
 
 def round_keys_fwd(z_prev: IntermediateKey, z_next: IntermediateKey,
-                   consts: Hc3Constants) -> tuple[RoundKey256, int]:
+                   consts: Hc3Constants) -> tuple[tuple[int, ...], int]:
     """Round key of a forward (sigma) step, plus the F-sigma word V."""
-    v = consts.f_sigma_map((z_prev.z2 ^ z_prev.z3).to_bytes(8, "big"))
-    key = RoundKey256(
-        z_prev.z1 ^ v,
-        z_next.z3 ^ v,
-        z_next.z4 ^ v,
-        z_prev.z2 ^ z_next.z4,
-    )
-    return key, v
+    v = consts.f_sigma_map((z_prev[1] ^ z_prev[2]).to_bytes(8, "big"))
+    return _fwd_key(z_prev, z_next, v), v
 
 
 def round_keys_bwd(z_prev: IntermediateKey, z_next: IntermediateKey,
                    w1: int, w2: int,
-                   consts: Hc3Constants) -> tuple[RoundKey256, int]:
-    """Round key of a backward (sigma-inverse) step."""
-    v = consts.f_sigma_map((z_prev.z1 ^ z_next.z3).to_bytes(8, "big"))
-    key = RoundKey256(
-        z_next.z1 ^ z_prev.z3,
-        w1 ^ v,
-        w2 ^ v,
-        z_prev.z1 ^ w2,
-    )
-    return key, v
+                   consts: Hc3Constants) -> tuple[tuple[int, ...], int]:
+    """Round key of a backward (sigma-inverse) step, plus its V word."""
+    v = consts.f_sigma_map((z_prev[0] ^ z_next[2]).to_bytes(8, "big"))
+    return _bwd_key(z_prev, z_next, w1, w2, v), v
 
 
 def pad_key(key: bytes, consts: Hc3Constants) -> IntermediateKey:
@@ -186,7 +186,7 @@ def pad_and_prewhiten(key: bytes, consts: Hc3Constants | None = None) -> Interme
     """PAD then the sigma0 pre-whitening step: the state Z(0)."""
     consts = consts or get_constants()
     z = pad_key(key, consts)
-    return _sigma_step(z, consts.g0[5], consts)[0]
+    return IntermediateKey(*_sigma_step(z, consts.g0[5], consts)[0])
 
 
 class ScheduleStep(NamedTuple):
@@ -196,23 +196,30 @@ class ScheduleStep(NamedTuple):
     z_next: IntermediateKey
 
 
-def iter_schedule(z0: IntermediateKey, consts: Hc3Constants) -> Iterator[ScheduleStep]:
-    """Walk steps 1..7 from Z(0), yielding each round key as it forms.
+def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
+    """Walk steps 1..7 from Z(0) on plain tuples, yielding each step's
+    (round key words, V, next state) as it forms.
 
     This is the on-the-fly order the short-setup datapath executes in
     parallel with the rounds.
     """
     z = z0
-    for row in SCHEDULE_ROWS[1:]:
-        g = consts.g0[row.g_index]
-        if row.op == "sigma":
-            z_next, _ = _sigma_step(z, g, consts)
+    for _, op, g_index in SCHEDULE_ROWS[1:]:
+        g = consts.g0[g_index]
+        if op == "sigma":
+            z_next = _sigma_step(z, g, consts)[0]
             key, v = round_keys_fwd(z, z_next, consts)
         else:
             z_next, w1, w2 = _sigma_inv_step(z, g, consts)
             key, v = round_keys_bwd(z, z_next, w1, w2, consts)
-        yield ScheduleStep(row.step, key, v, z_next)
+        yield key, v, z_next
         z = z_next
+
+
+def iter_schedule(z0: IntermediateKey, consts: Hc3Constants) -> Iterator[ScheduleStep]:
+    """walk_schedule's steps as ScheduleSteps."""
+    for row, (key, v, z_next) in zip(SCHEDULE_ROWS[1:], walk_schedule(z0, consts)):
+        yield ScheduleStep(row.step, RoundKey256(*key), v, IntermediateKey(*z_next))
 
 
 def _keys_from_cache(cache: Cache1600,
@@ -226,25 +233,14 @@ def _keys_from_cache(cache: Cache1600,
     z, v = cache.z_states, cache.f_outputs
     keys = []
     for t in range(1, 5):
-        z_prev, z_next = z[t - 1], z[t]
-        keys.append(RoundKey256(
-            z_prev.z1 ^ v[t - 1],
-            z_next.z3 ^ v[t - 1],
-            z_next.z4 ^ v[t - 1],
-            z_prev.z2 ^ z_next.z4,
-        ))
+        keys.append(RoundKey256(*_fwd_key(z[t - 1], z[t], v[t - 1])))
     z_prev = z[4]
     for t in range(5, 8):
         row = SCHEDULE_ROWS[t]
         g = consts.g0[row.g_index]
         z_next, w1, w2 = _sigma_inv_step(z_prev, g, consts)
-        vt = v[4] if t == 5 else f_sigma(z_prev.z1 ^ z_next.z3, consts)
-        keys.append(RoundKey256(
-            z_next.z1 ^ z_prev.z3,
-            w1 ^ vt,
-            w2 ^ vt,
-            z_prev.z1 ^ w2,
-        ))
+        vt = v[4] if t == 5 else f_sigma(z_prev[0] ^ z_next[2], consts)
+        keys.append(RoundKey256(*_bwd_key(z_prev, z_next, w1, w2, vt)))
         z_prev = z_next
     return tuple(keys)
 
@@ -267,12 +263,12 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
     z_states = [z0]
     v_words = []
     keys = []
-    for st in iter_schedule(z0, consts):
-        keys.append(st.round_key)
-        if st.step <= 4:
-            z_states.append(st.z_next)
-        if st.step <= 5:
-            v_words.append(st.v)
+    for step, (round_key, v, z_next) in enumerate(walk_schedule(z0, consts), 1):
+        keys.append(RoundKey256(*round_key))
+        if step <= 4:
+            z_states.append(IntermediateKey(*z_next))
+        if step <= 5:
+            v_words.append(v)
 
     cache = None
     if mode == "cached_1600":

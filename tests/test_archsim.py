@@ -11,13 +11,12 @@ from hc3cam.archsim import (
     parse_profile,
     format_profile,
     report,
-    render_csv,
     render_report,
     run_block,
     step,
     throughput_model,
 )
-from test_constants_override import use_shifted_sbox_override
+from test_constants_override import use_non_involution_override, use_shifted_sbox_override
 
 
 def functional(profile, key, block):
@@ -371,16 +370,10 @@ def test_report_rows_and_flags():
         77.34, 199.46, 211.90, 227.42, 401.89]
 
 
-def test_render_report_and_csv():
-    rows = report()
-    text = render_report(rows, cipher="hc3")
+def test_render_report():
+    text = render_report(report(), cipher="hc3")
     assert "hc3-extensive" in text and "DISCREPANCY" in text
     assert "camellia-lu3" not in text
-    csv_text = render_csv(rows)
-    lines = csv_text.splitlines()
-    assert lines[0].startswith("label,cipher,kind")
-    assert len(lines) == 1 + len(rows)
-    assert all(line.count(",") == lines[0].count(",") for line in lines)
 
 
 def test_profile_file_roundtrip():
@@ -522,3 +515,28 @@ def test_cycle_states_match_eager_hex_datapaths(variant):
         cycles, ct = EAGER[variant](key, block)
         assert [(c.index, c.ops, c.state_hex) for c in trace.cycles] == cycles
         assert trace.ciphertext == ct
+
+
+def test_hc3_short_walk_matches_key_schedule():
+    # the round keys hc3-short regenerates from its held Z(0) for each block
+    consts = hc3.get_constants()
+    rng = random.Random("short-walk")
+    for _ in range(2000):
+        key = rng.randbytes(16)
+        _, z0 = archsim._hold_z0(hc3, key, consts)
+        walk = [round_key for round_key, _, _ in hc3.walk_schedule(z0, consts)]
+        assert walk == list(hc3.key_schedule(key).round_keys)
+
+
+@pytest.mark.parametrize("variant", [v for v in sorted(PROFILES) if v.startswith("hc3")])
+def test_hc3_datapaths_under_non_involution_mds_h(variant, tmp_path, monkeypatch):
+    # the s-box-fused MDS-higher set must follow mds_h, not its inverse,
+    # which the packaged involution cannot tell apart
+    consts = use_non_involution_override(tmp_path, monkeypatch)
+    assert consts.mds_h_inv_rows != consts.mds_h_rows
+    rng = random.Random(f"non-involution-{variant}")
+    for _ in range(100):
+        key, block = rng.randbytes(16), rng.randbytes(16)
+        ks = hc3.key_schedule(key)
+        assert ks.consts is consts
+        assert run_block(PROFILES[variant], key, block).ciphertext == hc3.encrypt(block, ks)

@@ -127,8 +127,8 @@ def built(consts):
     return {name for name in vars(consts) if name.endswith(("_tables", "_map", "_columns"))}
 
 
-def test_hc3_tables_built_per_layer_on_first_use():
-    from hc3cam import hc3
+def test_hc3_tables_built_per_layer_on_first_use(monkeypatch):
+    from hc3cam import archsim, hc3
     consts = fresh_hc3()
     assert not built(consts)
     # the key schedule reads the fused sigma/sigma-inverse sets and F-sigma,
@@ -140,6 +140,12 @@ def test_hc3_tables_built_per_layer_on_first_use():
     # the byte-plane engine's columns are built without the position tables
     hc3.encrypt_blocks(bytes(32), ks)
     assert built(consts) == schedule | {"mdsl_columns"}
+    # a cached datapath runs XS on mdsl and its second s-box layer fused
+    # into MDS-higher: it builds the fused set and no mds_h_tables
+    monkeypatch.setattr(hc3, "get_constants", lambda: consts)
+    archsim.run_block(archsim.PROFILES["hc3-long"], bytes(16), bytes(16))
+    assert built(consts) == schedule | {"mdsl_columns", "mdsl_tables", "mdsl_map",
+                                        "sbox_mds_h_tables", "sbox_mds_h_map"}
     # the packaged mds_h and p32 are involutions: their inverses share tables
     assert consts.p32_inv_tables is consts.p32_tables
     assert consts.mds_h_inv_tables is consts.mds_h_tables

@@ -20,6 +20,7 @@ from hc3cam.hc3 import (
 )
 from hc3cam.hc3 import cipher as hc3_cipher
 from hc3cam.hc3 import constants as hc3_constants
+from test_constants_override import use_non_involution_override
 
 C = get_constants()
 KAT_PATH = Path(__file__).resolve().parent.parent / "src" / "hc3cam" / "data" / "kat" / "hc3.kat"
@@ -165,6 +166,41 @@ def test_merged_xs_equals_xs_per_position_sweep():
             block[pos] = value
             block = bytes(block)
             assert merged_xs(block, rk, C) == xs(block, rk, C)
+
+
+def test_sbox_fused_mds_h_tables_match_mds_h_of_sboxed_bytes():
+    for pos in range(16):
+        for value in range(256):
+            block = bytearray(16)
+            block[pos] = C.sbox[value]
+            assert C.sbox_mds_h_tables[pos][value] == C.mds_h_map(block)
+
+
+# The round functions as the layer-by-layer composition they compute: the
+# oracle of xs, merged_xs and rho, which run on the integer core.
+
+def composed_xs(block, rk, c, merged=False):
+    k12 = (rk.k1 << 64 | rk.k2).to_bytes(16, "big")
+    k34 = (rk.k3 << 64 | rk.k4).to_bytes(16, "big")
+    b = bytes(x ^ k for x, k in zip(block, k12))
+    y = c.merged_map(b) if merged else c.mdsl_map(b.translate(c.sbox))
+    return bytes(x ^ k for x, k in zip(y.to_bytes(16, "big"), k34)).translate(c.sbox)
+
+
+def composed_rho(block, rk, c):
+    return c.mds_h_map(composed_xs(block, rk, c)).to_bytes(16, "big")
+
+
+@pytest.mark.parametrize("packaged", [True, False], ids=["packaged", "mds_h-not-involution"])
+def test_round_functions_match_layer_composition(packaged, tmp_path, monkeypatch):
+    c = C if packaged else use_non_involution_override(tmp_path, monkeypatch)
+    assert packaged == (c.mds_h_inv_rows == c.mds_h_rows)
+    rng = random.Random(f"composed-{packaged}")
+    for _ in range(2000):
+        block, rk = rng.randbytes(16), rand_key(rng)
+        assert xs(block, rk, c) == composed_xs(block, rk, c)
+        assert merged_xs(block, rk, c) == composed_xs(block, rk, c, merged=True)
+        assert rho(block, rk, c) == composed_rho(block, rk, c)
 
 
 def test_regression_vectors():

