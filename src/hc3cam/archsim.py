@@ -360,7 +360,8 @@ def _run_camellia_lu3(cam: ModuleType, sk: CamelliaSubkeys, block: bytes) -> Blo
             left, right = cam.fl(left, kl[i - 1]), cam.fl_inv(right, kl[i])
         elif i == 5:
             left, right = right ^ kw[2], left ^ kw[3]
-        cycles.append(_new(CycleRecord, (i + 1, ops, (left << 64 | right).to_bytes(16, "big"))))
+        state = (left << 64 | right).to_bytes(16, "big")
+        cycles.append(_new(CycleRecord, (i + 1, ops, state)))
     return BlockTrace("camellia-lu3", tuple(cycles), cycles[-1].state)
 
 

@@ -51,6 +51,6 @@ __all__ = [
     "Hc3KeySchedule", "Hc3SlicedSchedule", "IntermediateKey", "RoundKey256",
     "ScheduleRow", "ScheduleStep", "iter_schedule", "key_schedule",
     "key_schedule_sliced", "pad_and_prewhiten",
-    "pad_key", "round_keys_bwd", "round_keys_fwd", "sigma", "sigma_inv",
-    "walk_schedule", "f_sigma", "m5e", "mb3", "mds_h", "mds_h_inv", "p32_pair", "p_n",
+    "pad_key", "round_keys_bwd", "round_keys_fwd", "sigma", "sigma_inv", "walk_schedule",
+    "f_sigma", "m5e", "mb3", "mds_h", "mds_h_inv", "p32_pair", "p_n",
 ]
