@@ -259,7 +259,6 @@ _HC3_SHORT_OPS = (
 )
 
 
-@lru_cache(maxsize=None)
 def _cached_ops(merged: bool, merge_xs_ak: bool) -> tuple[tuple[str, ...], ...]:
     via = " via fused tables" if merged else ""
     from_cache = "subkey from 1600-bit cache"
@@ -310,23 +309,16 @@ def _hold_cache_1600(hc3: ModuleType, key: bytes, consts) -> tuple:
     return ks, tuple(map(hc3.key_halves, ks.round_keys))
 
 
-def _run_hc3_cached(variant: str, hc3: ModuleType, held: tuple, block: bytes,
-                    merged: bool, merge_xs_ak: bool) -> BlockTrace:
-    ks, keys = held
-    return _run_hc3(variant, hc3, ks.consts, keys, block,
-                    _cached_ops(merged, merge_xs_ak), merged, merge_xs_ak)
+def _cached_work(variant: str, merged: bool, merge_xs_ak: bool):
+    """The work function of a datapath holding _hold_cache_1600's product:
+    the round keys are read, not regenerated.  merged runs XS on the fused
+    s-box/MDS-lower tables; merge_xs_ak runs XS and AK in one cycle."""
+    ops = _cached_ops(merged, merge_xs_ak)
 
-
-def _run_hc3_long(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-long", hc3, held, block, merged=False, merge_xs_ak=False)
-
-
-def _run_hc3_verylong(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-verylong", hc3, held, block, merged=False, merge_xs_ak=True)
-
-
-def _run_hc3_extensive(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
-    return _run_hc3_cached("hc3-extensive", hc3, held, block, merged=True, merge_xs_ak=True)
+    def work(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
+        ks, keys = held
+        return _run_hc3(variant, hc3, ks.consts, keys, block, ops, merged, merge_xs_ak)
+    return work
 
 
 # camellia-lu3's cycle i + 1 runs rounds 3i + 1 .. 3i + 3; cycles 2 and 4
@@ -373,9 +365,9 @@ class Datapath(NamedTuple):
 
 _DATAPATHS: dict[str, Datapath] = {
     "hc3-short": Datapath("hc3", _hold_z0, _run_hc3_short),
-    "hc3-long": Datapath("hc3", _hold_cache_1600, _run_hc3_long),
-    "hc3-verylong": Datapath("hc3", _hold_cache_1600, _run_hc3_verylong),
-    "hc3-extensive": Datapath("hc3", _hold_cache_1600, _run_hc3_extensive),
+    "hc3-long": Datapath("hc3", _hold_cache_1600, _cached_work("hc3-long", False, False)),
+    "hc3-verylong": Datapath("hc3", _hold_cache_1600, _cached_work("hc3-verylong", False, True)),
+    "hc3-extensive": Datapath("hc3", _hold_cache_1600, _cached_work("hc3-extensive", True, True)),
     "camellia-lu3": Datapath("camellia", _hold_subkeys, _run_camellia_lu3),
 }
 
@@ -467,10 +459,9 @@ def model_row(profile: ArchProfile, clock_mhz: float | None = None) -> SimRow:
     )
 
 
-def report(profiles=None) -> tuple[SimRow, ...]:
+def report() -> tuple[SimRow, ...]:
     """Model rows for every variant plus the published comparison rows."""
-    profiles = profiles if profiles is not None else list(PROFILES.values())
-    rows = [model_row(p) for p in profiles]
+    rows = [model_row(p) for p in PROFILES.values()]
     for ref in REFERENCE_ROWS:
         rows.append(SimRow(
             label=ref.label, cipher=ref.cipher, is_model=False,

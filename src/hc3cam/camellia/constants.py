@@ -8,12 +8,10 @@ matrix must be invertible.
 
 from __future__ import annotations
 
-import os
-from functools import cached_property, lru_cache
-from importlib import resources
+from functools import cached_property
 
 from .. import ctab, gf2
-from ..ctab import ENV_CONSTANTS_DIR, ConstantsError
+from ..ctab import ConstantsError
 
 
 def _rotl8(x: int, n: int) -> int:
@@ -70,24 +68,7 @@ class CamelliaConstants:
         return gf2.lane_map(self.f_tables)
 
 
-@lru_cache(maxsize=8)
-def _load_file(path_str: str) -> CamelliaConstants:
-    return CamelliaConstants(ctab.load(path_str))
-
-
-@lru_cache(maxsize=1)
-def _load_packaged() -> CamelliaConstants:
-    res = resources.files("hc3cam").joinpath("data/camellia.ctab")
-    return CamelliaConstants(ctab.parse(res.read_text(), source=str(res)))
-
-
-def load_constants(path=None) -> CamelliaConstants:
-    if path is not None:
-        return _load_file(os.fspath(path))
-    override = os.environ.get(ENV_CONSTANTS_DIR)
-    if override:
-        return _load_file(os.path.join(override, "camellia.ctab"))
-    return _load_packaged()
+load_constants = ctab.loader("camellia", CamelliaConstants)
 
 
 def get_constants() -> CamelliaConstants:

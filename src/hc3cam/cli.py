@@ -214,20 +214,20 @@ def _mismatch(index: int, key: bytes, direction: str, expected: bytes,
     return 1
 
 
-def _read_vectors(args) -> KatVectors:
-    # the text goes out of scope on return, before the records are run
+def _read_text(path: str) -> str:
+    """An ASCII text file named on the command line."""
     try:
-        with open(args.vectors, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
     except OSError as exc:
         raise CliError(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        raise CliError(f"{args.vectors}: {exc}") from exc
-    return parse_kat_file(text, source=args.vectors)
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def cmd_kat(args) -> int:
-    vectors = _read_vectors(args)
+    # the text is dropped once parsed, before the records are run
+    vectors = parse_kat_file(_read_text(args.vectors), source=args.vectors)
     mod = import_module(CIPHERS[args.cipher])
     failures = 0
     for start in range(0, vectors.n, CHUNK_BLOCKS):
@@ -252,21 +252,6 @@ def cmd_kat(args) -> int:
     return 0
 
 
-class BenchResult(NamedTuple):
-    cipher: str
-    blocks: int
-    seconds: float
-
-    @property
-    def throughput_mbps(self) -> float:
-        if self.seconds <= 0:
-            return float("inf")
-        return self.blocks * 128 / self.seconds / 1e6
-
-    def csv(self) -> str:
-        return f"{self.cipher},{self.blocks},{self.seconds:.6f},{self.throughput_mbps:.3f}"
-
-
 def cmd_bench(args) -> int:
     if args.blocks <= 0:
         raise CliError("--blocks must be positive")
@@ -281,9 +266,10 @@ def cmd_bench(args) -> int:
         for start in range(0, args.blocks, CHUNK_BLOCKS):
             mod.encrypt_blocks(chunk[:BLOCK_BYTES * (args.blocks - start)], ks)
         passes.append(time.perf_counter() - t0)
-    result = BenchResult(args.cipher, args.blocks, min(passes))
+    seconds = min(passes)
+    mbps = args.blocks * 128 / seconds / 1e6 if seconds > 0 else float("inf")
     print("cipher,blocks,seconds,throughput_mbps")
-    print(result.csv())
+    print(f"{args.cipher},{args.blocks},{seconds:.6f},{mbps:.3f}")
     return 0
 
 
@@ -293,13 +279,7 @@ def cmd_simulate(args) -> int:
                        "variants: " + ", ".join(VARIANTS))
     from . import archsim
     if args.profile_file:
-        try:
-            with open(args.profile_file, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(str(exc)) from exc
-        except UnicodeDecodeError as exc:
-            raise CliError(f"{args.profile_file}: {exc}") from exc
+        text = _read_text(args.profile_file)
         try:
             profile = archsim.parse_profile(text, source=args.profile_file)
         except ValueError as exc:

@@ -14,15 +14,21 @@ The checksum covers every section in file order, hashed as
 bad hex, or a checksum mismatch, so a corrupted or hand-mangled table
 can never be used silently.  A parsed file keeps the digest it was
 verified against (``Ctab.sha256``).
+
+``loader`` makes each cipher's ``load_constants``: the one place that
+decides which file a constant set comes from.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+from functools import cache, lru_cache
+from importlib import resources
 from typing import NamedTuple
 
-from . import ENV_CONSTANTS_DIR, ConstantsError  # noqa: F401 (re-exported)
+from . import ENV_CONSTANTS_DIR, ConstantsError
 
 
 _MAGIC = re.compile(r"%ctab\s+v(\d+)\s+(\S+)\s*$")
@@ -139,6 +145,33 @@ def load(path) -> Ctab:
     except UnicodeDecodeError as exc:
         raise ConstantsError(f"{path}: {exc}") from exc
     return parse(text, source=str(path))
+
+
+def loader(name: str, cls):
+    """The load_constants function of the `name` constant set, which
+    validates each file as a cls.  Each file is parsed and validated once;
+    the packaged set is kept for good."""
+
+    @lru_cache(maxsize=8)
+    def from_file(path: str):
+        return cls(load(path))
+
+    @cache
+    def packaged():
+        res = resources.files(__package__).joinpath(f"data/{name}.ctab")
+        return cls(parse(res.read_text(), source=str(res)))
+
+    def load_constants(path=None):
+        """The constant set in the file at path if one is given, else in
+        <name>.ctab under $HC3CAM_CONSTANTS_DIR when that is set, else in
+        the packaged data/<name>.ctab."""
+        if path is None:
+            path = os.environ.get(ENV_CONSTANTS_DIR)
+            if not path:
+                return packaged()
+            path = os.path.join(path, f"{name}.ctab")
+        return from_file(os.fspath(path))
+    return load_constants
 
 
 def write(name: str, sections: list[tuple[str, bytes]], comment: str = "") -> str:

@@ -127,12 +127,6 @@ def _mds_h(planes, rows):
     return [v.to_bytes(n, "little") for v in gf2.apply_rows(rows, ints)]
 
 
-def _keyed_tables(box: bytes, key: int, inverse: bool) -> tuple[bytes, ...]:
-    """box[x ^ k] (key added before, encryption) or box[x] ^ k (after,
-    decryption) for each byte of a 128-bit key."""
-    return keyed_tables((box,) * 16, key.to_bytes(16, "big"), inverse)
-
-
 def _add_sub(planes, arg):
     """Key planes XORed in, then one unkeyed translate per plane."""
     keys, box = arg
@@ -177,7 +171,8 @@ def _program(consts: Hc3Constants, halves, keyed, inverse: bool):
 
 def _plane_program(ks: Hc3KeySchedule, inverse: bool):
     return _program(ks.consts, list(map(key_halves, ks.round_keys)),
-                    lambda k, box: (sub, _keyed_tables(box, k, inverse)), inverse)
+                    lambda k, box: (sub, keyed_tables(box, k.to_bytes(16, "big"), inverse)),
+                    inverse)
 
 
 def _sliced_program(ks: Hc3SlicedSchedule, inverse: bool):

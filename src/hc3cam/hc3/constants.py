@@ -9,9 +9,7 @@ mistakes surface as hard errors, never as a silently wrong cipher.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property, lru_cache
-from importlib import resources
 
 from .. import ctab, gf2, gf256
 from ..ctab import ENV_CONSTANTS_DIR, ConstantsError  # noqa: F401 (re-exported)
@@ -93,8 +91,7 @@ class Hc3Constants:
     # the map: a key schedule reads sigma, sigma_inv and f_sigma, the
     # per-block rounds mdsl* and mds_h*, merged_xs merged, archsim's
     # datapaths mdsl (or merged) and sbox_mds_h, and the byte-plane
-    # engines only the mdsl*_columns.  m5e, mb3 and p32* serve the
-    # single-layer functions of hc3.linear.
+    # engines only the mdsl*_columns.
     mdsl_tables, mdsl_map = _layer(lambda c: (gf256.MDS_L,))
     mdsl_inv_tables, mdsl_inv_map = _layer(lambda c: (gf256.mds_l_inverse(gf256.MDS_L),))
     # s-box folded into the column products; the "one bijective sbox per
@@ -104,10 +101,6 @@ class Hc3Constants:
     mds_h_inv_tables, mds_h_inv_map = _layer(lambda c: ((c.mds_h_inv_rows, 8),))
     # the second s-box layer of XS folded into the MDS-higher after it
     sbox_mds_h_tables, sbox_mds_h_map = _layer(lambda c: ((c.mds_h_rows, 8), c.sbox))
-    m5e_tables, m5e_map = _layer(lambda c: ((c.m5e_rows, 8),))
-    mb3_tables, mb3_map = _layer(lambda c: ((c.mb3_rows, 8),))
-    p32_tables, p32_map = _layer(lambda c: ((c.p32_rows, 32),))
-    p32_inv_tables, p32_inv_map = _layer(lambda c: ((c.p32_inv_rows, 32),))
     # F-sigma: the s-box fused into P(16)
     f_sigma_tables, f_sigma_map = _layer(lambda c: ((c.p16_rows, 16), c.sbox))
     # sigma: z3 || z4 -> M_5E on both halves of P(32)(z3 || z4), before G
@@ -161,26 +154,7 @@ def _plane_columns(layer):
     return tuple(tuple(products[m[i][j]] for i in range(4)) for j in range(4))
 
 
-@lru_cache(maxsize=8)
-def _load_file(path_str: str) -> Hc3Constants:
-    return Hc3Constants(ctab.load(path_str))
-
-
-@lru_cache(maxsize=1)
-def _load_packaged() -> Hc3Constants:
-    res = resources.files("hc3cam").joinpath("data/hc3.ctab")
-    return Hc3Constants(ctab.parse(res.read_text(), source=str(res)))
-
-
-def load_constants(path=None) -> Hc3Constants:
-    """Load and validate a constants file (default: packaged data, or
-    $HC3CAM_CONSTANTS_DIR/hc3.ctab when that variable is set)."""
-    if path is not None:
-        return _load_file(os.fspath(path))
-    override = os.environ.get(ENV_CONSTANTS_DIR)
-    if override:
-        return _load_file(os.path.join(override, "hc3.ctab"))
-    return _load_packaged()
+load_constants = ctab.loader("hc3", Hc3Constants)
 
 
 def get_constants() -> Hc3Constants:

@@ -14,6 +14,11 @@ Schedule (step, operation, constant):
 
 K(1)..K(6) key the six rounds; K(7) keys the final addition.
 
+sigma-inverse undoes sigma exactly, so step t of 5..7 walks back from
+Z(9 - t) to Z(8 - t), states the forward walk reached, with the V word
+of forward step 9 - t: the 1600-bit cache and the key-sliced schedule
+read them from their forward walk; walk_schedule computes every step.
+
 key_schedule_sliced runs the same schedule for a batch of keys at once
 on byte planes (hc3cam.planes), one key per slice.
 """
@@ -25,7 +30,6 @@ from typing import Iterator, NamedTuple
 from .. import gf2
 from ..planes import key_planes, lookup, ones, xor
 from .constants import Hc3Constants, get_constants
-from .linear import f_sigma
 
 T_ROUNDS = 6   # rounds of the 128-bit-key cipher
 T_TURN = 4     # last forward (sigma) step of the schedule
@@ -64,7 +68,7 @@ SCHEDULE_ROWS: tuple[ScheduleRow, ...] = (
     ScheduleRow(7, "sigma_inv", 1),
 )
 
-MODES = ("on_the_fly_ready", "full_precompute", "cached_1600")
+MODES = ("full_precompute", "cached_1600")
 
 
 class Cache1600(NamedTuple):
@@ -226,22 +230,20 @@ def _keys_from_cache(cache: Cache1600,
                      consts: Hc3Constants) -> tuple[RoundKey256, ...]:
     """Derive all seven round keys from the 1600 cached bits.
 
-    K(1)..K(5) need no fresh F-sigma evaluation for their V words; the
-    remaining sigma-inverse steps are replayed from the last cached
-    state.
+    No step evaluates F-sigma.  Step t of 5..7 walks back over cached
+    states and takes the V of forward step 9 - t (so V(5) = V(4)); it
+    needs only its W words, M_B3 of (z3 ^ G) || z4, from sigma_inv_map.
     """
     z, v = cache.z_states, cache.f_outputs
     keys = []
     for t in range(1, 5):
         keys.append(RoundKey256(*_fwd_key(z[t - 1], z[t], v[t - 1])))
-    z_prev = z[4]
     for t in range(5, 8):
-        row = SCHEDULE_ROWS[t]
-        g = consts.g0[row.g_index]
-        z_next, w1, w2 = _sigma_inv_step(z_prev, g, consts)
-        vt = v[4] if t == 5 else f_sigma(z_prev[0] ^ z_next[2], consts)
-        keys.append(RoundKey256(*_bwd_key(z_prev, z_next, w1, w2, vt)))
-        z_prev = z_next
+        z_prev, z_next = z[9 - t], z[8 - t]
+        g = consts.g0[SCHEDULE_ROWS[t].g_index]
+        y = consts.sigma_inv_map(((z_prev[2] ^ g) << 64 | z_prev[3]).to_bytes(16, "big"))
+        keys.append(RoundKey256(*_bwd_key(z_prev, z_next, y >> 192, y >> 128 & MASK64,
+                                          v[8 - t])))
     return tuple(keys)
 
 
@@ -249,11 +251,9 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
                  consts: Hc3Constants | None = None) -> Hc3KeySchedule:
     """Build K(1)..K(7) from a 16-byte key.
 
-    mode picks what is retained, mirroring the three hardware setups:
-    ``on_the_fly_ready`` keeps keys only (the datapath regenerates them
-    per block), ``full_precompute`` likewise keeps the key set, and
-    ``cached_1600`` additionally stores the 1600-bit intermediate
-    cache and derives the keys from it.
+    mode picks what is retained: ``full_precompute`` keeps the key set,
+    and ``cached_1600`` also stores the 1600-bit intermediate cache of
+    the long-setup datapaths and derives the keys from it.
     """
     consts = consts or get_constants()
     if mode not in MODES:
@@ -309,21 +309,13 @@ def _f_sigma_planes(x, n: int, consts: Hc3Constants) -> list[int]:
 
 
 def _sigma_planes(z, g, n: int, consts: Hc3Constants):
-    """_sigma_step on planes: the next state, as a tuple of four words."""
+    """_sigma_step on planes: the next state, as a tuple of four words, and
+    P(32) of z3 || z4, the W1 || W2 of the sigma-inverse step back."""
     z1, z2, z3, z4 = z
     w = _lane_layer(consts.p32_rows, z3 + z4, 4)
     z3 = xor(_lane_layer(consts.m5e_rows, w[:8], 1), g)
     z4 = _lane_layer(consts.m5e_rows, w[8:], 1)
-    return z2, xor(z1, _f_sigma_planes(xor(z2, z3), n, consts)), z3, z4
-
-
-def _sigma_inv_planes(z, g, n: int, consts: Hc3Constants):
-    """_sigma_inv_step on planes: the previous state and its W words."""
-    z1, z2, z3, z4 = z
-    w1 = _lane_layer(consts.mb3_rows, xor(z3, g), 1)
-    w2 = _lane_layer(consts.mb3_rows, z4, 1)
-    w = _lane_layer(consts.p32_inv_rows, w1 + w2, 4)
-    return (xor(z2, _f_sigma_planes(xor(z1, z3), n, consts)), z1, w[:8], w[8:]), w1, w2
+    return (z2, xor(z1, _f_sigma_planes(xor(z2, z3), n, consts)), z3, z4), w
 
 
 def key_schedule_sliced(keys: bytes) -> Hc3SlicedSchedule:
@@ -339,19 +331,22 @@ def key_schedule_sliced(keys: bytes) -> Hc3SlicedSchedule:
     def word(value):
         return [(value >> 8 * (7 - i) & 0xFF) * one for i in range(8)]
 
-    z = _sigma_planes((k[:8], k[8:], word(consts.pad_h3), word(consts.pad_h2)),
-                      word(consts.g0[SCHEDULE_ROWS[0].g_index]), n, consts)
-    keys_out = []
-    for row in SCHEDULE_ROWS[1:]:
-        g = word(consts.g0[row.g_index])
-        if row.op == "sigma":
-            nxt = _sigma_planes(z, g, n, consts)
-            v = _f_sigma_planes(xor(z[1], z[2]), n, consts)
-            key = (xor(z[0], v), xor(nxt[2], v), xor(nxt[3], v), xor(z[1], nxt[3]))
-        else:
-            nxt, w1, w2 = _sigma_inv_planes(z, g, n, consts)
-            v = _f_sigma_planes(xor(z[0], nxt[2]), n, consts)
-            key = (xor(nxt[0], z[2]), xor(w1, v), xor(w2, v), xor(z[0], w2))
-        keys_out.append(tuple(key[0] + key[1] + key[2] + key[3]))
-        z = nxt
+    z = [_sigma_planes((k[:8], k[8:], word(consts.pad_h3), word(consts.pad_h2)),
+                       word(consts.g0[SCHEDULE_ROWS[0].g_index]), n, consts)[0]]
+    v, w, keys_out = [None], [None], []
+    for t in range(1, T_TURN + 1):
+        prev = z[t - 1]
+        nxt, w_t = _sigma_planes(prev, word(consts.g0[SCHEDULE_ROWS[t].g_index]), n, consts)
+        vt = _f_sigma_planes(xor(prev[1], prev[2]), n, consts)
+        keys_out.append((*xor(prev[0], vt), *xor(nxt[2], vt), *xor(nxt[3], vt),
+                         *xor(prev[1], nxt[3])))
+        z.append(nxt)
+        v.append(vt)
+        w.append(w_t)
+    # step 9 - s walks back from Z(s) to Z(s - 1), with the V and the
+    # P(32) output of forward step s as its V and W1 || W2
+    for s in range(T_TURN, 1, -1):
+        prev, nxt, vt, w1, w2 = z[s], z[s - 1], v[s], w[s][:8], w[s][8:]
+        keys_out.append((*xor(nxt[0], prev[2]), *xor(w1, vt), *xor(w2, vt),
+                         *xor(prev[0], w2)))
     return Hc3SlicedSchedule(n, tuple(keys_out), consts)

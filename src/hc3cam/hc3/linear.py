@@ -1,9 +1,11 @@
 """Keyless building blocks of HIEROCRYPT-3: the word/byte XOR selection
 layers P(n), M_5E, M_B3, MDS higher level, and the F-sigma mixer.
 
-Every linear layer runs as a gf2.lane_map that `Hc3Constants` binds to
-its per-byte-position tables; `p_n` keeps the bit-serial row definition
-as the reference the tables are checked against.
+The layers the ciphers run (F-sigma, MDS higher) are gf2.lane_maps that
+`Hc3Constants` binds to per-byte-position tables.  M_5E, M_B3 and P(32)
+run only fused into sigma and sigma-inverse, so their functions here
+apply the row definition (`p_n`, gf2.apply_rows) and serve as the
+reference the fused maps are checked against.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from .. import gf2
 from .constants import Hc3Constants, get_constants
 
+MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 
 
@@ -27,11 +30,11 @@ def p_n(rows, words):
 
 
 def m5e(x: int, consts: Hc3Constants) -> int:
-    return consts.m5e_map(x.to_bytes(8, "big"))
+    return int.from_bytes(bytes(p_n(consts.m5e_rows, x.to_bytes(8, "big"))), "big")
 
 
 def mb3(x: int, consts: Hc3Constants) -> int:
-    return consts.mb3_map(x.to_bytes(8, "big"))
+    return int.from_bytes(bytes(p_n(consts.mb3_rows, x.to_bytes(8, "big"))), "big")
 
 
 def f_sigma(x: int, consts: Hc3Constants | None = None) -> int:
@@ -43,9 +46,9 @@ def f_sigma(x: int, consts: Hc3Constants | None = None) -> int:
 def p32_pair(hi: int, lo: int, consts: Hc3Constants,
              inverse: bool = False) -> tuple[int, int]:
     """P(32) over a 128-bit value given as two 64-bit halves."""
-    p32 = consts.p32_inv_map if inverse else consts.p32_map
-    y = p32((hi << 64 | lo).to_bytes(16, "big"))
-    return y >> 64, y & MASK64
+    rows = consts.p32_inv_rows if inverse else consts.p32_rows
+    w0, w1, w2, w3 = p_n(rows, (hi >> 32, hi & MASK32, lo >> 32, lo & MASK32))
+    return w0 << 32 | w1, w2 << 32 | w3
 
 
 def mds_h(block: bytes, consts: Hc3Constants | None = None) -> bytes:

@@ -24,11 +24,11 @@ ID_INT = int.from_bytes(bytes(range(256)), "big")
 ONES_256 = int.from_bytes(b"\x01" * 256, "big")
 
 
-def keyed_tables(boxes, key: bytes, inverse: bool = False) -> tuple[bytes, ...]:
-    """Per-plane tables of an s-box layer with a key addition: boxes[p][x ^ k_p]
-    (key added before the box), or boxes[p][x] ^ k_p (after) if inverse."""
+def keyed_tables(box: bytes, key: bytes, inverse: bool = False) -> tuple[bytes, ...]:
+    """Per-plane tables of an s-box layer with a key addition: box[x ^ k_p]
+    (key added before the box), or box[x] ^ k_p (after) if inverse."""
     out = []
-    for box, k in zip(boxes, key, strict=True):
+    for k in key:
         xor = (ID_INT ^ k * ONES_256).to_bytes(256, "big")
         out.append(box.translate(xor) if inverse else xor.translate(box))
     return tuple(out)

@@ -131,8 +131,7 @@ def test_hc3_tables_built_per_layer_on_first_use(monkeypatch):
     from hc3cam import archsim, hc3
     consts = fresh_hc3()
     assert not built(consts)
-    # the key schedule reads the fused sigma/sigma-inverse sets and F-sigma,
-    # not the single-layer P(32), M_5E and M_B3 sets
+    # the key schedule reads the fused sigma/sigma-inverse sets and F-sigma
     schedule = {"sigma_tables", "sigma_inv_tables", "f_sigma_tables",
                 "sigma_map", "sigma_inv_map", "f_sigma_map"}
     ks = hc3.key_schedule(bytes(16), consts=consts)
@@ -146,8 +145,7 @@ def test_hc3_tables_built_per_layer_on_first_use(monkeypatch):
     archsim.run_block(archsim.PROFILES["hc3-long"], bytes(16), bytes(16))
     assert built(consts) == schedule | {"mdsl_columns", "mdsl_tables", "mdsl_map",
                                         "sbox_mds_h_tables", "sbox_mds_h_map"}
-    # the packaged mds_h and p32 are involutions: their inverses share tables
-    assert consts.p32_inv_tables is consts.p32_tables
+    # the packaged mds_h is an involution: its inverse shares the tables
     assert consts.mds_h_inv_tables is consts.mds_h_tables
 
 

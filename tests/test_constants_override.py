@@ -16,14 +16,38 @@ def test_hc3_env_dir_override(tmp_path, monkeypatch):
     shutil.copy(DATA / "hc3.ctab", tmp_path / "hc3.ctab")
     monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
     consts = hc3_constants.load_constants()
-    assert consts.sbox == hc3_constants._load_packaged().sbox
+    assert consts.sbox == hc3_constants.load_constants(DATA / "hc3.ctab").sbox
 
 
 def test_camellia_env_dir_override(tmp_path, monkeypatch):
     shutil.copy(DATA / "camellia.ctab", tmp_path / "camellia.ctab")
     monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
     consts = cam_constants.load_constants()
-    assert consts.s1 == cam_constants._load_packaged().s1
+    assert consts.s1 == cam_constants.load_constants(DATA / "camellia.ctab").s1
+
+
+@pytest.mark.parametrize("module, name", [(hc3_constants, "hc3"), (cam_constants, "camellia")])
+def test_load_constants_once_per_file_and_follows_env_dir(module, name, tmp_path, monkeypatch):
+    env = hc3_constants.ENV_CONSTANTS_DIR
+    monkeypatch.delenv(env, raising=False)
+    path = DATA / f"{name}.ctab"
+    assert module.load_constants(path) is module.load_constants(str(path))
+    packaged = module.load_constants()
+    assert module.load_constants() is module.get_constants() is packaged
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        shutil.copy(path, tmp_path / d / f"{name}.ctab")
+    monkeypatch.setenv(env, str(tmp_path / "a"))
+    a = module.load_constants()
+    assert a is not packaged
+    assert a is module.load_constants() is module.load_constants(tmp_path / "a" / f"{name}.ctab")
+    monkeypatch.setenv(env, str(tmp_path / "b"))
+    b = module.load_constants()
+    assert b is not a and b is module.get_constants()
+    monkeypatch.setenv(env, "")
+    assert module.load_constants() is packaged
+    monkeypatch.delenv(env)
+    assert module.load_constants() is packaged
 
 
 def test_corrupt_override_refused(tmp_path, monkeypatch):
@@ -59,7 +83,7 @@ def test_alternative_valid_table_loads(tmp_path, monkeypatch):
     block = bytes(range(16))
     assert hc3.decrypt(hc3.encrypt(block, ks), ks) == block
     # and it is a genuinely different cipher than the packaged table
-    packaged = hc3_constants._load_packaged()
+    packaged = hc3_constants.load_constants(DATA / "hc3.ctab")
     ks2 = hc3.key_schedule(bytes(16), consts=packaged)
     assert hc3.encrypt(block, ks2) != hc3.encrypt(block, ks)
 
@@ -68,7 +92,7 @@ def test_pad_words_change_round_keys(tmp_path):
     # each of the padding words H3/H2 in [pad] reaches every key's schedule
     from hc3cam import hc3
     tab = ctab.parse((DATA / "hc3.ctab").read_text())
-    packaged = hc3_constants._load_packaged()
+    packaged = hc3_constants.load_constants(DATA / "hc3.ctab")
     rng = random.Random(45)
     keys = [rng.randbytes(16) for _ in range(20)]
     for word in (0, 1):
@@ -191,7 +215,7 @@ def test_camellia_batch_follows_p_rows(tmp_path, monkeypatch):
     # the batch engine's P layer comes from the loaded rows, so it still
     # matches the per-block path when they change
     consts = use_rotated_p_override(tmp_path, monkeypatch)
-    packaged = cam_constants._load_packaged()
+    packaged = cam_constants.load_constants(DATA / "camellia.ctab")
     assert consts.p_rows != packaged.p_rows
 
     from hc3cam import camellia

@@ -94,6 +94,25 @@ def test_hc3_sliced_under_non_involution_override(tmp_path, monkeypatch):
     assert hc3.decrypt_sliced(data, ks) == per_record(hc3, hc3.decrypt, data, keys)
 
 
+@pytest.mark.parametrize("n", [1, 300])
+def test_hc3_walk_back_under_non_involution_override(n, tmp_path, monkeypatch):
+    # steps 5-7 of the cache and sliced routes read W1 || W2 as P(32) of a
+    # state the forward walk reached, where full_precompute runs
+    # P(32)^-1 on M_B3's output: with P(32) and MDS-higher not their own
+    # inverses, the walk-back must still give the directly computed keys
+    consts = use_non_involution_override(tmp_path, monkeypatch)
+    assert consts.p32_inv_rows != consts.p32_rows
+    assert consts.mds_h_inv_rows != consts.mds_h_rows
+    keys = random.Random(48 + n).randbytes(16 * n)
+    ks = hc3.key_schedule_sliced(keys)
+    assert ks.consts is consts
+    for i in range(n):
+        key = keys[16 * i:16 * i + 16]
+        direct = hc3.key_schedule(key, "full_precompute").round_keys
+        assert hc3.key_schedule(key, "cached_1600").round_keys == direct
+        assert hc3_round_keys_at(ks, i) == direct
+
+
 @pytest.mark.parametrize("cipher", sorted(CIPHERS))
 def test_sliced_rejects_mismatched_lengths(cipher):
     mod = CIPHERS[cipher]
