@@ -7,22 +7,27 @@
     hc3cam simulate --variant V [--blocks N] [--clock-mhz F] [--profile-file F]
 
 Exit codes: 0 success, 1 known-answer verification mismatch, 2 usage or
-format error.  Files are processed as raw 16-byte ECB blocks; a partial
-final block is an error, never padded.  encrypt/decrypt stream the file in
-chunks of CHUNK_BLOCKS blocks, each through the cipher's byte-plane batch
-engine (encrypt_blocks/decrypt_blocks of hc3 or camellia), and bench times
-that engine.  kat reads its vector file into key, plaintext and ciphertext
-columns and runs them key-sliced, CHUNK_BLOCKS records at a time: one
+format error, 141 (128 + SIGPIPE) when the reader of standard output closed
+it before the command had written everything.  Files are processed as raw
+16-byte ECB blocks; a partial final block is an error, never padded.
+encrypt/decrypt stream the file in chunks of CHUNK_BLOCKS blocks, each
+through the cipher's byte-plane batch engine (encrypt_blocks/decrypt_blocks
+of hc3 or camellia), and bench times that engine.  kat reads a vector file
+in the documented layout by columns (split at each record, fixed-width
+fields gathered by strided slices, one hex decode per column) and any
+other text line by line, into key, plaintext and ciphertext columns, and
+runs them key-sliced, CHUNK_BLOCKS records at a time: one
 key_schedule_sliced per chunk, then encrypt_sliced of the plaintexts and
-decrypt_sliced of the ciphertexts.  simulate checks every
-block the device model produced against the batch engine, one
-encrypt_blocks call per CHUNK_BLOCKS blocks.  A command imports only the
-cipher package it runs, and only simulate imports archsim.
+decrypt_sliced of the ciphertexts.  simulate checks every block the device
+model produced against the batch engine, one encrypt_blocks call per
+CHUNK_BLOCKS blocks.  A command imports only the cipher package it runs,
+and only simulate imports archsim.
 """
 
 from __future__ import annotations
 
 import argparse
+import binascii
 import math
 import os
 import re
@@ -30,6 +35,7 @@ import stat
 import sys
 import time
 from importlib import import_module
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import ConstantsError
@@ -50,6 +56,8 @@ BENCH_MIN_S = 0.1
 # decrypt_sliced, imported when a command names it; its functions are
 # looked up at call time, so a substituted one (a tracer) is what runs
 CIPHERS = {"hc3": "hc3cam.hc3", "camellia": "hc3cam.camellia"}
+# the code a shell gives a process killed by SIGPIPE (13)
+EXIT_BROKEN_PIPE = 128 + 13
 # sorted(archsim.PROFILES), for the help without importing archsim
 VARIANTS = ("camellia-lu3", "hc3-extensive", "hc3-long", "hc3-short", "hc3-verylong")
 
@@ -125,16 +133,19 @@ _KAT_FIELDS = ("KEY", "PT", "CT")
 # digits each, at least one blank or comment line between two records.
 # Comment lines hold printable ASCII and tabs only, so every character
 # str.splitlines breaks at is outside them.
-_HEX32 = "[0-9A-Fa-f]{32}"
 _SEPS = r"(?:(?:#[\t -~]*)?\n)+"
-_RECORD = f"KEY=({_HEX32})\nPT=({_HEX32})\nCT=({_HEX32})\n({_SEPS})"
-_RECORD_CHARS = len("KEY=\nPT=\nCT=\n") + 3 * 32
+# A record in the layout after its "KEY=": this fixed-width head, each '.'
+# a hex digit of the fields that start at _FIELD_AT, then separator lines
+_HEAD_LAYOUT = f"{'.' * 32}\nPT={'.' * 32}\nCT={'.' * 32}\n"
+_HEAD = len(_HEAD_LAYOUT)
+_FIELD_AT = (0, 36, 72)
+_HEAD_MARKS = tuple((at, c.encode()) for at, c in enumerate(_HEAD_LAYOUT) if c != ".")
 
 
 def parse_kat_file(text: str, source: str = "<kat>") -> KatVectors:
     """KEY=/PT=/CT= triples, '#' comments, blank lines between records.
 
-    Text in the documented layout is read in one scan; any other text, and
+    Text in the documented layout is read by columns; any other text, and
     every error, goes through the line walker."""
     return _scan_kat_layout(text) or _walk_kat_lines(text, source)
 
@@ -142,21 +153,32 @@ def parse_kat_file(text: str, source: str = "<kat>") -> KatVectors:
 def _scan_kat_layout(text: str) -> KatVectors | None:
     """The records of text in the documented layout; None for text in any
     other layout or with no records."""
-    # Led and closed by blank lines, text in the layout is its leading
-    # separators, then records each followed by separators, and nothing
-    # else.  findall skips what does not match, so the matches must add up
-    # to every character after the leading separators.  (One match of the
-    # whole text would keep backtracking state for every record.)
-    scan = f"\n{text}\n\n"
-    start = re.match(_SEPS, scan).end()
-    found = re.compile(_RECORD).findall(scan, start)
-    if not found:
+    # Led by a '\n' and closed by one, text in the layout splits at every
+    # "\nKEY=" into its leading separator lines less their last '\n', then
+    # one piece per record: its fixed-width head, then the separator lines
+    # after it, again less their last '\n'.  No separator line holds a
+    # "\nKEY=", since each one is blank or starts with '#'.
+    lead, *records = f"\n{text}\n".split("\nKEY=")
+    n = len(records)
+    heads = "".join(map(itemgetter(slice(_HEAD)), records))
+    if not n or len(heads) != _HEAD * n or not heads.isascii():
         return None
-    keys, plaintexts, ciphertexts, seps = zip(*found)
-    if start + _RECORD_CHARS * len(found) + sum(map(len, seps)) != len(scan):
+    tails = {lead, *map(itemgetter(slice(_HEAD, None)), records)}
+    if not all(re.fullmatch(_SEPS, tail + "\n") for tail in tails):
         return None
-    return KatVectors(len(found), *(bytes.fromhex("".join(column))
-                                    for column in (keys, plaintexts, ciphertexts)))
+    raw = heads.encode("ascii")
+    if any(raw[at::_HEAD] != mark * n for at, mark in _HEAD_MARKS):
+        return None
+    columns = []
+    for at in _FIELD_AT:
+        digits = bytearray(32 * n)
+        for i in range(32):
+            digits[i::32] = raw[at + i::_HEAD]
+        try:
+            columns.append(binascii.unhexlify(digits))
+        except binascii.Error:
+            return None
+    return KatVectors(n, *columns)
 
 
 def _walk_kat_lines(text: str, source: str) -> KatVectors:
@@ -404,10 +426,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader gone from a buffered stdout shows here, not at exit
+        sys.stdout.flush()
+        return code
     except (CliError, ConstantsError) as exc:
         print(f"hc3cam: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader closed it (hc3cam ... | head): what is left of
+        # the output, the exit flush included, goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ class Hc3Constants:
     # the map: a key schedule reads sigma, sigma_inv and f_sigma, the
     # per-block rounds mdsl* and mds_h*, merged_xs merged, archsim's
     # datapaths mdsl (or merged) and sbox_mds_h, and the byte-plane
-    # engines only the mdsl*_columns.
+    # engines only the *mdsl*_columns.
     mdsl_tables, mdsl_map = _layer(lambda c: (gf256.MDS_L,))
     mdsl_inv_tables, mdsl_inv_map = _layer(lambda c: (gf256.mds_l_inverse(gf256.MDS_L),))
     # s-box folded into the column products; the "one bijective sbox per
@@ -115,6 +115,12 @@ class Hc3Constants:
     @cached_property
     def mdsl_inv_columns(self):
         return _plane_columns(gf256.mds_l_inverse(gf256.MDS_L))
+
+    @cached_property
+    def sbox_mdsl_columns(self):
+        """mdsl_columns of the s-boxed byte: XS's first s-box layer and
+        MDS-lower in one set of products, for key-sliced encryption."""
+        return tuple(tuple(self.sbox.translate(t) for t in col) for col in self.mdsl_columns)
 
 
 def _both_halves(rows):

@@ -25,6 +25,7 @@ on byte planes (hc3cam.planes), one key per slice.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .. import gf2
@@ -251,32 +252,23 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
                  consts: Hc3Constants | None = None) -> Hc3KeySchedule:
     """Build K(1)..K(7) from a 16-byte key.
 
-    mode picks what is retained: ``full_precompute`` keeps the key set,
-    and ``cached_1600`` also stores the 1600-bit intermediate cache of
-    the long-setup datapaths and derives the keys from it.
+    mode picks what is retained: ``full_precompute`` walks all seven steps
+    and keeps the key set; ``cached_1600`` walks steps 1..5 only, for the
+    1600-bit intermediate cache of the long-setup datapaths, and derives
+    the keys from it.
     """
     consts = consts or get_constants()
     if mode not in MODES:
         raise ValueError(f"unknown key schedule mode {mode!r}; pick one of {MODES}")
 
     z0 = pad_and_prewhiten(key, consts)
-    z_states = [z0]
-    v_words = []
-    keys = []
-    for step, (round_key, v, z_next) in enumerate(walk_schedule(z0, consts), 1):
-        keys.append(RoundKey256(*round_key))
-        if step <= 4:
-            z_states.append(IntermediateKey(*z_next))
-        if step <= 5:
-            v_words.append(v)
-
-    cache = None
-    if mode == "cached_1600":
-        cache = Cache1600(tuple(z_states), tuple(v_words))
-        keys = list(_keys_from_cache(cache, consts))
-
-    return Hc3KeySchedule(round_keys=tuple(keys), mode=mode, consts=consts,
-                          intermediate_cache=cache)
+    walk = walk_schedule(z0, consts)
+    if mode == "full_precompute":
+        return Hc3KeySchedule(tuple(RoundKey256(*k) for k, _, _ in walk), mode, consts)
+    steps = list(islice(walk, T_TURN + 1))
+    cache = Cache1600((z0, *(IntermediateKey(*z) for _, _, z in steps[:T_TURN])),
+                      tuple(v for _, v, _ in steps))
+    return Hc3KeySchedule(_keys_from_cache(cache, consts), mode, consts, cache)
 
 
 # --- key-sliced schedule ------------------------------------------------------

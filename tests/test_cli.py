@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -514,10 +517,13 @@ def parsed(parse, text):
         return str(exc)
 
 
-def kat_text(rng, variant):
-    """A vector file of 1-6 random records, written the way variant says."""
-    records = [[("KEY", rng.randbytes(16)), ("PT", rng.randbytes(16)),
-                ("CT", rng.randbytes(16))] for _ in range(rng.randint(1, 6))]
+def kat_text(rng, variant, records=None, trailing=None):
+    """A vector file of the (key, pt, ct) records, else of 1-6 random ones,
+    written the way variant says, ending in `trailing` newlines (else 0-2)."""
+    if records is None:
+        records = [(rng.randbytes(16), rng.randbytes(16), rng.randbytes(16))
+                   for _ in range(rng.randint(1, 6))]
+    records = [list(zip(("KEY", "PT", "CT"), r)) for r in records]
     lines = ["# header", "#\tcomment", ""] if variant == "header" else []
     for i, fields in enumerate(records):
         if i and variant == "comments":
@@ -535,7 +541,7 @@ def kat_text(rng, variant):
             elif variant == "spaced":
                 name, digits = f" {name} ", value.hex(" ")
             lines.append(f"{name}={digits}")
-    text = "\n".join(lines) + "\n" * rng.randint(0, 2)
+    text = "\n".join(lines) + "\n" * (rng.randint(0, 2) if trailing is None else trailing)
     return text.replace("\n", "\r\n") if variant == "crlf" else text
 
 
@@ -579,3 +585,106 @@ def test_parse_kat_file_damaged_layout_matches_line_walker():
         tail = text[at + 1:] if edit != "insert" else text[at:]
         text = text[:at] + ("" if edit == "delete" else rng.choice(alphabet)) + tail
         assert parsed(cli.parse_kat_file, text) == parsed(cli._walk_kat_lines, text), text
+
+
+def kat_both_readers(path, monkeypatch, capsys):
+    """kat on path, then again with every file read by the line walker."""
+    argv = ["kat", "--cipher", "camellia", "--vectors", str(path)]
+    got = run(argv, capsys)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "parse_kat_file", cli._walk_kat_lines)
+        return got, run(argv, capsys)
+
+
+@pytest.mark.parametrize("n", [1, 8192, 8193])
+def test_kat_by_columns_matches_line_walker_end_to_end(n, tmp_path, monkeypatch, capsys):
+    # the CHUNK_BLOCKS edge; the second-to-last record's ciphertext, if
+    # there is one, is wrong, so the record numbering shows in the output
+    rng = random.Random(f"kat-columns:{n}")
+    keys, plain = rng.randbytes(16 * n), rng.randbytes(16 * n)
+    cipher = bytearray(camellia.encrypt_sliced(plain, camellia.key_schedule_sliced(keys)))
+    if n > 1:
+        cipher[-32] ^= 1
+    records = [(keys[o:o + 16], plain[o:o + 16], bytes(cipher[o:o + 16]))
+               for o in range(0, 16 * n, 16)]
+    f = tmp_path / "v.kat"
+    for variant, trailing in (("plain", 1), ("header", 0), ("comments", 2)):
+        text = kat_text(rng, variant, records, trailing)
+        assert cli._scan_kat_layout(text) == cli._walk_kat_lines(text, "v.kat")
+        f.write_text(text)
+        got, want = kat_both_readers(f, monkeypatch, capsys)
+        assert got == want and want[0] == (1 if n > 1 else 0)
+
+
+GOOD = f"# header\n\nKEY={'0' * 32}\nPT={'1' * 32}\nCT={'2' * 32}\n\n# end\n"
+
+
+@pytest.mark.parametrize("text", [
+    GOOD.replace("KEY=", "key="),
+    GOOD.replace("CT=", "ct="),
+    GOOD.replace("1" * 32, "1" * 31),
+    GOOD.replace("1" * 32, "1" * 33),
+    GOOD.replace("\n", "\r\n"),
+    GOOD.replace("# end", "# e\x0bnd"),
+], ids=["lower-case-key", "lower-case-ct", "31-digits", "33-digits", "crlf", "vt-in-comment"])
+def test_kat_reader_refuses_other_layouts(text, tmp_path, monkeypatch, capsys):
+    # text outside the documented layout goes to the line walker, which
+    # reads it or names the file:line it refuses
+    assert cli._scan_kat_layout(GOOD) is not None
+    assert cli._scan_kat_layout(text) is None
+    f = tmp_path / "v.kat"
+    f.write_bytes(text.encode("ascii"))
+    got, want = kat_both_readers(f, monkeypatch, capsys)
+    assert got == want
+
+
+def test_kat_non_ascii_file_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "v.kat"
+    f.write_bytes(GOOD.replace("# end", "# \xe9nd").encode("latin-1"))
+    code, out, err = run(["kat", "--cipher", "hc3", "--vectors", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"hc3cam: error: {f}: ") and "0xe9" in err
+
+
+# --- a closed standard output ----------------------------------------------------
+#
+# hc3cam ... | head: once the reader is gone the command stops quietly with
+# exit 141, whether the write that finds it gone is a print (unbuffered
+# stdout) or the flush after the command (buffered).
+
+def spawn(argv, unbuffered, stdout):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(DATA.parent.parent), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "hc3cam.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_simulate_trace_into_closed_pipe(unbuffered):
+    # the reader end is closed before the command starts: the first print
+    # (unbuffered) or the flush after the command (buffered) fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = spawn(["simulate", "--variant", "hc3-long", "--blocks", "1", "--trace"],
+                     unbuffered, write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_kat_mismatches_into_pipe_closed_after_one_line(unbuffered, tmp_path):
+    # 3 000 failing records print ≈1 MB, far more than a pipe holds, so
+    # the command is still writing when the reader goes
+    f = tmp_path / "bad.kat"
+    write_kat(f, [(bytes(16), bytes(16), bytes(16))] * 3000)
+    proc = spawn(["kat", "--cipher", "hc3", "--vectors", str(f)], unbuffered, subprocess.PIPE)
+    assert proc.stdout.readline() == b"record 1: encrypt mismatch\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")

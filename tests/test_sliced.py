@@ -124,3 +124,19 @@ def test_sliced_rejects_mismatched_lengths(cipher):
         for n in (0, 16, 31, 48):
             with pytest.raises(ValueError, match="one 16-byte block per key"):
                 fn(bytes(n), ks)
+
+
+@pytest.mark.parametrize("cipher", sorted(CIPHERS))
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+def test_sliced_matches_per_key_on_zero_planes(cipher, n):
+    # all-zero keys and blocks 00..01, 00..00, ...: the planes of the keys
+    # and of the data are zero in their top slices, so an int -> bytes
+    # conversion that drops a leading zero byte shows
+    mod = CIPHERS[cipher]
+    keys = bytes(16 * n)
+    data = b"".join(bytes(15) + bytes([i == 0]) for i in range(n))
+    ks = mod.key_schedule_sliced(keys)
+    ct = mod.encrypt_sliced(data, ks)
+    assert ct == per_record(mod, mod.encrypt, data, keys)
+    assert mod.decrypt_sliced(data, ks) == per_record(mod, mod.decrypt, data, keys)
+    assert mod.decrypt_sliced(ct, ks) == data
