@@ -506,7 +506,7 @@ def test_kat_one_record_and_chunk_edges(cipher, tmp_path, monkeypatch, capsys):
 
 # --- kat vector file parsing --------------------------------------------------
 #
-# parse_kat_file reads the documented layout in one scan and hands any other
+# parse_kat_file reads the documented layout by columns and hands any other
 # text to the line walker, which stays the oracle: on every text both give
 # the same columns or the same error.
 
@@ -559,7 +559,7 @@ def test_parse_kat_file_matches_line_walker(variant):
         scanned = cli._scan_kat_layout(text)
         if variant in LAYOUT_VARIANTS:
             # the documented layout, with or without a final newline, is
-            # read in one scan
+            # read by columns
             assert scanned == want
         elif variant == "adjacent" and text.count("KEY=") > 1:
             assert want == "v.kat:4: duplicate KEY in record" and scanned is None

@@ -3,7 +3,7 @@
 scripts/gen_constants.py writes the two .ctab files and scripts/gen_kat.py
 the two .kat files; each is run here into a temporary directory and its
 output compared with the packaged copy.  The .kat files are also checked to
-be in the layout kat reads in one scan.
+be in the layout kat reads by columns.
 """
 
 import importlib.util
@@ -40,7 +40,7 @@ def test_script_reproduces_shipped_files(script, out_dir_attr, shipped, names,
 
 
 def test_kat_files_are_in_the_one_scan_layout(tmp_path, monkeypatch):
-    # kat reads the documented layout in one scan and falls back to its line
+    # kat reads the documented layout by columns and falls back to its line
     # walker for anything else: a regenerated file must not drop back
     from hc3cam import cli
     module = load_script("gen_kat", monkeypatch)
