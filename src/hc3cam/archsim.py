@@ -6,10 +6,11 @@ two-phase devices: a setup phase that precomputes key material and a
 work phase that processes one 128-bit block in a fixed number of clock
 cycles.  Each datapath is a per-key setup function, whose product the
 device holds, and a per-block work function run against it; run_block
-keeps the last setup product in a one-entry key register.  Every work
-cycle executes the real cipher sub-operations, so a trace's ciphertext
-is checkable against the functional model; latencies and resource
-figures are metadata, not gate-level timing.
+keeps the last setup product in a one-entry key register, and a Device
+runs the blocks of one key between the handshake's setup and WORK
+pulses.  Every work cycle executes the real cipher sub-operations, so a
+trace's ciphertext is checkable against the functional model; latencies
+and resource figures are metadata, not gate-level timing.
 
 Published throughput figures that disagree with 128 * f / cycles are
 kept verbatim on the profiles and surfaced as flagged deviations.
@@ -386,12 +387,13 @@ def _key_register(datapath: str, key: bytes, consts) -> Any:
     return dp.setup(getattr(_HC3CAM, dp.cipher), key, consts)
 
 
-def run_block(profile: ArchProfile, key: bytes, block: bytes) -> BlockTrace:
+def run_block(profile: ArchProfile, key: bytes, block: bytes, consts=None) -> BlockTrace:
     """Execute one block through the variant's per-cycle work schedule.
 
     Setup runs once per key: its product is held in a one-entry register
     and rebuilt only when the datapath, the key or the constant set
-    (get_constants()) changes.  Work runs for every block against it.
+    changes.  The set is consts, else the cipher's get_constants().  Work
+    runs for every block against it.
     """
     dp = _DATAPATHS.get(profile.datapath)
     if dp is None:
@@ -403,7 +405,9 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes) -> BlockTrace:
         raise ValueError(f"{profile.variant}: block must be 16 bytes, got {len(block)}")
     package = getattr(_HC3CAM, dp.cipher)
     # bytes(key): a bytearray key must hash for the register
-    held = _key_register(profile.datapath, bytes(key), package.get_constants())
+    if consts is None:
+        consts = package.get_constants()
+    held = _key_register(profile.datapath, bytes(key), consts)
     trace = dp.work(package, held, block)
     want = profile.work_cycles_per_block
     if len(trace.cycles) != want:
@@ -414,13 +418,62 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes) -> BlockTrace:
     return trace
 
 
+class Device:
+    """One device under one key: setup once, then one START/WORK pulse of
+    the handshake and one run_block per block.
+
+    The setup ticks and the first pulse are stepped tick by tick.  That
+    pulse must bring the handshake back to READY with only its counters
+    moved, so every later pulse adds its tick count and one block to them
+    instead of stepping again.  The constant set is looked up on the first
+    block: a device that runs none imports no cipher package.
+    """
+
+    def __init__(self, profile: ArchProfile, key: bytes):
+        self.profile, self.key = profile, bytes(key)
+        state = initial_state(profile)
+        while not state.ready:
+            state = step(state)
+        self.state = state
+        self.setup_ticks = state.cycle_counter
+        self._consts = None
+        self._pulse_ticks: int | None = None
+
+    def run(self, block: bytes) -> BlockTrace:
+        if self._consts is None:
+            self._consts = getattr(_HC3CAM, self.profile.cipher).get_constants()
+        trace = run_block(self.profile, self.key, block, self._consts)
+        if self._pulse_ticks is None:
+            self._step_pulse()
+        else:
+            profile, phase, ready, work, cycle, blocks, idx, left = self.state
+            self.state = _new(DeviceState, (profile, phase, ready, work,
+                                            cycle + self._pulse_ticks, blocks + 1, idx, left))
+        return trace
+
+    def _step_pulse(self) -> None:
+        before = self.state
+        state = step(before, start_edge=True)
+        while state.work:
+            state = step(state)
+        if not (before.phase == READY and before.ready) or state != before._replace(
+                cycle_counter=state.cycle_counter, blocks_done=before.blocks_done + 1):
+            raise AssertionError(f"{self.profile.variant}: a START/WORK pulse from "
+                                 f"{before} ended in {state}")
+        self.state = state
+        self._pulse_ticks = state.cycle_counter - before.cycle_counter
+
+
 # --- throughput model and report ------------------------------------------
 
 def throughput_model(clock_hz: float, cycles_per_block: int) -> float:
     """Bits per second of an iterative unit: 128 * f / cycles."""
     if clock_hz <= 0 or cycles_per_block <= 0:
         raise ValueError("clock and cycle count must be positive")
-    return 128.0 * clock_hz / cycles_per_block
+    bps = 128.0 * clock_hz / cycles_per_block
+    if not math.isfinite(bps):
+        raise ValueError(f"128 * f / {cycles_per_block} cycles is not a finite bit rate")
+    return bps
 
 
 # Relative disagreement with the published figure above which a row is
@@ -572,6 +625,13 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
             f"{where_is['work-cycles']}: work-cycles {work} does not match datapath "
             f"{datapath!r} ({base.work_cycles_per_block})"
         )
+    clock = number("clock-mhz", base.clock_mhz)
+    if "clock-mhz" in fields:
+        try:
+            throughput_model(clock * 1e6, work)
+        except ValueError as exc:
+            raise ValueError(f"{where_is['clock-mhz']}: clock-mhz "
+                             f"{fields['clock-mhz']}: {exc}") from None
     cipher = fields.get("cipher", base.cipher)
     if cipher != base.cipher:
         raise ValueError(
@@ -584,7 +644,7 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
         datapath=datapath,
         work_cycles_per_block=work,
         setup_schedule=tuple(setup) or base.setup_schedule,
-        clock_mhz=number("clock-mhz", base.clock_mhz),
+        clock_mhz=clock,
         paper_throughput_mbps=number("paper-throughput-mbps", base.paper_throughput_mbps),
         resources=fields.get("resources", base.resources),
         critical_path_label=fields.get("critical-path", base.critical_path_label),

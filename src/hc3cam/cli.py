@@ -319,7 +319,12 @@ def cmd_simulate(args) -> int:
         raise CliError("--blocks must be non-negative")
 
     clock = args.clock_mhz if args.clock_mhz is not None else profile.clock_mhz
-    row = archsim.model_row(profile, clock)
+    try:
+        row = archsim.model_row(profile, clock)
+    except ValueError as exc:
+        # only --clock-mhz can get here: a profile's clock was checked
+        # when it was read
+        raise CliError(f"--clock-mhz {args.clock_mhz:g}: {exc}") from exc
 
     print(f"variant: {profile.variant} ({profile.cipher})")
     print(f"setup cycles: {len(profile.setup_schedule)}")
@@ -342,33 +347,26 @@ def cmd_simulate(args) -> int:
         flag = "  ** DISCREPANCY (documented; figures kept verbatim) **" if row.flagged else ""
         print(f"deviation: {100 * row.deviation:.2f}%{flag}")
 
-    key = bytes(range(16))
+    device = archsim.Device(profile, bytes(range(16)))
     functional_ok = True
-    state = archsim.initial_state(profile)
-    while not state.ready:
-        state = archsim.step(state)
-    setup_ticks = state.cycle_counter
     # every block's ciphertext is checked against the cipher's byte-plane
     # batch engine on its default key schedule, one call per chunk: a
     # different route from the device's setup and per-cycle rounds
     if args.blocks:
         ref = import_module(CIPHERS[profile.cipher])
-        ref_ks = ref.key_schedule(key)
+        ref_ks = ref.key_schedule(device.key)
     trace = None
     for start in range(0, args.blocks, CHUNK_BLOCKS):
         blocks = [i.to_bytes(BLOCK_BYTES, "big")
                   for i in range(start, min(start + CHUNK_BLOCKS, args.blocks))]
         cts = []
         for block in blocks:
-            trace = archsim.run_block(profile, key, block)
+            trace = device.run(block)
             cts.append(trace.ciphertext)
-            state = archsim.step(state, start_edge=True)
-            while state.work:
-                state = archsim.step(state)
         functional_ok &= b"".join(cts) == ref.encrypt_blocks(b"".join(blocks), ref_ks)
     print(f"blocks simulated: {args.blocks} "
           f"(ciphertext vs functional model: {'OK' if functional_ok else 'MISMATCH'})")
-    print(f"device ticks: {state.cycle_counter} total, {setup_ticks} setup")
+    print(f"device ticks: {device.state.cycle_counter} total, {device.setup_ticks} setup")
     if args.trace and trace is not None:
         print("cycle trace (last block):")
         for cyc in trace.cycles:

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, run at full stated size.
+"""Acceptance suite: one test per criterion, run at full stated size, and
+beside criterion 11 a walk over every reachable handshake state.
 
 Run with  pytest tests/test_acceptance.py -v -s  to see one PASS line
 per criterion (with -s the lines print as they complete).
@@ -208,6 +209,67 @@ def test_criterion_11_handshake_properties():
         prev_work = st.work
     _pass(11, "10^4 random edge sequences: START gated by READY, exact WORK "
               "pulses, READY drops only on RESET")
+
+
+EDGES = [(reset, start) for reset in (False, True) for start in (False, True)]
+
+
+def test_handshake_walk_every_reachable_state():
+    # Breadth first over every reachable (phase, READY, WORK, setup index,
+    # cycles left) of each profile, with whether READY ever rose, under all
+    # four RESET/START edge pairs: criterion 11's invariants hold on every
+    # transition.  From every READY state, START and then no edges come
+    # back to it after work + 1 ticks with one more block done, which is
+    # what archsim.Device's replay of a pulse rests on.
+    for variant, profile in archsim.PROFILES.items():
+        w = profile.work_cycles_per_block
+        first = archsim.initial_state(profile)
+        seen = {(first[1:4] + first[6:], False)}
+        frontier = [(first, False)]
+        ready_states = 0
+        while frontier:
+            nxt = []
+            for st, ever_ready in frontier:
+                for reset, start in EDGES:
+                    new = archsim.step(st, reset_edge=reset, start_edge=start)
+                    ever = ever_ready or new.ready
+                    assert new.cycle_counter == st.cycle_counter + 1
+                    # START is gated by READY: ignored in setup, and WORK
+                    # rises only from READY on a START without RESET
+                    assert not (new.work and not ever), variant
+                    if st.phase == archsim.SETUP:
+                        assert new == archsim.step(st, reset_edge=reset), variant
+                    if new.work and not st.work:
+                        assert st.phase == archsim.READY and st.ready
+                        assert start and not reset and new.work_left == w
+                    # exact WORK pulses: w ticks high, counted down to the
+                    # fall, whatever the edges; a block counts at the fall
+                    assert new.work == (new.work_left > 0) and new.work_left <= w
+                    if st.work:
+                        assert new.work_left == st.work_left - 1, variant
+                    assert new.blocks_done == st.blocks_done + (st.work and not new.work)
+                    # READY drops only on RESET
+                    if st.ready and not new.ready:
+                        assert reset, variant
+                    node = (new[1:4] + new[6:], ever)
+                    if node not in seen:
+                        seen.add(node)
+                        nxt.append((new, ever))
+                if st.phase == archsim.READY and st.ready:
+                    ready_states += 1
+                    pulse = [archsim.step(st, start_edge=True)]
+                    for _ in range(w):
+                        pulse.append(archsim.step(pulse[-1]))
+                    assert all(p.work for p in pulse[:-1]), variant
+                    assert pulse[-1] == st._replace(cycle_counter=st.cycle_counter + w + 1,
+                                                    blocks_done=st.blocks_done + 1)
+            frontier = nxt
+        # every setup index, READY, REARM, every tick of a pulse with READY
+        # high, and every tick after its first with READY dropped by a RESET
+        assert len(seen) == len(profile.setup_schedule) + 2 + w + (w - 1), variant
+        assert ready_states == 1, variant
+    _pass(11, "every reachable handshake state of all five profiles under all four "
+              "edge pairs; a START from READY returns to READY after work + 1 ticks")
 
 
 def test_criterion_12_suite_runtime():

@@ -7,6 +7,7 @@ from hc3cam import archsim, camellia, hc3
 from hc3cam.hc3 import constants as hc3_constants
 from hc3cam.archsim import (
     PROFILES,
+    Device,
     initial_state,
     parse_profile,
     format_profile,
@@ -218,6 +219,60 @@ def test_reset_during_work_keeps_pulse_exact():
     assert st.ready
 
 
+def stepped(profile, n):
+    """The handshake after setup and n START/WORK pulses, every tick stepped."""
+    st = run_setup(profile)
+    for _ in range(n):
+        st = step(st, start_edge=True)
+        while st.work:
+            st = step(st)
+    return st
+
+
+# a profile file's device: another datapath's work under its own setup list
+BOARD = parse_profile('variant board\ndatapath hc3-verylong\nsetup "load key"\n'
+                      'setup "sigma steps 0-4" 20\nsetup "1600-bit cache"\n', "board")
+
+
+@pytest.mark.parametrize("profile", [*PROFILES.values(), BOARD], ids=lambda p: p.variant)
+def test_device_replay_matches_stepping(profile):
+    # after the stepped first pulse every block adds the measured pulse to
+    # the counters; the state must be the one stepping every tick gives
+    rng = random.Random(f"device-{profile.variant}")
+    key = rng.randbytes(16)
+    for n in (0, 1, 2, 17, 40):
+        device = Device(profile, key)
+        assert device.setup_ticks == len(profile.setup_schedule)
+        for _ in range(n):
+            block = rng.randbytes(16)
+            assert device.run(block) == run_block(profile, key, block)
+        assert device.state == stepped(profile, n), n
+
+
+def test_device_rejects_a_pulse_that_does_not_return_to_ready(monkeypatch):
+    # the replay rests on the first pulse ending where it started
+    device = Device(PROFILES["hc3-long"], bytes(16))
+    real = archsim.step
+    monkeypatch.setattr(archsim, "step", lambda st, *a, **k: real(st, *a, **k)._replace(
+        setup_index=st.setup_index + 1))
+    with pytest.raises(AssertionError, match="START/WORK pulse"):
+        device.run(bytes(16))
+
+
+def test_run_block_takes_a_constant_set(tmp_path, monkeypatch):
+    # a passed set is the one setup runs under, whatever get_constants() says
+    profile, key, block = PROFILES["hc3-long"], bytes(range(16)), bytes(16)
+    packaged = hc3.get_constants()
+    use_shifted_sbox_override(tmp_path, monkeypatch)
+    shifted = hc3.get_constants()
+    assert shifted is not packaged
+    assert run_block(profile, key, block, packaged).ciphertext == \
+        hc3.encrypt(block, hc3.key_schedule(key, consts=packaged))
+    assert run_block(profile, key, block).ciphertext == \
+        run_block(profile, key, block, shifted).ciphertext == \
+        hc3.encrypt(block, hc3.key_schedule(key, consts=shifted))
+
+
 # sha256 over repr((phase, ready, work, cycle_counter, blocks_done,
 # setup_index, work_left)) after each of 5 000 seeded random
 # (reset_edge, start_edge) ticks, recorded from the step() that called
@@ -333,6 +388,13 @@ def test_throughput_model_rejects_nonpositive():
         throughput_model(1e6, 0)
     with pytest.raises(ValueError):
         throughput_model(-5, 3)
+
+
+@pytest.mark.parametrize("clock_hz", [1e308, 1e308 * 10, float("nan")])
+def test_throughput_model_rejects_a_rate_that_is_not_finite(clock_hz):
+    with pytest.raises(ValueError, match="not a finite bit rate"):
+        throughput_model(clock_hz, 8)
+    assert throughput_model(1e300, 8) == 1.6e301
 
 
 def test_throughput_model_scaling():

@@ -212,6 +212,24 @@ def test_simulate_sets_up_once_per_key(variant, monkeypatch, capsys):
     assert len(built) <= 2
 
 
+@pytest.mark.parametrize("variant", cli.VARIANTS)
+def test_simulate_calls_run_block_once_per_block(variant, monkeypatch, capsys):
+    # perfbench wraps archsim.run_block on the module and divides the key
+    # schedules of a simulate run by its calls, so it runs once per block
+    from hc3cam import archsim
+    calls = []
+
+    def counted(*args, _real=archsim.run_block, **kwargs):
+        calls.append(args[2])
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(archsim, "run_block", counted)
+    for n in (0, 1, 40):
+        calls.clear()
+        code, out, _ = run(["simulate", "--variant", variant, "--blocks", str(n)], capsys)
+        assert code == 0 and f"blocks simulated: {n} (ciphertext vs functional model: OK)" in out
+        assert calls == [i.to_bytes(16, "big") for i in range(n)]
+
+
 def flip_block(data: bytes, plaintexts: bytes, bad: int) -> bytes:
     """data with one bit of the block whose plaintext is block number
     `bad` (simulate's plaintexts count up from 0) flipped."""
@@ -329,6 +347,25 @@ def test_simulate_clock_override(capsys):
         code, out, err = run(["simulate", "--variant", "hc3-long",
                               "--clock-mhz", bad], capsys)
         assert code == 2 and "--clock-mhz must be finite and positive" in err
+
+
+def test_simulate_rejects_a_clock_with_no_finite_throughput(tmp_path, capsys):
+    # 1e308 MHz is finite, but 128 * f / cycles in b/s is not
+    code, out, err = run(["simulate", "--variant", "hc3-long", "--clock-mhz", "1e308"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert "--clock-mhz 1e+308: 128 * f / 8 cycles is not a finite bit rate" in err
+    from hc3cam import archsim
+    text = archsim.format_profile(archsim.PROFILES["camellia-lu3"])
+    f = tmp_path / "fast.profile"
+    f.write_text(text.replace("clock-mhz 13.15", "clock-mhz 1e308"))
+    code, out, err = run(["simulate", "--profile-file", str(f)], capsys)
+    lineno = text.splitlines().index("clock-mhz 13.15") + 1
+    assert code == 2 and out == ""
+    assert f"{f}:{lineno}: clock-mhz 1e308: 128 * f / 6 cycles is not a finite bit rate" in err
+    # the largest clocks whose rate is finite still run
+    code, out, _ = run(["simulate", "--variant", "hc3-long", "--clock-mhz", "1e300"], capsys)
+    assert code == 0 and "modeled throughput: 1600" in out
 
 
 def test_simulate_profile_file(tmp_path, capsys):
