@@ -22,6 +22,7 @@ import math
 import shlex
 import sys
 from functools import lru_cache
+from operator import attrgetter
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -51,10 +52,14 @@ class ArchProfile(NamedTuple):
 
     @property
     def max_clock_mhz(self) -> float | None:
-        """Clock bound implied by the critical path, when one is given."""
+        """Clock bound implied by the critical path, when one is given;
+        ValueError when 1000 / ns is not finite."""
         if self.critical_path_ns is None:
             return None
-        return 1000.0 / self.critical_path_ns
+        mhz = 1000.0 / self.critical_path_ns
+        if not math.isfinite(mhz):
+            raise ValueError(f"1000 / {self.critical_path_ns:g} ns is not a finite clock")
+        return mhz
 
 
 def _sigma_label(step: int) -> str:
@@ -501,8 +506,12 @@ def model_row(profile: ArchProfile, clock_mhz: float | None = None) -> SimRow:
     flagged = False
     if clock is not None:
         modeled = throughput_model(clock * 1e6, profile.work_cycles_per_block) / 1e6
-        if profile.paper_throughput_mbps:
-            deviation = abs(modeled - profile.paper_throughput_mbps) / profile.paper_throughput_mbps
+        paper = profile.paper_throughput_mbps
+        if paper:
+            deviation = abs(modeled - paper) / paper
+            if not math.isfinite(deviation):
+                raise ValueError(f"|{modeled:g} - {paper:g}| / {paper:g} Mb/s "
+                                 "is not a finite deviation")
             flagged = deviation > DISCREPANCY_THRESHOLD
     return SimRow(
         label=profile.variant, cipher=profile.cipher, is_model=True,
@@ -625,31 +634,36 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
             f"{where_is['work-cycles']}: work-cycles {work} does not match datapath "
             f"{datapath!r} ({base.work_cycles_per_block})"
         )
-    clock = number("clock-mhz", base.clock_mhz)
-    if "clock-mhz" in fields:
-        try:
-            throughput_model(clock * 1e6, work)
-        except ValueError as exc:
-            raise ValueError(f"{where_is['clock-mhz']}: clock-mhz "
-                             f"{fields['clock-mhz']}: {exc}") from None
     cipher = fields.get("cipher", base.cipher)
     if cipher != base.cipher:
         raise ValueError(
             f"{where_is['cipher']}: cipher {cipher!r} does not match datapath "
             f"{datapath!r} ({base.cipher})"
         )
-    return ArchProfile(
+    profile = ArchProfile(
         variant=fields["variant"],
         cipher=cipher,
         datapath=datapath,
         work_cycles_per_block=work,
         setup_schedule=tuple(setup) or base.setup_schedule,
-        clock_mhz=clock,
+        clock_mhz=number("clock-mhz", base.clock_mhz),
         paper_throughput_mbps=number("paper-throughput-mbps", base.paper_throughput_mbps),
         resources=fields.get("resources", base.resources),
         critical_path_label=fields.get("critical-path", base.critical_path_label),
         critical_path_ns=number("critical-path-ns", base.critical_path_ns),
     )
+    # each number is finite and > 0; so must be the figures derived from
+    # them: the modeled rate 128 * f / c, its deviation from the published
+    # rate and the max clock 1000 / ns
+    for keyword, derive in (("clock-mhz", model_row), ("paper-throughput-mbps", model_row),
+                            ("critical-path-ns", attrgetter("max_clock_mhz"))):
+        if keyword in fields:
+            try:
+                derive(profile)
+            except ValueError as exc:
+                raise ValueError(f"{where_is[keyword]}: {keyword} "
+                                 f"{fields[keyword]}: {exc}") from None
+    return profile
 
 
 def format_profile(profile: ArchProfile) -> str:

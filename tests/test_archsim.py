@@ -397,6 +397,21 @@ def test_throughput_model_rejects_a_rate_that_is_not_finite(clock_hz):
     assert throughput_model(1e300, 8) == 1.6e301
 
 
+def test_derived_figures_that_are_not_finite_are_refused():
+    long = PROFILES["hc3-long"]
+    # |m - p| / p overflows when the published figure is tiny enough
+    with pytest.raises(ValueError, match="not a finite deviation"):
+        archsim.model_row(long._replace(paper_throughput_mbps=1e-307))
+    assert archsim.model_row(long._replace(paper_throughput_mbps=1e-300)).deviation > 1e300
+    # with no clock there is no modeled rate and so no deviation to check
+    assert archsim.model_row(long._replace(clock_mhz=None,
+                                           paper_throughput_mbps=1e-307)).deviation is None
+    # 1000 / ns overflows when the critical path is tiny enough
+    with pytest.raises(ValueError, match="not a finite clock"):
+        long._replace(critical_path_ns=1e-320).max_clock_mhz
+    assert long._replace(critical_path_ns=1e-300).max_clock_mhz == pytest.approx(1e303)
+
+
 def test_throughput_model_scaling():
     rng = random.Random(50)
     for _ in range(100):

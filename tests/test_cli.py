@@ -368,6 +368,26 @@ def test_simulate_rejects_a_clock_with_no_finite_throughput(tmp_path, capsys):
     assert code == 0 and "modeled throughput: 1600" in out
 
 
+def test_simulate_rejects_derived_figures_that_are_not_finite(tmp_path, capsys):
+    # each number is finite and > 0, but |m - p| / p or 1000 / ns is not
+    f = tmp_path / "b.profile"
+    head = "variant b\ndatapath hc3-long\n"
+    for line, message in (("paper-throughput-mbps 1e-307", "is not a finite deviation"),
+                          ("critical-path-ns 1e-320", "is not a finite clock")):
+        f.write_text(f"{head}{line}\n")
+        code, out, err = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"hc3cam: error: {f}:3: {line}: ") and message in err
+    # a published figure the profile's own clock passes, a --clock-mhz does not
+    f.write_text(f"{head}paper-throughput-mbps 1e-10\n")
+    code, out, _ = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)
+    assert code == 0 and "deviation: 190559999999900.00%" in out
+    code, out, err = run(["simulate", "--profile-file", str(f), "--clock-mhz", "1e300"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("hc3cam: error: --clock-mhz 1e+300: ") and "finite deviation" in err
+
+
 def test_simulate_profile_file(tmp_path, capsys):
     from hc3cam import archsim
     text = archsim.format_profile(archsim.PROFILES["hc3-long"]).replace(
@@ -725,3 +745,34 @@ def test_kat_mismatches_into_pipe_closed_after_one_line(unbuffered, tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+# --- a process and main() --------------------------------------------------------
+#
+# `python -m hc3cam.cli` runs main() through cli.run(): the same output on
+# both streams and the same exit code as main() in this process.
+
+def parity_commands(tmp_path):
+    wrong = tmp_path / "one-wrong-ct.kat"
+    ct = bytearray(hc3.encrypt(bytes(16), hc3.key_schedule(bytes(16))))
+    ct[0] ^= 1
+    write_kat(wrong, [(bytes(16), bytes(16), bytes(ct))])
+    src = tmp_path / "p.bin"
+    src.write_bytes(bytes(32))
+    return {
+        "simulate": ["simulate", "--variant", "camellia-lu3", "--blocks", "3", "--trace"],
+        "kat": ["kat", "--cipher", "hc3", "--vectors", str(DATA / "kat" / "hc3.kat")],
+        "kat-mismatch": ["kat", "--cipher", "hc3", "--vectors", str(wrong)],
+        "bad-key": ["encrypt", "--cipher", "hc3", "--key", "zz" * 16,
+                    "--in", str(src), "--out", str(tmp_path / "c.bin")],
+    }
+
+
+@pytest.mark.parametrize("command, code", [("simulate", 0), ("kat", 0),
+                                           ("kat-mismatch", 1), ("bad-key", 2)])
+def test_process_matches_main(command, code, tmp_path, capsys):
+    argv = parity_commands(tmp_path)[command]
+    proc = spawn(argv, False, subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert run(argv, capsys) == (proc.returncode, out.decode(), err.decode())
+    assert proc.returncode == code

@@ -1,7 +1,10 @@
 """What a command loads: each hc3cam process imports the packages its
 subcommand runs and builds a lookup table when a layer first reads it."""
 
+import ast
+import gc
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,3 +170,56 @@ def test_camellia_f_tables_built_on_first_use(monkeypatch):
         ctab.parse((DATA / "camellia.ctab").read_text()))
     camellia.f_function(0, 0, consts)
     assert "f_tables" in vars(consts)
+
+
+# --- the process entry --------------------------------------------------------
+#
+# A process runs main() through cli.run(), which freezes the heap before it
+# exits so that the collections of interpreter shutdown skip it; main()
+# itself, called inside long-lived processes, freezes nothing.
+
+SUBCOMMANDS = ("encrypt", "decrypt", "kat", "bench", "simulate-0", "simulate-1")
+# imported by every interpreter started with its directory on PYTHONPATH:
+# at exit it writes gc.get_freeze_count() to the file FREEZE_COUNT_FILE names
+SITECUSTOMIZE = """
+import atexit, gc, os
+
+def _record(path=os.environ["FREEZE_COUNT_FILE"]):
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+atexit.register(_record)
+"""
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_process_freezes_the_heap_before_exit(command, tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    count = tmp_path / "freeze_count"
+    env = dict(os.environ, FREEZE_COUNT_FILE=str(count), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tmp_path), str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop(ctab.ENV_CONSTANTS_DIR, None)
+    proc = subprocess.run([sys.executable, "-m", "hc3cam.cli", *COMMANDS[command](tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(count.read_text()) > 0
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_main_freezes_nothing(command, tmp_path, capsys):
+    from hc3cam import cli
+    before = gc.get_freeze_count()
+    assert cli.main(COMMANDS[command](tmp_path)) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_script_runs_what_the_module_runs():
+    # pyproject's `hc3cam` script and `python -m hc3cam.cli` call one function
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    target = re.search(r'^hc3cam = "hc3cam\.cli:(\w+)"$', pyproject, re.M)[1]
+    tree = ast.parse((SRC / "hc3cam" / "cli.py").read_text())
+    guard, = (node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert ast.unparse(guard.body) == f"{target}()"
+    from hc3cam import cli
+    assert getattr(cli, target) is cli.run
