@@ -1,5 +1,6 @@
 """What a command loads: each hc3cam process imports the packages its
-subcommand runs and builds a lookup table when a layer first reads it."""
+subcommand runs and builds a lookup table when a layer first reads it;
+and how it ends: the process entry freezes the heap before it exits."""
 
 import ast
 import gc
