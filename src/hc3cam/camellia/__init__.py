@@ -1,37 +1,21 @@
-"""Camellia-128."""
+"""Camellia-128.
 
-from .cipher import (
-    FL_LAYER_ROUNDS,
-    N_ROUNDS,
-    SIGMA,
-    SUBKEY_ROTATIONS,
-    CamelliaSlicedSubkeys,
-    CamelliaSubkeys,
-    KeyVars,
-    SigmaConstants,
-    decrypt,
-    decrypt_blocks,
-    decrypt_sliced,
-    encrypt,
-    encrypt_blocks,
-    encrypt_sliced,
-    f_function,
-    fl,
-    fl_inv,
-    key_schedule,
-    key_schedule_sliced,
-    p_layer,
-    reverse_subkeys,
-    sbox_layer,
-)
-from .constants import CamelliaConstants, get_constants, load_constants
+Each public name is imported from its submodule on first read
+(hc3cam._lazy), so a command compiles only the engine it runs: cipher
+holds the per-block reference rounds and the per-key schedule (the
+tests' oracles, archsim's datapath, and every single-key command), batch
+the single-key byte-plane engine (encrypt, decrypt, bench, simulate's
+check) and sliced the key-sliced schedule and engine (kat).  All of them
+read constants and steps.
+"""
 
-__all__ = [
-    "FL_LAYER_ROUNDS", "N_ROUNDS", "SIGMA", "SUBKEY_ROTATIONS",
-    "CamelliaSlicedSubkeys", "CamelliaSubkeys", "KeyVars", "SigmaConstants",
-    "decrypt", "decrypt_blocks", "decrypt_sliced", "encrypt", "encrypt_blocks",
-    "encrypt_sliced", "f_function", "fl", "fl_inv", "key_schedule",
-    "key_schedule_sliced", "p_layer",
-    "reverse_subkeys", "sbox_layer", "CamelliaConstants", "get_constants",
-    "load_constants",
-]
+from .._lazy import exports
+
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "cipher": "SUBKEY_ROTATIONS CamelliaSubkeys KeyVars decrypt encrypt f_function fl "
+              "fl_inv key_schedule p_layer reverse_subkeys sbox_layer",
+    "batch": "decrypt_blocks encrypt_blocks",
+    "sliced": "CamelliaSlicedSubkeys decrypt_sliced encrypt_sliced key_schedule_sliced",
+    "constants": "CamelliaConstants get_constants load_constants",
+    "steps": "FL_LAYER_ROUNDS N_ROUNDS SIGMA SigmaConstants",
+})

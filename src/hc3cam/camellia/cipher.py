@@ -2,48 +2,22 @@
 
 Decryption runs the identical network with the subkey order reversed
 (whitening pairs swapped, round keys back to front, FL keys reversed).
-encrypt_blocks/decrypt_blocks run that network on a whole batch of blocks
-as byte planes (hc3cam.planes); key_schedule_sliced and
-encrypt_sliced/decrypt_sliced run the key schedule and the network for a
-batch with one key per block.
+These are the per-block reference rounds and the per-key schedule; the
+byte-plane engines are hc3cam.camellia.batch (one key) and
+hc3cam.camellia.sliced (one key per block).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .. import gf2
-from ..planes import block_count, key_planes, lookup, ones, run_sliced, run_steps, xor
 from .constants import CamelliaConstants, get_constants
+from .steps import FL_LAYER_ROUNDS, N_ROUNDS, SIGMA, decrypt_order
 
 MASK8 = 0xFF
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
-
-N_ROUNDS = 18
-FL_LAYER_ROUNDS = (6, 12)
-
-
-class SigmaConstants(NamedTuple):
-    sigma1: int
-    sigma2: int
-    sigma3: int
-    sigma4: int
-    sigma5: int
-    sigma6: int
-
-
-# Key schedule constants; sigma5/sigma6 belong to the 192/256-bit key
-# path and are carried for completeness only.
-SIGMA = SigmaConstants(
-    0xA09E667F3BCC908B,
-    0xB67AE8584CAA73B2,
-    0xC6EF372FE94F82BE,
-    0x54FF53A5F1D36F1C,
-    0x10E527FADE682D1D,
-    0xB05688C2B3E6C1FD,
-)
 
 # Rotation amounts Table 4.2 draws subkeys from.
 SUBKEY_ROTATIONS = (0, 15, 30, 45, 60, 77, 94, 111)
@@ -200,14 +174,9 @@ def key_schedule(key: bytes,
     )
 
 
-def _decrypt_order(kw, k, kl):
-    """Whitening, round and FL keys in the order decryption uses them."""
-    return (kw[2], kw[3], kw[0], kw[1]), k[::-1], kl[::-1]
-
-
 def reverse_subkeys(sk: CamelliaSubkeys) -> CamelliaSubkeys:
     """Subkey order for decryption through the same network."""
-    kw, k, kl = _decrypt_order(sk.kw, sk.k, sk.kl)
+    kw, k, kl = decrypt_order(sk.kw, sk.k, sk.kl)
     return CamelliaSubkeys(kw=kw, k=k, kl=kl, consts=sk.consts, key_vars=sk.key_vars)
 
 
@@ -235,185 +204,4 @@ def encrypt(block: bytes, sk: CamelliaSubkeys) -> bytes:
 
 
 def decrypt(block: bytes, sk: CamelliaSubkeys) -> bytes:
-    return _run(block, sk.consts, *_decrypt_order(sk.kw, sk.k, sk.kl))
-
-
-# --- byte-plane network (see hc3cam.planes) ---------------------------------
-#
-# The left half of a block is planes 0-7 and the right half planes 8-15,
-# byte 0 of each half its most significant, all held as big ints.  Every
-# subkey is eight planes, a key byte per slice: key additions are XORs of
-# whole planes, F's s-boxes one unkeyed translate per plane and P an XOR of
-# whole planes; FL and FL^-1 work on the four planes of each 32-bit word.
-# encrypt_blocks/decrypt_blocks run the network with one key repeated in
-# every slice; key_schedule_sliced puts a different key in each.
-#
-# The key-sliced schedule: KA is four F rounds keyed by planes of the Sigma
-# constants.  A rotation of KL or KA by 8q + s bits re-indexes the sixteen
-# planes by q and moves s bits between neighbouring planes under masks of
-# one repeated byte (Matsui-Nakajima, CHES 2007).
-
-def _f_round(left, right, n, arg):
-    """left, right = right ^ F(left, key), left; key: eight planes."""
-    key, (boxes, rows) = arg
-    s = [lookup(v ^ k, t, n) for v, k, t in zip(left, key, boxes)]
-    return [r ^ f for r, f in zip(right, gf2.apply_rows(rows, s))], left
-
-
-def _fl_layer(left, right, n, keys):
-    """FL on the left half and FL^-1 on the right; keys: the eight key
-    planes of each, a key byte per slice."""
-    rep = ones(n)
-
-    def or_key(word, key):
-        return [v | k for v, k in zip(word, key)]
-
-    def rotl1_and_key(word, key):
-        # byte i of (word <<< 1) is (b_i << 1) | (b_(i+1) >> 7)
-        a = [v & k for v, k in zip(word, key)]
-        return [((a[i] << 1) & (0xFE * rep)) | ((a[(i + 1) % 4] >> 7) & rep)
-                for i in range(4)]
-
-    k_fl, k_inv = keys
-    yr = xor(rotl1_and_key(left[:4], k_fl[:4]), left[4:])
-    yl = xor(or_key(yr, k_fl[4:]), left[:4])
-    xl = xor(or_key(right[4:], k_inv[4:]), right[:4])
-    xr = xor(rotl1_and_key(xl, k_inv[:4]), right[4:])
-    return yl + yr, xl + xr
-
-
-def _whiten(left, right, n, keys):
-    """XOR key planes into both halves."""
-    k_left, k_right = keys
-    return xor(left, k_left), xor(right, k_right)
-
-
-def _network(planes, rounds):
-    """Whitening, the 18 rounds with their FL layers, whitening."""
-    n = len(planes[0])
-    ints = [int.from_bytes(plane, "little") for plane in planes]
-    left, right = ints[:8], ints[8:]
-    for layer, arg in rounds:
-        left, right = layer(left, right, n, arg)
-    # the output halves are swapped back after the last round
-    return [v.to_bytes(n, "little") for v in right + left]
-
-
-def _program(kw, k, kl, consts: CamelliaConstants):
-    """The network keyed by planes of subkeys in the order used: whitening
-    words kw (pre left, pre right, post left, post right), round keys k
-    and FL keys kl, FL layers after rounds 6 and 12."""
-    rest = (consts.sbox_order, consts.p_rows)
-    rounds = [(_whiten, (kw[0], kw[1]))]
-    fl_keys = iter(kl)
-    for r, key in enumerate(k, 1):
-        rounds.append((_f_round, (key, rest)))
-        if r in FL_LAYER_ROUNDS:
-            rounds.append((_fl_layer, (next(fl_keys), next(fl_keys))))
-    # the post-whitening pair lands on the halves before they swap back
-    rounds.append((_whiten, (kw[3], kw[2])))
-    return [(_network, rounds)]
-
-
-def _repeated(sk: CamelliaSubkeys, decrypt: bool, n: int):
-    """The program for sk in every one of n slices."""
-    rep = ones(n)
-
-    def planes(words):
-        return [[b * rep for b in w.to_bytes(8, "big")] for w in words]
-
-    order = _decrypt_order(sk.kw, sk.k, sk.kl) if decrypt else (sk.kw, sk.k, sk.kl)
-    return _program(*map(planes, order), sk.consts)
-
-
-def _run_blocks(data: bytes, sk: CamelliaSubkeys, decrypt: bool) -> bytes:
-    n = block_count(data, "camellia")
-    if not n:
-        return b""
-    # the key planes are as wide as the batch: keep the program of the last
-    # batch size only
-    programs = sk.batch_tables.setdefault(decrypt, {})
-    if n not in programs:
-        programs.clear()
-        programs[n] = _repeated(sk, decrypt, n)
-    return run_steps(data, programs[n])
-
-
-def encrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
-    """ECB-encrypt a multiple of 16 bytes in one batch; equal to encrypt()
-    on every block."""
-    return _run_blocks(data, sk, False)
-
-
-def decrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:
-    """ECB-decrypt a multiple of 16 bytes in one batch; equal to decrypt()
-    on every block."""
-    return _run_blocks(data, sk, True)
-
-
-class CamelliaSlicedSubkeys(NamedTuple):
-    """kw, k and kl of n keys, each subkey eight planes (most significant
-    byte first), byte i of each plane belonging to key i; consts is the
-    set they were derived with, as in CamelliaSubkeys."""
-
-    n: int
-    kw: tuple
-    k: tuple
-    kl: tuple
-    consts: CamelliaConstants
-
-
-def _rotl_planes(x, r: int, rep: int) -> list[int]:
-    """The sixteen planes of 128-bit values rotated left by r bits."""
-    q, s = divmod(r, 8)
-    if not s:
-        return x[q:] + x[:q]
-    hi, lo = (0xFF << s & 0xFF) * rep, ((1 << s) - 1) * rep
-    return [(x[(b + q) % 16] << s & hi) | (x[(b + q + 1) % 16] >> (8 - s) & lo)
-            for b in range(16)]
-
-
-def key_schedule_sliced(keys: bytes) -> CamelliaSlicedSubkeys:
-    """kw1..4, k1..18 and kl1..4 of every 16-byte key in keys, on planes.
-
-    Slice i holds the subkeys key_schedule(keys[16 i:16 i + 16]) builds.
-    """
-    consts = get_constants()
-    kl_var, n = key_planes(keys, "camellia")
-    rep = ones(n)
-    rest = (consts.sbox_order, consts.p_rows)
-    left, right = kl_var[:8], kl_var[8:]
-    for r, sigma in enumerate(SIGMA[:4]):
-        key = [b * rep for b in sigma.to_bytes(8, "big")]
-        left, right = _f_round(left, right, n, (key, rest))
-        if r == 1:
-            left, right = xor(left, kl_var[:8]), xor(right, kl_var[8:])
-    ka_var = left + right
-
-    kl_rot = {r: _rotl_planes(kl_var, r, rep) for r in (0, 15, 45, 60, 77, 94, 111)}
-    ka_rot = {r: _rotl_planes(ka_var, r, rep) for r in (0, 15, 30, 45, 60, 94, 111)}
-
-    def halves(x):
-        return x[:8], x[8:]
-
-    return CamelliaSlicedSubkeys(
-        n,
-        kw=(*halves(kl_rot[0]), *halves(ka_rot[111])),
-        k=(*halves(ka_rot[0]), *halves(kl_rot[15]), *halves(ka_rot[15]),
-           *halves(kl_rot[45]), ka_rot[45][:8], kl_rot[60][8:], *halves(ka_rot[60]),
-           *halves(kl_rot[94]), *halves(ka_rot[94]), *halves(kl_rot[111])),
-        kl=(*halves(ka_rot[30]), *halves(kl_rot[77])),
-        consts=consts,
-    )
-
-
-def encrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
-    """Encrypt block i of data under key i of a key-sliced schedule; equal
-    to encrypt() of every block under its own key_schedule()."""
-    return run_sliced(data, "camellia", sk.n, _program(sk.kw, sk.k, sk.kl, sk.consts))
-
-
-def decrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:
-    """Decrypt block i of data under key i of a key-sliced schedule."""
-    return run_sliced(data, "camellia", sk.n,
-                      _program(*_decrypt_order(sk.kw, sk.k, sk.kl), sk.consts))
+    return _run(block, sk.consts, *decrypt_order(sk.kw, sk.k, sk.kl))

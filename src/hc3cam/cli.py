@@ -4,7 +4,7 @@
     hc3cam decrypt  --cipher hc3|camellia --key <hex32> --in F --out G
     hc3cam kat      --cipher hc3|camellia --vectors F
     hc3cam bench    --cipher hc3|camellia --blocks N
-    hc3cam simulate --variant V [--blocks N] [--clock-mhz F] [--profile-file F]
+    hc3cam simulate (--variant V | --profile-file F) [--blocks N] [--clock-mhz F]
 
 Exit codes: 0 success, 1 known-answer verification mismatch, 2 usage or
 format error, 141 (128 + SIGPIPE) when the reader of standard output closed
@@ -20,18 +20,15 @@ runs them key-sliced, CHUNK_BLOCKS records at a time: one
 key_schedule_sliced per chunk, then encrypt_sliced of the plaintexts and
 decrypt_sliced of the ciphertexts.  simulate checks every block the device
 model produced against the batch engine, one encrypt_blocks call per
-CHUNK_BLOCKS blocks.  A command imports only the cipher package it runs,
-and only simulate imports archsim.
+CHUNK_BLOCKS blocks.
 
-A process (`python -m hc3cam.cli`, the `hc3cam` script) runs main()
-through run(), which freezes the heap before it exits, so CPython's
-collections at shutdown walk none of it.  On a 2-core Xeon with CPython
-3.11.7 that took the time from main() returning to the process being
-reaped from ≈12–16 ms to ≈3.5–5 ms for every command.  What is left of a
-process is the interpreter and `site` (≈57–63 ms for `python -c pass`,
-≈12 ms of it without `site`), compiling hc3cam's source when no bytecode
-is cached, as under PYTHONDONTWRITEBYTECODE=1 (≈20–30 ms of CPU per
-command against a precompiled copy), and the command's own work.
+A command compiles only the modules it runs (see hc3cam.hc3 and
+hc3cam.camellia): encrypt, decrypt and bench its cipher's per-key
+schedule and batch engine, kat the key-sliced engine, simulate archsim
+and, from one block on, the datapath's per-block rounds and schedule and
+the batch engine.  A process (`python -m hc3cam.cli`, the `hc3cam`
+script) runs main() through run(), which freezes the heap before it
+exits, so CPython's collections at shutdown walk none of it.
 """
 
 from __future__ import annotations
@@ -421,11 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the datapath model")
     p_sim.set_defaults(func=cmd_simulate)
-    p_sim.add_argument("--variant", default=None, help=", ".join(VARIANTS))
+    board = p_sim.add_mutually_exclusive_group()
+    board.add_argument("--variant", default=None, help=", ".join(VARIANTS))
+    board.add_argument("--profile-file", default=None,
+                       help="load a profile description instead of a built-in")
     p_sim.add_argument("--blocks", type=int, default=1)
     p_sim.add_argument("--clock-mhz", type=float, default=None)
-    p_sim.add_argument("--profile-file", default=None,
-                       help="load a profile description instead of a built-in")
     p_sim.add_argument("--trace", action="store_true",
                        help="print the per-cycle trace of the last block")
     return parser

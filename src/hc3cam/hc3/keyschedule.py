@@ -19,8 +19,8 @@ Z(9 - t) to Z(8 - t), states the forward walk reached, with the V word
 of forward step 9 - t: the 1600-bit cache and the key-sliced schedule
 read them from their forward walk; walk_schedule computes every step.
 
-key_schedule_sliced runs the same schedule for a batch of keys at once
-on byte planes (hc3cam.planes), one key per slice.
+hc3cam.hc3.sliced runs the same schedule for a batch of keys at once on
+byte planes, one key per slice.
 """
 
 from __future__ import annotations
@@ -28,12 +28,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .. import gf2
-from ..planes import key_planes, lookup, ones, xor
 from .constants import Hc3Constants, get_constants
-
-T_ROUNDS = 6   # rounds of the 128-bit-key cipher
-T_TURN = 4     # last forward (sigma) step of the schedule
+from .steps import SCHEDULE_ROWS, T_ROUNDS, T_TURN
 
 MASK64 = (1 << 64) - 1
 
@@ -52,22 +48,12 @@ class RoundKey256(NamedTuple):
     k4: int
 
 
-class ScheduleRow(NamedTuple):
-    step: int
-    op: str        # "sigma0" | "sigma" | "sigma_inv"
-    g_index: int   # index into the G0 constant table
+def key_halves(rk) -> tuple[int, int]:
+    """(K1 K2, K3 K4) of a round key's four words as two 128-bit ints: the
+    halves XS adds before and after MDS-lower."""
+    k1, k2, k3, k4 = rk
+    return k1 << 64 | k2, k3 << 64 | k4
 
-
-SCHEDULE_ROWS: tuple[ScheduleRow, ...] = (
-    ScheduleRow(0, "sigma0", 5),
-    ScheduleRow(1, "sigma", 0),
-    ScheduleRow(2, "sigma", 1),
-    ScheduleRow(3, "sigma", 2),
-    ScheduleRow(4, "sigma", 3),
-    ScheduleRow(5, "sigma_inv", 3),
-    ScheduleRow(6, "sigma_inv", 2),
-    ScheduleRow(7, "sigma_inv", 1),
-)
 
 MODES = ("full_precompute", "cached_1600")
 
@@ -96,7 +82,7 @@ class Hc3KeySchedule:
         # every block, so a set loaded later can never be paired with these keys
         self.consts = consts
         self.intermediate_cache = intermediate_cache
-        # per-key tables of the batch engine (cipher.encrypt_blocks), by
+        # per-key tables of the batch engine (batch.encrypt_blocks), by
         # direction, built on first use
         self.batch_tables = {}
 
@@ -269,76 +255,3 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
     cache = Cache1600((z0, *(IntermediateKey(*z) for _, _, z in steps[:T_TURN])),
                       tuple(v for _, v, _ in steps))
     return Hc3KeySchedule(_keys_from_cache(cache, consts), mode, consts, cache)
-
-
-# --- key-sliced schedule ------------------------------------------------------
-#
-# A 64-bit word of a batch is eight planes, its most significant byte
-# first.  M_5E/M_B3, P(16) and P(32) XOR whole 8-, 16- and 32-bit lanes, so
-# at each byte offset of a lane they are gf2.apply_rows over planes; the
-# s-boxes of F-sigma are the only translates.
-
-class Hc3SlicedSchedule(NamedTuple):
-    """K(1)..K(7) of n keys: round key t is 32 planes, K1 K2 K3 K4 in
-    order, byte i of each plane belonging to key i; consts is the set
-    they were derived with, as in Hc3KeySchedule."""
-
-    n: int
-    round_keys: tuple[tuple[int, ...], ...]
-    consts: Hc3Constants
-
-
-def _lane_layer(rows, planes, per: int) -> list[int]:
-    """A lane-selection layer over lanes of `per` bytes (gf2 row masks)."""
-    out = [0] * len(planes)
-    for k in range(per):
-        out[k::per] = gf2.apply_rows(rows, planes[k::per])
-    return out
-
-
-def _f_sigma_planes(x, n: int, consts: Hc3Constants) -> list[int]:
-    return _lane_layer(consts.p16_rows, [lookup(v, consts.sbox, n) for v in x], 2)
-
-
-def _sigma_planes(z, g, n: int, consts: Hc3Constants):
-    """_sigma_step on planes: the next state, as a tuple of four words, and
-    P(32) of z3 || z4, the W1 || W2 of the sigma-inverse step back."""
-    z1, z2, z3, z4 = z
-    w = _lane_layer(consts.p32_rows, z3 + z4, 4)
-    z3 = xor(_lane_layer(consts.m5e_rows, w[:8], 1), g)
-    z4 = _lane_layer(consts.m5e_rows, w[8:], 1)
-    return (z2, xor(z1, _f_sigma_planes(xor(z2, z3), n, consts)), z3, z4), w
-
-
-def key_schedule_sliced(keys: bytes) -> Hc3SlicedSchedule:
-    """K(1)..K(7) of every 16-byte key in keys, on planes.
-
-    Slice i holds the round keys key_schedule(keys[16 i:16 i + 16]) builds
-    in every mode.
-    """
-    consts = get_constants()
-    k, n = key_planes(keys, "hc3")
-    one = ones(n)
-
-    def word(value):
-        return [(value >> 8 * (7 - i) & 0xFF) * one for i in range(8)]
-
-    z = [_sigma_planes((k[:8], k[8:], word(consts.pad_h3), word(consts.pad_h2)),
-                       word(consts.g0[SCHEDULE_ROWS[0].g_index]), n, consts)[0]]
-    v, w, keys_out = [None], [None], []
-    for t in range(1, T_TURN + 1):
-        prev = z[t - 1]
-        nxt, w_t = _sigma_planes(prev, word(consts.g0[SCHEDULE_ROWS[t].g_index]), n, consts)
-        vt = _f_sigma_planes(xor(prev[1], prev[2]), n, consts)
-        keys_out.append((*xor(prev[0], vt), *xor(nxt[2], vt), *xor(nxt[3], vt),
-                         *xor(prev[1], nxt[3])))
-        z.append(nxt)
-        v.append(vt)
-        w.append(w_t)
-    # step 9 - s walks back from Z(s) to Z(s - 1), with the V and the
-    # P(32) output of forward step s as its V and W1 || W2
-    for s in range(T_TURN, 1, -1):
-        prev, nxt, vt, w1, w2 = z[s], z[s - 1], v[s], w[s][:8], w[s][8:]
-        keys_out.append((*xor(nxt[0], prev[2]), *xor(w1, vt), *xor(w2, vt),
-                         *xor(prev[0], w2)))
-    return Hc3SlicedSchedule(n, tuple(keys_out), consts)

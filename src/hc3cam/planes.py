@@ -18,39 +18,6 @@ translate, and the key schedules run on the planes too.
 from __future__ import annotations
 
 BLOCK_BYTES = 16
-# bytes(range(256)) and 256 bytes of 1 as ints: ID_INT ^ k * ONES_256 is
-# the table x -> x ^ k in one XOR
-ID_INT = int.from_bytes(bytes(range(256)), "big")
-ONES_256 = int.from_bytes(b"\x01" * 256, "big")
-
-
-def keyed_tables(box: bytes, key: bytes, inverse: bool = False) -> tuple[bytes, ...]:
-    """Per-plane tables of an s-box layer with a key addition: box[x ^ k_p]
-    (key added before the box), or box[x] ^ k_p (after) if inverse."""
-    out = []
-    for k in key:
-        xor = (ID_INT ^ k * ONES_256).to_bytes(256, "big")
-        out.append(box.translate(xor) if inverse else xor.translate(box))
-    return tuple(out)
-
-
-def sub(planes, tables):
-    """One translate per plane."""
-    return [plane.translate(table) for plane, table in zip(planes, tables)]
-
-
-def run_program(data: bytes, cipher: str, programs: dict, direction: bool, build) -> bytes:
-    """Run the steps of programs[direction] on the planes of data.
-
-    build() makes the steps on the first call with data; programs is the
-    key schedule's cache of them.
-    """
-    if not block_count(data, cipher):
-        return b""
-    steps = programs.get(direction)
-    if steps is None:
-        steps = programs[direction] = build()
-    return run_steps(data, steps)
 
 
 def block_count(data: bytes, cipher: str) -> int:

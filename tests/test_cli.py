@@ -408,6 +408,24 @@ def test_simulate_profile_file(tmp_path, capsys):
         assert f"{f}:{len(text.splitlines()) + 1}: " in err
 
 
+@pytest.mark.parametrize("variant", ["hc3-long", "nosuch"])
+@pytest.mark.parametrize("profile_first", [False, True])
+def test_simulate_variant_and_profile_file_exclude_each_other(tmp_path, capsys, variant,
+                                                              profile_first):
+    # neither option silently overrides the other, whichever comes first
+    from hc3cam import archsim
+    f = tmp_path / "board.profile"
+    f.write_text(archsim.format_profile(archsim.PROFILES["camellia-lu3"]))
+    options = [["--variant", variant], ["--profile-file", str(f)]]
+    if profile_first:
+        options.reverse()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", *options[0], *options[1], "--blocks", "0"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "not allowed with argument" in out.err
+
+
 def test_unreadable_inputs_are_usage_errors(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"KEY=\xff\n")

@@ -80,6 +80,45 @@ def test_simulate_hc3_loads_no_camellia(blocks, cipher):
     assert mods & {"hc3cam.hc3", "hc3cam.camellia"} == cipher
 
 
+# Each cipher package is split by engine: kat runs the key-sliced one;
+# encrypt, decrypt, bench and simulate's check the single-key batch one
+# with the per-key schedule; the per-block reference rounds serve the
+# tests and archsim's datapaths
+KAT_FREE = {"hc3cam.hc3.cipher", "hc3cam.hc3.keyschedule", "hc3cam.hc3.batch",
+            "hc3cam.hc3.linear", "hc3cam.camellia.cipher", "hc3cam.camellia.batch"}
+SLICED = {"hc3cam.hc3.sliced", "hc3cam.camellia.sliced"}
+SIMULATED = {"hc3": "hc3-long", "camellia": "camellia-lu3"}
+
+
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+def test_kat_loads_only_the_key_sliced_engine(cipher):
+    mods = imported_by(["kat", "--cipher", cipher, "--vectors",
+                        str(DATA / "kat" / f"{cipher}.kat")])
+    assert f"hc3cam.{cipher}.sliced" in mods
+    assert not mods & KAT_FREE
+
+
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "bench", "simulate"])
+def test_single_key_commands_load_no_key_sliced_engine(command, cipher, tmp_path):
+    argv = {"bench": ["bench", "--cipher", cipher, "--blocks", "1"],
+            "simulate": ["simulate", "--variant", SIMULATED[cipher], "--blocks", "1"]}.get(
+        command) or crypt_args(tmp_path, command, cipher)
+    mods = imported_by(argv)
+    assert f"hc3cam.{cipher}.batch" in mods
+    assert not mods & SLICED
+
+
+@pytest.mark.parametrize("package", ["hc3cam.hc3", "hc3cam.camellia"])
+def test_importing_a_cipher_package_imports_no_submodule(package):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = f"import sys, {package}; print(*(m for m in sys.modules if m.startswith('{package}.')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
+
+
 COMMANDS = {
     "encrypt": lambda tmp: crypt_args(tmp, "encrypt", "hc3"),
     "decrypt": lambda tmp: crypt_args(tmp, "decrypt", "camellia"),
@@ -157,7 +196,7 @@ def test_camellia_f_tables_built_on_first_use(monkeypatch):
     from hc3cam import camellia
     consts = cam_constants.CamelliaConstants(
         ctab.parse((DATA / "camellia.ctab").read_text()))
-    monkeypatch.setattr(camellia.cipher, "get_constants", lambda: consts)
+    monkeypatch.setattr(camellia.sliced, "get_constants", lambda: consts)
     sk = camellia.key_schedule_sliced(bytes(32))
     camellia.decrypt_sliced(camellia.encrypt_sliced(bytes(32), sk), sk)
     assert sk.consts is consts and "f_tables" not in vars(consts)

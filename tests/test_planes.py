@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hc3cam import planes
+from hc3cam.hc3 import batch
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -17,4 +17,4 @@ def test_keyed_tables_match_generator_form(inverse):
         for k in key:
             xor = bytes(x ^ k for x in range(256))
             want.append(box.translate(xor) if inverse else xor.translate(box))
-        assert planes.keyed_tables(box, key, inverse) == tuple(want)
+        assert batch.keyed_tables(box, key, inverse) == tuple(want)
