@@ -9,7 +9,8 @@ committed summary, BENCH_<n>.json.
 Reads the end-to-end records (``*-trace0.json``) of both sides, pairs them
 by workload and seed, and writes for every workload and every end-to-end
 metric that BENCHMARK.json declares: each side's runs, median and
-quartiles, and in how many pairs the change did better; and, for the
+quartiles, in how many pairs the change did better, and a verdict
+(gain, regression, unresolved or level; see verdict()); and, for the
 workloads that run ``simulate``, each side's median per-variant host rate
 (the "host ... blocks/s" of every record's simulate lines) and in how many
 pairs the change's rate of each variant was higher.  With --layers it
@@ -59,6 +60,34 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(better: str, bound: float, parent: list[float], change: list[float]) -> str:
+    """One metric's verdict over paired runs:
+
+    - gain: the change is better in at least 9/10 of the pairs (ties count
+      for neither side), and its median is better than the parent's by
+      more than the parent's quartile spread;
+    - regression: the change's median is worse than the parent's by more
+      than the bound, a fraction of the parent's median;
+    - unresolved: the parent's quartile spread is wider than the bound,
+      unless every change run is better than every parent run;
+    - level: none of these.
+    """
+    sign = 1 if better == "higher" else -1
+    p = [sign * x for x in parent]
+    c = [sign * y for y in change]
+    spread_p = spread(p)
+    iqr, base = spread_p["q3"] - spread_p["q1"], bound * abs(median(parent))
+    wins = sum(y > x for x, y in zip(p, c))
+    step = median(c) - median(p)
+    if 10 * wins >= 9 * len(p) and step > iqr:
+        return "gain"
+    if step < -base:
+        return "regression"
+    if iqr > base and not min(c) > max(p):
+        return "unresolved"
+    return "level"
+
+
 def paired(parent: dict, change: dict, spec: dict):
     """(workload, seeds, [(parent record, change record)]) of every
     workload that both sides ran with some seed."""
@@ -97,7 +126,8 @@ def summarise(parent: dict, change: dict, spec: dict) -> dict:
             wins = sum((y > x) if m["better"] == "higher" else (y < x) for x, y in zip(p, c))
             metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                              "parent": spread(p), "change": spread(c),
-                             "change_better_pairs": f"{wins}/{len(pairs)}"}
+                             "change_better_pairs": f"{wins}/{len(pairs)}",
+                             "verdict": verdict(m["better"], m["bound"], p, c)}
         out[workload] = {
             "seeds": seeds,
             "attempted": {"parent": sum(a["attempted"] for a, _ in pairs),
@@ -148,6 +178,7 @@ def main(argv=None) -> int:
                    f"--seconds {spec['run_seconds']} --trace 0",
         "pairing": "one parent and one change run per seed, alternating which runs first",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+        "verdict": " ".join(verdict.__doc__.split()),
         "provenance": {"parent": parent_stamp, "change": change_stamp},
         "workloads": summarise(parent, change, spec),
     }

@@ -9,9 +9,9 @@ check) and sliced the key-sliced schedule and engine (kat).  All of them
 read constants and steps.
 """
 
-from .._lazy import exports
+from .. import _lazy
 
-__all__, __getattr__, __dir__ = exports(__name__, {
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, {
     "cipher": "SUBKEY_ROTATIONS CamelliaSubkeys KeyVars decrypt encrypt f_function fl "
               "fl_inv key_schedule p_layer reverse_subkeys sbox_layer",
     "batch": "decrypt_blocks encrypt_blocks",

@@ -9,9 +9,9 @@ and sliced the key-sliced schedule and engine (kat).  All of them read
 constants and steps.
 """
 
-from .._lazy import exports
+from .. import _lazy
 
-__all__, __getattr__, __dir__ = exports(__name__, {
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, {
     "cipher": "decrypt encrypt key_addition merged_xs rho rho_inv xs xs_core xs_inv",
     "batch": "decrypt_blocks encrypt_blocks",
     "sliced": "Hc3SlicedSchedule decrypt_sliced encrypt_sliced key_schedule_sliced",

@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .constants import Hc3Constants, get_constants
-from .steps import SCHEDULE_ROWS, T_ROUNDS, T_TURN
+from .steps import SCHEDULE_ROWS, T_TURN
 
 MASK64 = (1 << 64) - 1
 

@@ -173,3 +173,56 @@ def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
     assert hosts["change_better_pairs"] == {"camellia-lu3": "1/3", "hc3-short": "3/3"}
     # a workload without simulate lines gets no such entry
     assert "simulate_host_blocks_per_s" not in workloads["many-keys"]
+
+
+def test_bench_summary_verdicts(tmp_path, monkeypatch):
+    import json
+    module = load_script("bench_summary", monkeypatch)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
+             "platform": "p", "ctab": []}
+    assert {m["name"]: m["bound"] for m in spec["end_to_end"]} == {
+        "setup_s": 0.25, "hc3_blocks_per_s": 0.25, "camellia_blocks_per_s": 0.25,
+        "peak_rss_mib": 0.05}
+    # ten pairs per metric, parent then change
+    runs = {
+        # 10/10 pairs better, medians 20 apart against a quartile spread of 4.5
+        "hc3_blocks_per_s": ([100 + i for i in range(10)], [120 + i for i in range(10)]),
+        # the median 30 % lower, against a 25 % bound
+        "camellia_blocks_per_s": ([100.0] * 10, [70.0] * 10),
+        # lower is better; the parent's spread (1.0 against 1.5) exceeds 25 %
+        "setup_s": ([1.0, 2.0] * 5, [1.1, 1.9] * 5),
+        # 0.5 % worse against a 5 % bound, and no spread
+        "peak_rss_mib": ([20.0] * 10, [20.1] * 10),
+    }
+    for seed in range(10):
+        for side, i, commit in (("parent", 0, "c0"), ("change", 1, "c1")):
+            record = {"workload": "bulk-ecb", "seed": seed, "attempted": 4, "failed": 0,
+                      "metrics": {name: {"value": values[i][seed], "unit": "u"}
+                                  for name, values in runs.items()},
+                      "provenance": dict(stamp, commit=commit)}
+            (tmp_path / side).mkdir(exist_ok=True)
+            (tmp_path / side / f"bulk-ecb-seed{seed}-trace0.json").write_text(
+                json.dumps(record))
+    out = tmp_path / "BENCH.json"
+    module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--out", str(out)])
+    metrics = json.loads(out.read_text())["workloads"]["bulk-ecb"]["metrics"]
+    assert {name: m["verdict"] for name, m in metrics.items()} == {
+        "setup_s": "unresolved", "hc3_blocks_per_s": "gain",
+        "camellia_blocks_per_s": "regression", "peak_rss_mib": "level"}
+
+    verdict = module.verdict
+    parent = [100 + i for i in range(10)]
+    # 8/10 pairs are too few for a gain, however far apart the medians
+    assert verdict("higher", 0.25, parent, [200, 200, 200, 200, 200, 200, 200, 200, 0, 0]) \
+        == "level"
+    # 9/10 pairs, but a median step inside the parent's quartile spread
+    assert verdict("higher", 0.25, parent, [p + 1 for p in parent[:9]] + [0]) == "level"
+    # a wide parent spread is resolved when every change run beats every parent run
+    wide = [1.0, 2.0] * 5
+    assert verdict("lower", 0.25, wide, [0.9] * 10) == "level"
+    assert verdict("lower", 0.25, wide, [0.9] * 9 + [2.5]) == "unresolved"
+    # lower is better: a median 30 % higher is a regression, 30 % lower a gain
+    assert verdict("lower", 0.25, [1.0] * 10, [1.3] * 10) == "regression"
+    assert verdict("lower", 0.25, [1.0] * 10, [0.7] * 10) == "gain"
