@@ -4,11 +4,11 @@ Four HIEROCRYPT-3 projects (short setup, long setup, very long setup,
 extensive) and one loop-unrolled-by-3 Camellia project are modeled as
 two-phase devices: a setup phase that precomputes key material and a
 work phase that processes one 128-bit block in a fixed number of clock
-cycles.  Each datapath is a per-key setup function, whose product the
-device holds, and a per-block work function run against it; run_block
-keeps the last setup product in a one-entry key register, and a Device
-runs the blocks of one key between the handshake's setup and WORK
-pulses.  Every work cycle executes the real cipher sub-operations, so a
+cycles.  Each datapath is a per-key setup function that returns the
+per-block work function, with the key material and every table it reads
+bound in; run_block keeps the last one in a one-entry key register, and
+a Device runs the blocks of one key between the handshake's setup and
+WORK pulses.  Every work cycle executes the real cipher sub-operations, so a
 trace's ciphertext is checkable against the functional model; latencies
 and resource figures are metadata, not gate-level timing.
 
@@ -21,13 +21,10 @@ from __future__ import annotations
 import math
 import shlex
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from types import ModuleType
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
-
-if TYPE_CHECKING:
-    from .camellia import CamelliaSubkeys
+from typing import Callable, NamedTuple
 
 
 class MicroOp(NamedTuple):
@@ -240,17 +237,14 @@ class CycleRecord(NamedTuple):
 
 
 class BlockTrace(NamedTuple):
-    variant: str
     cycles: tuple[CycleRecord, ...]
     ciphertext: bytes
 
 
-# A datapath's setup and work take its cipher package, hc3 or cam, and look
-# its functions up at call time: a substituted key_schedule sees the call.
-
-def _hold_z0(hc3: ModuleType, key: bytes, consts) -> tuple:
-    return consts, hc3.pad_and_prewhiten(key, consts)
-
+# A datapath is its setup, setup(package, key, consts) -> work, run once
+# per key: it reads its cipher package, hc3 or cam, at call time (a
+# substituted key_schedule sees the call) and returns work(block) ->
+# BlockTrace with everything a block reads bound in.
 
 # Each datapath's per-cycle op labels, built once: hc3-short's cycle r + 1
 # runs round r beside the key round of schedule step r + 1 (sigma up to
@@ -277,53 +271,47 @@ def _cached_ops(merged: bool, merge_xs_ak: bool) -> tuple[tuple[str, ...], ...]:
     return tuple(ops)
 
 
-def _run_hc3(variant: str, hc3: ModuleType, consts, keys, block: bytes, ops,
-             merged: bool = False, merge_xs_ak: bool = False) -> BlockTrace:
-    """Five rho rounds, XS and AK on one integer state.  keys yields the
-    (K1 K2, K3 K4) pair of K(1)..K(7) in order; a rho round is the XS core
-    followed by the s-box-fused MDS-higher map, and bytes are made for each
-    cycle's state."""
-    core, fused = hc3.xs_core, consts.sbox_mds_h_map
-    keys = iter(keys)
-    v = int.from_bytes(block, "big")
-    cycles = [_new(CycleRecord, (1, ops[0], block))]
-    for r in range(1, 6):
-        k12, k34 = next(keys)
-        v = fused(core(v, k12, k34, consts, merged))
-        cycles.append(_new(CycleRecord, (r + 1, ops[r], v.to_bytes(16, "big"))))
-    k12, k34 = next(keys)
-    x = core(v, k12, k34, consts, merged).translate(consts.sbox)
-    ct = (int.from_bytes(x, "big") ^ next(keys)[0]).to_bytes(16, "big")
-    if merge_xs_ak:
-        cycles.append(_new(CycleRecord, (7, ops[6], ct)))
+def _hc3_setup(hc3: ModuleType, key: bytes, consts, short: bool = False,
+               merged: bool = False, merge_xs_ak: bool = False):
+    """An HC3 datapath: five rho rounds, XS and AK on one integer state, a
+    rho round being the XS core followed by the s-box-fused MDS-higher map.
+    round_keys() yields the (K1 K2, K3 K4) pairs of K(1)..K(7) in order.
+
+    short holds only Z(0) and regenerates the seven round keys from it for
+    every block, each as its round takes it; the last cycle restores the
+    round-1 state for the next one.  Otherwise the keys are derived once
+    from the 1600-bit cache and read.  merged runs XS on the fused
+    s-box/MDS-lower tables; merge_xs_ak runs XS and AK in one cycle.
+    """
+    core, fused, sbox = hc3.xs_core, consts.sbox_mds_h_map, consts.sbox
+    if short:
+        ops, halves, walk = _HC3_SHORT_OPS, hc3.key_halves, hc3.walk_schedule
+        z0 = hc3.pad_and_prewhiten(key, consts)
+
+        def round_keys():
+            return (halves(k) for k, _, _ in walk(z0, consts))
     else:
-        cycles += (_new(CycleRecord, (7, ops[6], x)), _new(CycleRecord, (8, ops[7], ct)))
-    return BlockTrace(variant, tuple(cycles), ct)
+        ops = _cached_ops(merged, merge_xs_ak)
+        ks = hc3.key_schedule(key, "cached_1600", consts)
+        round_keys = tuple(map(hc3.key_halves, ks.round_keys)).__iter__
 
-
-def _run_hc3_short(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
-    # Only Z(0) is held; the seven round keys are regenerated from it for
-    # every block, each as its round takes it, and the last cycle restores
-    # the round-1 state for the next one.
-    consts, z0 = held
-    keys = (hc3.key_halves(key) for key, _, _ in hc3.walk_schedule(z0, consts))
-    return _run_hc3("hc3-short", hc3, consts, keys, block, _HC3_SHORT_OPS)
-
-
-def _hold_cache_1600(hc3: ModuleType, key: bytes, consts) -> tuple:
-    ks = hc3.key_schedule(key, "cached_1600", consts)
-    return ks, tuple(map(hc3.key_halves, ks.round_keys))
-
-
-def _cached_work(variant: str, merged: bool, merge_xs_ak: bool):
-    """The work function of a datapath holding _hold_cache_1600's product:
-    the round keys are read, not regenerated.  merged runs XS on the fused
-    s-box/MDS-lower tables; merge_xs_ak runs XS and AK in one cycle."""
-    ops = _cached_ops(merged, merge_xs_ak)
-
-    def work(hc3: ModuleType, held: tuple, block: bytes) -> BlockTrace:
-        ks, keys = held
-        return _run_hc3(variant, hc3, ks.consts, keys, block, ops, merged, merge_xs_ak)
+    def work(block: bytes) -> BlockTrace:
+        # bytes are made for each cycle's state
+        keys = round_keys()
+        v = int.from_bytes(block, "big")
+        cycles = [_new(CycleRecord, (1, ops[0], block))]
+        for r in range(1, 6):
+            k12, k34 = next(keys)
+            v = fused(core(v, k12, k34, consts, merged))
+            cycles.append(_new(CycleRecord, (r + 1, ops[r], v.to_bytes(16, "big"))))
+        k12, k34 = next(keys)
+        x = core(v, k12, k34, consts, merged).translate(sbox)
+        ct = (int.from_bytes(x, "big") ^ next(keys)[0]).to_bytes(16, "big")
+        if merge_xs_ak:
+            cycles.append(_new(CycleRecord, (7, ops[6], ct)))
+        else:
+            cycles += (_new(CycleRecord, (7, ops[6], x)), _new(CycleRecord, (8, ops[7], ct)))
+        return _new(BlockTrace, (tuple(cycles), ct))
     return work
 
 
@@ -339,42 +327,38 @@ _CAMELLIA_LU3_OPS = (
 )
 
 
-def _hold_subkeys(cam: ModuleType, key: bytes, consts) -> CamelliaSubkeys:
-    return cam.key_schedule(key, consts)
-
-
-def _run_camellia_lu3(cam: ModuleType, sk: CamelliaSubkeys, block: bytes) -> BlockTrace:
+def _camellia_lu3_setup(cam: ModuleType, key: bytes, consts):
+    sk = cam.key_schedule(key, consts)
     k, kl, kw = sk.k, sk.kl, sk.kw
     f = sk.consts.f_map         # F of (x ^ k) as 8 bytes; both halves stay 64-bit
-    m = int.from_bytes(block, "big")
-    left, right = (m >> 64) ^ kw[0], (m & ((1 << 64) - 1)) ^ kw[1]
-    cycles = []
-    for i, ops in enumerate(_CAMELLIA_LU3_OPS):
-        r = 3 * i
-        left, right = right ^ f((left ^ k[r]).to_bytes(8, "big")), left
-        left, right = right ^ f((left ^ k[r + 1]).to_bytes(8, "big")), left
-        left, right = right ^ f((left ^ k[r + 2]).to_bytes(8, "big")), left
-        if i == 1 or i == 3:
-            left, right = cam.fl(left, kl[i - 1]), cam.fl_inv(right, kl[i])
-        elif i == 5:
-            left, right = right ^ kw[2], left ^ kw[3]
-        state = (left << 64 | right).to_bytes(16, "big")
-        cycles.append(_new(CycleRecord, (i + 1, ops, state)))
-    return BlockTrace("camellia-lu3", tuple(cycles), cycles[-1].state)
+    fl, fl_inv = cam.fl, cam.fl_inv
+
+    def work(block: bytes) -> BlockTrace:
+        m = int.from_bytes(block, "big")
+        left, right = (m >> 64) ^ kw[0], (m & ((1 << 64) - 1)) ^ kw[1]
+        cycles = []
+        for i, ops in enumerate(_CAMELLIA_LU3_OPS):
+            r = 3 * i
+            left, right = right ^ f((left ^ k[r]).to_bytes(8, "big")), left
+            left, right = right ^ f((left ^ k[r + 1]).to_bytes(8, "big")), left
+            left, right = right ^ f((left ^ k[r + 2]).to_bytes(8, "big")), left
+            if i == 1 or i == 3:
+                left, right = fl(left, kl[i - 1]), fl_inv(right, kl[i])
+            elif i == 5:
+                left, right = right ^ kw[2], left ^ kw[3]
+            state = (left << 64 | right).to_bytes(16, "big")
+            cycles.append(_new(CycleRecord, (i + 1, ops, state)))
+        return _new(BlockTrace, (tuple(cycles), state))
+    return work
 
 
-class Datapath(NamedTuple):
-    cipher: str                                            # "hc3" or "camellia"
-    setup: Callable[[ModuleType, bytes, Any], Any]         # (package, key, constants) -> held
-    work: Callable[[ModuleType, Any, bytes], BlockTrace]   # (package, held, block) -> trace
-
-
-_DATAPATHS: dict[str, Datapath] = {
-    "hc3-short": Datapath("hc3", _hold_z0, _run_hc3_short),
-    "hc3-long": Datapath("hc3", _hold_cache_1600, _cached_work("hc3-long", False, False)),
-    "hc3-verylong": Datapath("hc3", _hold_cache_1600, _cached_work("hc3-verylong", False, True)),
-    "hc3-extensive": Datapath("hc3", _hold_cache_1600, _cached_work("hc3-extensive", True, True)),
-    "camellia-lu3": Datapath("camellia", _hold_subkeys, _run_camellia_lu3),
+# datapath -> (cipher, setup)
+_DATAPATHS: dict[str, tuple[str, Callable]] = {
+    "hc3-short": ("hc3", partial(_hc3_setup, short=True)),
+    "hc3-long": ("hc3", _hc3_setup),
+    "hc3-verylong": ("hc3", partial(_hc3_setup, merge_xs_ak=True)),
+    "hc3-extensive": ("hc3", partial(_hc3_setup, merged=True, merge_xs_ak=True)),
+    "camellia-lu3": ("camellia", _camellia_lu3_setup),
 }
 
 
@@ -384,21 +368,22 @@ _HC3CAM = sys.modules[__package__]
 
 
 @lru_cache(maxsize=1)
-def _key_register(datapath: str, key: bytes, consts) -> Any:
-    """The device's one-entry key register: the setup product for the last
-    (datapath, key, constant set) seen.  Both constants classes hash by
-    identity, so a set loaded from another .ctab re-runs setup."""
-    dp = _DATAPATHS[datapath]
-    return dp.setup(getattr(_HC3CAM, dp.cipher), key, consts)
+def _key_register(datapath: str, key: bytes, consts) -> Callable[[bytes], BlockTrace]:
+    """The device's one-entry key register: the work function setup
+    returned for the last (datapath, key, constant set) seen.  Both
+    constants classes hash by identity, so a set loaded from another
+    .ctab re-runs setup."""
+    cipher, setup = _DATAPATHS[datapath]
+    return setup(getattr(_HC3CAM, cipher), key, consts)
 
 
 def run_block(profile: ArchProfile, key: bytes, block: bytes, consts=None) -> BlockTrace:
     """Execute one block through the variant's per-cycle work schedule.
 
-    Setup runs once per key: its product is held in a one-entry register
-    and rebuilt only when the datapath, the key or the constant set
-    changes.  The set is consts, else the cipher's get_constants().  Work
-    runs for every block against it.
+    Setup runs once per key: the work function it returns is held in a
+    one-entry register and rebuilt only when the datapath, the key or the
+    constant set changes.  The set is consts, else the cipher's
+    get_constants().  Work runs for every block.
     """
     dp = _DATAPATHS.get(profile.datapath)
     if dp is None:
@@ -408,12 +393,10 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes, consts=None) -> Bl
         )
     if len(block) != 16:
         raise ValueError(f"{profile.variant}: block must be 16 bytes, got {len(block)}")
-    package = getattr(_HC3CAM, dp.cipher)
-    # bytes(key): a bytearray key must hash for the register
     if consts is None:
-        consts = package.get_constants()
-    held = _key_register(profile.datapath, bytes(key), consts)
-    trace = dp.work(package, held, block)
+        consts = getattr(_HC3CAM, dp[0]).get_constants()
+    # bytes(key): a bytearray key must hash for the register
+    trace = _key_register(profile.datapath, bytes(key), consts)(block)
     want = profile.work_cycles_per_block
     if len(trace.cycles) != want:
         raise AssertionError(

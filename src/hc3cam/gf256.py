@@ -16,81 +16,39 @@ from collections import namedtuple
 HC3_POLY = 0x163  # x^8 + x^6 + x^5 + x + 1
 
 
-def _poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def _poly_mod(a: int, m: int) -> int:
-    dm = _poly_degree(m)
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _is_irreducible_deg8(p: int) -> bool:
-    # Trial division by every polynomial of degree 1..4 is enough for
-    # degree 8: any factorisation has a factor of degree <= 4.
-    if _poly_degree(p) != 8:
-        return False
-    for d in range(1, 5):
-        for low in range(1 << d):
-            q = (1 << d) | low
-            if _poly_mod(p, q) == 0:
-                return False
-    return True
-
-
-class FieldParams(namedtuple("FieldParams", "reduction_poly")):
-    """Reduction polynomial for GF(2^8), checked irreducible on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, reduction_poly: int = HC3_POLY):
-        if not _is_irreducible_deg8(reduction_poly):
-            raise ValueError(
-                f"0x{reduction_poly:03x} is not an irreducible degree-8 polynomial"
-            )
-        return super().__new__(cls, reduction_poly)
-
-
-HC3_FIELD = FieldParams()
-
-
-def gf_mul(a: int, b: int, params: FieldParams = HC3_FIELD) -> int:
-    """Carry-free product of a and b reduced mod the field polynomial.
+def gf_mul(a: int, b: int) -> int:
+    """Carry-free product of a and b reduced mod HC3_POLY.
 
     Bit-serial (Russian peasant); used as the oracle and table generator.
     """
-    low = params.reduction_poly & 0xFF
     r = 0
     a &= 0xFF
     b &= 0xFF
     while b:
         if b & 1:
             r ^= a
-        carry = a & 0x80
-        a = (a << 1) & 0xFF
-        if carry:
-            a ^= low
+        a <<= 1
+        if a & 0x100:
+            a ^= HC3_POLY
         b >>= 1
     return r
 
 
-def gf_pow(a: int, e: int, params: FieldParams = HC3_FIELD) -> int:
+def gf_pow(a: int, e: int) -> int:
     r = 1
     base = a & 0xFF
     while e:
         if e & 1:
-            r = gf_mul(r, base, params)
-        base = gf_mul(base, base, params)
+            r = gf_mul(r, base)
+        base = gf_mul(base, base)
         e >>= 1
     return r
 
 
-def gf_inv(a: int, params: FieldParams = HC3_FIELD) -> int:
+def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(2^8)")
-    return gf_pow(a, 254, params)
+    return gf_pow(a, 254)
 
 
 # MDS lower level: circulant over (C4, 65, C8, 8B).
@@ -105,14 +63,14 @@ MDS_L_CONSTANTS = (0xC4, 0x65, 0xC8, 0x8B)
 C4_NETWORK = (0x0E, 0x12, 0x25, 0x4A, 0x94, 0x26, 0x43, 0x87)
 
 
-def derive_network(c: int, params: FieldParams = HC3_FIELD) -> tuple[int, ...]:
+def derive_network(c: int) -> tuple[int, ...]:
     """Masks of the XOR network for multiplication by c, one per output bit.
 
     Derived by multiplying each input basis bit symbolically and reducing.
     """
     masks = [0] * 8
     for j in range(8):
-        prod = gf_mul(c, 1 << j, params)
+        prod = gf_mul(c, 1 << j)
         for i in range(8):
             if prod >> i & 1:
                 masks[i] |= 1 << j
@@ -143,23 +101,20 @@ def mul_const_network(c: int, x: int) -> int:
     return out
 
 
-class MdsMatrix4(namedtuple("MdsMatrix4", "entries params")):
+class MdsMatrix4(namedtuple("MdsMatrix4", "entries")):
     """4x4 matrix over GF(2^8), rows of 4 byte entries."""
 
     __slots__ = ()
 
-    def __new__(cls, entries: tuple[tuple[int, int, int, int], ...],
-                params: FieldParams = HC3_FIELD):
+    def __new__(cls, entries: tuple[tuple[int, int, int, int], ...]):
         if len(entries) != 4 or any(len(r) != 4 for r in entries):
             raise ValueError("need a 4x4 matrix")
-        return super().__new__(cls, entries, params)
+        return super().__new__(cls, entries)
 
     def apply(self, x: tuple[int, int, int, int]) -> tuple[int, ...]:
         return tuple(
-            gf_mul(row[0], x[0], self.params)
-            ^ gf_mul(row[1], x[1], self.params)
-            ^ gf_mul(row[2], x[2], self.params)
-            ^ gf_mul(row[3], x[3], self.params)
+            gf_mul(row[0], x[0]) ^ gf_mul(row[1], x[1])
+            ^ gf_mul(row[2], x[2]) ^ gf_mul(row[3], x[3])
             for row in self.entries
         )
 
@@ -185,7 +140,7 @@ def mds_l_apply(x: tuple[int, int, int, int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _det(rows: list[tuple[int, ...]], params: FieldParams) -> int:
+def _det(rows: list[tuple[int, ...]]) -> int:
     # Cofactor expansion; n <= 4, exact field arithmetic.
     n = len(rows)
     if n == 1:
@@ -195,7 +150,7 @@ def _det(rows: list[tuple[int, ...]], params: FieldParams) -> int:
         if rows[0][j] == 0:
             continue
         minor = [tuple(r[k] for k in range(n) if k != j) for r in rows[1:]]
-        det ^= gf_mul(rows[0][j], _det(minor, params), params)
+        det ^= gf_mul(rows[0][j], _det(minor))
     return det
 
 
@@ -207,14 +162,13 @@ def mds_check(m: MdsMatrix4) -> bool:
         for rs in combinations(range(4), size):
             for cs in combinations(range(4), size):
                 sub = [tuple(m.entries[r][c] for c in cs) for r in rs]
-                if _det(sub, m.params) == 0:
+                if _det(sub) == 0:
                     return False
     return True
 
 
 def mds_l_inverse(m: MdsMatrix4 = MDS_L) -> MdsMatrix4:
     """Inverse matrix over GF(2^8) by Gaussian elimination."""
-    params = m.params
     work = [list(r) for r in m.entries]
     inv = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     for col in range(4):
@@ -223,12 +177,12 @@ def mds_l_inverse(m: MdsMatrix4 = MDS_L) -> MdsMatrix4:
             raise ArithmeticError("singular matrix passed to mds_l_inverse")
         work[col], work[pivot] = work[pivot], work[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = gf_inv(work[col][col], params)
-        work[col] = [gf_mul(scale, v, params) for v in work[col]]
-        inv[col] = [gf_mul(scale, v, params) for v in inv[col]]
+        scale = gf_inv(work[col][col])
+        work[col] = [gf_mul(scale, v) for v in work[col]]
+        inv[col] = [gf_mul(scale, v) for v in inv[col]]
         for r in range(4):
             if r != col and work[r][col]:
                 f = work[r][col]
-                work[r] = [a ^ gf_mul(f, b, params) for a, b in zip(work[r], work[col])]
-                inv[r] = [a ^ gf_mul(f, b, params) for a, b in zip(inv[r], inv[col])]
-    return MdsMatrix4(tuple(tuple(r) for r in inv), params)
+                work[r] = [a ^ gf_mul(f, b) for a, b in zip(work[r], work[col])]
+                inv[r] = [a ^ gf_mul(f, b) for a, b in zip(inv[r], inv[col])]
+    return MdsMatrix4(tuple(tuple(r) for r in inv))

@@ -146,10 +146,10 @@ def _linear(basis):
 
 @lru_cache(maxsize=4)
 def _products(layer):
-    """{c: c * x for every byte x} in the field of an MdsMatrix4, for each
-    entry c of the matrix; multiplying by c is linear, so gf_mul gives only
+    """{c: c * x for every byte x} in GF(2^8), for each entry c of an
+    MdsMatrix4; multiplying by c is linear, so gf_mul gives only
     the products c * 2^b."""
-    return {c: bytes(_linear([gf256.gf_mul(c, 1 << b, layer.params) for b in range(8)]))
+    return {c: bytes(_linear([gf256.gf_mul(c, 1 << b) for b in range(8)]))
             for c in set().union(*layer.entries)}
 
 

@@ -100,8 +100,8 @@ class Hc3KeySchedule:
 
 # The step and round-key functions take the 256-bit state as any tuple
 # (z1, z2, z3, z4) and return plain tuples, so a per-block walk builds no
-# NamedTuple; sigma, sigma_inv, pad_and_prewhiten, iter_schedule and
-# key_schedule wrap theirs in IntermediateKey and RoundKey256.
+# NamedTuple; sigma, sigma_inv, pad_and_prewhiten and key_schedule wrap
+# theirs in IntermediateKey and RoundKey256.
 
 def _sigma_step(z, g: int, consts) -> tuple[tuple[int, ...], int]:
     """One sigma update; also returns the F-sigma word it computed.
@@ -180,13 +180,6 @@ def pad_and_prewhiten(key: bytes, consts: Hc3Constants | None = None) -> Interme
     return IntermediateKey(*_sigma_step(z, consts.g0[5], consts)[0])
 
 
-class ScheduleStep(NamedTuple):
-    step: int
-    round_key: RoundKey256
-    v: int
-    z_next: IntermediateKey
-
-
 def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
     """Walk steps 1..7 from Z(0) on plain tuples, yielding each step's
     (round key words, V, next state) as it forms.
@@ -205,12 +198,6 @@ def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], i
             key, v = round_keys_bwd(z, z_next, w1, w2, consts)
         yield key, v, z_next
         z = z_next
-
-
-def iter_schedule(z0: IntermediateKey, consts: Hc3Constants) -> Iterator[ScheduleStep]:
-    """walk_schedule's steps as ScheduleSteps."""
-    for row, (key, v, z_next) in zip(SCHEDULE_ROWS[1:], walk_schedule(z0, consts)):
-        yield ScheduleStep(row.step, RoundKey256(*key), v, IntermediateKey(*z_next))
 
 
 def _keys_from_cache(cache: Cache1600,

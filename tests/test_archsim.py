@@ -1,8 +1,10 @@
 import hashlib
 import random
+import types
 
 import pytest
 
+import hc3cam
 from hc3cam import archsim, camellia, hc3
 from hc3cam.hc3 import constants as hc3_constants
 from hc3cam.archsim import (
@@ -97,6 +99,48 @@ def test_key_register_follows_constants(variant, tmp_path, monkeypatch):
     monkeypatch.delenv(hc3_constants.ENV_CONSTANTS_DIR)
     assert run() == packaged
     assert changed != packaged
+
+
+def test_run_block_refuses_a_datapath_that_drops_a_cycle(monkeypatch):
+    cipher, setup = archsim._DATAPATHS["hc3-long"]
+
+    def dropping_setup(package, key, consts):
+        work = setup(package, key, consts)
+
+        def dropping(block):
+            trace = work(block)
+            return trace._replace(cycles=trace.cycles[:-1])
+        return dropping
+    monkeypatch.setitem(archsim._DATAPATHS, "hc3-long", (cipher, dropping_setup))
+    profile = PROFILES["hc3-long"]._replace(variant="my-board")
+    archsim._key_register.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match="my-board: datapath produced 7 cycles, profile says 8"):
+            run_block(profile, bytes(16), bytes(16))
+    finally:
+        archsim._key_register.cache_clear()
+
+
+def test_blocks_read_no_package_attribute(monkeypatch):
+    # setup binds in everything work reads: after a device's first block,
+    # no block reads an attribute of hc3cam or of a cipher package
+    reads = []
+
+    class Counting(types.ModuleType):
+        def __getattribute__(self, name):
+            reads.append(name)
+            return super().__getattribute__(name)
+    for variant, profile in PROFILES.items():
+        device = Device(profile, bytes(range(16)))
+        device.run(bytes(16))
+        for module in (hc3cam, hc3, camellia):
+            monkeypatch.setattr(module, "__class__", Counting)
+        for i in range(1, 4):
+            device.run(i.to_bytes(16, "big"))
+        got = reads[:]
+        monkeypatch.undo()
+        assert got == [], variant
 
 
 def test_verylong_merges_xs_and_ak_in_cycle_7():
@@ -496,17 +540,18 @@ def test_trace_final_state_is_the_ciphertext():
 
 def eager_hc3_short(key, block):
     consts = hc3.get_constants()
-    steps = hc3.iter_schedule(hc3.pad_and_prewhiten(key, consts), consts)
-    keys = {1: next(steps).round_key}
+    z0 = hc3.pad_and_prewhiten(key, consts)
+    steps = ((row.step, hc3.RoundKey256(*k))
+             for row, (k, _, _) in zip(hc3.SCHEDULE_ROWS[1:], hc3.walk_schedule(z0, consts)))
+    keys = dict([next(steps)])
     ops = archsim._HC3_SHORT_OPS
     x = block
     cycles = [(1, ops[0], x.hex())]
     for r in range(1, 6):
-        nxt = next(steps)
-        keys[nxt.step] = nxt.round_key
+        keys.update([next(steps)])
         x = hc3.rho(x, keys[r], consts)
         cycles.append((r + 1, ops[r], x.hex()))
-    keys[7] = next(steps).round_key
+    keys.update([next(steps)])
     x = hc3.xs(x, keys[6], consts)
     cycles.append((7, ops[6], x.hex()))
     x = hc3.key_addition(x, keys[7])
@@ -600,7 +645,7 @@ def test_hc3_short_walk_matches_key_schedule():
     rng = random.Random("short-walk")
     for _ in range(2000):
         key = rng.randbytes(16)
-        _, z0 = archsim._hold_z0(hc3, key, consts)
+        z0 = hc3.pad_and_prewhiten(key, consts)
         walk = [round_key for round_key, _, _ in hc3.walk_schedule(z0, consts)]
         assert walk == list(hc3.key_schedule(key).round_keys)
 

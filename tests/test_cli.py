@@ -284,13 +284,23 @@ def test_simulate_checks_in_chunks(bad, monkeypatch, capsys):
 def test_simulate_catches_device_fault(variant, monkeypatch, capsys):
     # a datapath that gets one block wrong fails the run
     from hc3cam import archsim
-    dp = archsim._DATAPATHS[variant]
+    cipher, setup = archsim._DATAPATHS[variant]
 
-    def faulty(package, held, block):
-        trace = dp.work(package, held, block)
-        return trace._replace(ciphertext=flip_block(trace.ciphertext, block, 5))
-    monkeypatch.setitem(archsim._DATAPATHS, variant, dp._replace(work=faulty))
-    code, out, _ = run(["simulate", "--variant", variant, "--blocks", "9"], capsys)
+    def faulty_setup(package, key, consts):
+        work = setup(package, key, consts)
+
+        def faulty(block):
+            trace = work(block)
+            return trace._replace(ciphertext=flip_block(trace.ciphertext, block, 5))
+        return faulty
+    monkeypatch.setitem(archsim._DATAPATHS, variant, (cipher, faulty_setup))
+    # the key register holds work functions: drop the sound one an earlier
+    # run left there, and the faulty one this run leaves
+    archsim._key_register.cache_clear()
+    try:
+        code, out, _ = run(["simulate", "--variant", variant, "--blocks", "9"], capsys)
+    finally:
+        archsim._key_register.cache_clear()
     assert code == 1
     assert "blocks simulated: 9 (ciphertext vs functional model: MISMATCH)" in out
 
@@ -347,6 +357,12 @@ def test_simulate_clock_override(capsys):
         code, out, err = run(["simulate", "--variant", "hc3-long",
                               "--clock-mhz", bad], capsys)
         assert code == 2 and "--clock-mhz must be finite and positive" in err
+
+
+def test_simulate_rejects_negative_blocks(capsys):
+    code, out, err = run(["simulate", "--variant", "hc3-long", "--blocks", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "--blocks must be non-negative" in err
 
 
 def test_simulate_rejects_a_clock_with_no_finite_throughput(tmp_path, capsys):

@@ -14,7 +14,6 @@ from hc3cam.hc3 import (
     f_sigma,
     get_constants,
     encrypt_blocks,
-    iter_schedule,
     key_schedule,
     pad_and_prewhiten,
     pad_key,
@@ -25,6 +24,7 @@ from hc3cam.hc3 import (
     p32_pair,
     sigma,
     sigma_inv,
+    walk_schedule,
 )
 from hc3cam.hc3 import keyschedule
 
@@ -67,7 +67,9 @@ def test_sigma_inv_steps_retrace_forward_states():
     rng = random.Random(25)
     for _ in range(200):
         z0 = pad_and_prewhiten(rng.randbytes(16), C)
-        z = [z0] + [st.z_next for st in iter_schedule(z0, C)]
+        z = {0: z0}
+        for row, (_, _, z_next) in zip(SCHEDULE_ROWS[1:], walk_schedule(z0, C)):
+            z[row.step] = z_next
         assert (z[5], z[6], z[7]) == (z[3], z[2], z[1])
 
 
