@@ -19,7 +19,6 @@ kept verbatim on the profiles and surfaced as flagged deviations.
 from __future__ import annotations
 
 import math
-import shlex
 import sys
 from functools import lru_cache, partial
 from operator import attrgetter
@@ -566,6 +565,7 @@ PROFILE_KEYWORDS = ("variant", "datapath", "cipher", "work-cycles", "clock-mhz",
 
 def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
     """Read a profile description (see README for the grammar)."""
+    import shlex      # here, not at the top: simulate --variant reads no profile text
     fields: dict[str, str] = {}
     where_is: dict[str, str] = {}   # keyword -> "source:line"
     setup: list[MicroOp] = []
@@ -650,6 +650,7 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
 
 
 def format_profile(profile: ArchProfile) -> str:
+    import shlex
     lines = [
         f"variant {profile.variant}",
         f"datapath {profile.datapath}",

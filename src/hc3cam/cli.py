@@ -3,8 +3,9 @@
     hc3cam encrypt  --cipher hc3|camellia --key <hex32> --in F --out G
     hc3cam decrypt  --cipher hc3|camellia --key <hex32> --in F --out G
     hc3cam kat      --cipher hc3|camellia --vectors F
-    hc3cam bench    --cipher hc3|camellia --blocks N
-    hc3cam simulate (--variant V | --profile-file F) [--blocks N] [--clock-mhz F]
+    hc3cam bench    --cipher hc3|camellia [--blocks N]
+    hc3cam simulate (--variant V | --profile-file F) [--blocks N]
+                    [--clock-mhz F] [--trace]
 
 Exit codes: 0 success, 1 known-answer verification mismatch, 2 usage or
 format error, 141 (128 + SIGPIPE) when the reader of standard output closed
@@ -33,7 +34,6 @@ exits, so CPython's collections at shutdown walk none of it.
 
 from __future__ import annotations
 
-import argparse
 import binascii
 import gc
 import math
@@ -44,6 +44,7 @@ import sys
 import time
 from importlib import import_module
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
 from . import ConstantsError
@@ -259,7 +260,7 @@ def cmd_kat(args) -> int:
     # the text is dropped once parsed, before the records are run
     vectors = parse_kat_file(_read_text(args.vectors), source=args.vectors)
     mod = import_module(CIPHERS[args.cipher])
-    failures = 0
+    failed = 0
     for start in range(0, vectors.n, CHUNK_BLOCKS):
         cut = slice(BLOCK_BYTES * start, BLOCK_BYTES * (start + CHUNK_BLOCKS))
         keys = vectors.keys[cut]
@@ -272,11 +273,12 @@ def cmd_kat(args) -> int:
             continue
         for index, off in enumerate(range(0, len(keys), BLOCK_BYTES), start + 1):
             block = slice(off, off + BLOCK_BYTES)
-            failures += _mismatch(index, keys[block], "encrypt", cipher[block], got_ct[block])
-            failures += _mismatch(index, keys[block], "decrypt", plain[block], got_pt[block])
+            # `|`, not `or`: a record's decrypt mismatch prints after its encrypt one
+            failed += (_mismatch(index, keys[block], "encrypt", cipher[block], got_ct[block])
+                       | _mismatch(index, keys[block], "decrypt", plain[block], got_pt[block]))
     total = vectors.n
-    if failures:
-        print(f"{args.cipher}: {failures} mismatch(es) across {total} record(s)")
+    if failed:
+        print(f"{args.cipher}: {failed} of {total} record(s) failed")
         return 1
     print(f"{args.cipher}: all {total} record(s) passed, both directions")
     return 0
@@ -304,11 +306,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.variant and not args.profile_file:
-        raise CliError("simulate needs --variant or --profile-file; valid "
-                       "variants: " + ", ".join(VARIANTS))
+    if (args.variant is None) == (args.profile_file is None):
+        raise CliError("simulate needs exactly one of --variant and --profile-file; "
+                       "valid variants: " + ", ".join(VARIANTS))
     from . import archsim
-    if args.profile_file:
+    if args.profile_file is not None:
         text = _read_text(args.profile_file)
         try:
             profile = archsim.parse_profile(text, source=args.profile_file)
@@ -387,52 +389,100 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hc3cam",
-        description="HIEROCRYPT-3 / Camellia block tool and FPGA datapath model",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cipher(name: str) -> str:
+    if name not in CIPHERS:
+        raise ValueError(f"invalid choice: {name!r} (choose from {', '.join(CIPHERS)})")
+    return name
 
-    def add_cipher(p):
-        p.add_argument("--cipher", required=True, choices=tuple(CIPHERS))
 
-    p_enc = sub.add_parser("encrypt", help="encrypt a file of 16-byte blocks")
-    p_dec = sub.add_parser("decrypt", help="decrypt a file of 16-byte blocks")
-    for p in (p_enc, p_dec):
-        p.set_defaults(func=cmd_crypt)
-        add_cipher(p)
-        p.add_argument("--key", required=True, help="32 hex digits")
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", dest="outfile", required=True)
+def _help(args) -> int:
+    """-h/--help: the usage block of the module docstring, and the variants."""
+    usage = (__doc__ or "\n\n").split("\n\n")[1]
+    print(f"usage:\n{usage}\n\nvariants: {', '.join(VARIANTS)}")
+    return 0
 
-    p_kat = sub.add_parser("kat", help="run a known-answer vector file")
-    p_kat.set_defaults(func=cmd_kat)
-    add_cipher(p_kat)
-    p_kat.add_argument("--vectors", required=True)
 
-    p_bench = sub.add_parser("bench", help="time software block encryption")
-    p_bench.set_defaults(func=cmd_bench)
-    add_cipher(p_bench)
-    p_bench.add_argument("--blocks", type=int, default=10000)
+_REQUIRED = object()
+_CIPHER = {"--cipher": ("cipher", _cipher, _REQUIRED)}
+_CRYPT = {**_CIPHER, "--key": ("key", str, _REQUIRED), "--in": ("infile", str, _REQUIRED),
+          "--out": ("outfile", str, _REQUIRED)}
+# command -> (handler, {option: (dest, conversion, default)}).  An option
+# whose default is _REQUIRED must be given; one whose conversion is None is
+# a flag, True when given.  -h/--help, anywhere, runs _help.
+COMMANDS = {
+    "encrypt": (cmd_crypt, _CRYPT),
+    "decrypt": (cmd_crypt, _CRYPT),
+    "kat": (cmd_kat, {**_CIPHER, "--vectors": ("vectors", str, _REQUIRED)}),
+    "bench": (cmd_bench, {**_CIPHER, "--blocks": ("blocks", int, 10000)}),
+    "simulate": (cmd_simulate, {
+        "--variant": ("variant", str, None), "--profile-file": ("profile_file", str, None),
+        "--blocks": ("blocks", int, 1), "--clock-mhz": ("clock_mhz", float, None),
+        "--trace": ("trace", None, False)}),
+}
+_HELP = dict.fromkeys(("-h", "--help"), ("help", None, False))
+# argparse's rule: a token like these is a value, though it starts with '-'
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
-    p_sim = sub.add_parser("simulate", help="run the datapath model")
-    p_sim.set_defaults(func=cmd_simulate)
-    board = p_sim.add_mutually_exclusive_group()
-    board.add_argument("--variant", default=None, help=", ".join(VARIANTS))
-    board.add_argument("--profile-file", default=None,
-                       help="load a profile description instead of a built-in")
-    p_sim.add_argument("--blocks", type=int, default=1)
-    p_sim.add_argument("--clock-mhz", type=float, default=None)
-    p_sim.add_argument("--trace", action="store_true",
-                       help="print the per-cycle trace of the last block")
-    return parser
+
+def _option(token: str, options: dict) -> str | None:
+    """The option a token names, before any '=', in full or by a unique
+    prefix; the token itself if it names none; None for a value."""
+    if not token.startswith("-") or token == "-":
+        return None
+    name = token.partition("=")[0]
+    # a bare "--" names no option: argparse ends the options there
+    found = [name] if name in options else [
+        o for o in options if o.startswith(name) and token != "--"]
+    if len(found) > 1:
+        raise CliError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0]
+    return None if _NEGATIVE.fullmatch(token) or " " in token else token
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, its handler (func) and each option's value by dest, as
+    argparse read them; _help for a -h/--help that comes before any error."""
+    command, options, given = None, _HELP, {}
+    tokens = iter(argv)
+    for token in tokens:
+        opt = _option(token, options)
+        if opt is None and command is None and token in COMMANDS:
+            command, options = token, {**COMMANDS[token][1], **_HELP}
+            continue
+        if opt not in options:
+            raise CliError(f"unrecognized argument {token!r}" if command else
+                           f"not a command: {token!r} (commands: {', '.join(COMMANDS)})")
+        dest, conv, _ = options[opt]
+        _, explicit, value = token.partition("=")
+        if conv is None:                # -h/--help or a flag: no value
+            if explicit:
+                raise CliError(f"argument {opt}: ignored explicit argument {value!r}")
+            if dest == "help":
+                return SimpleNamespace(func=_help)
+            given[opt] = True
+            continue
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or _option(value, options) is not None:
+                raise CliError(f"argument {opt}: expected one argument")
+        try:
+            given[opt] = conv(value)
+        except ValueError as exc:
+            raise CliError(f"argument {opt}: {exc}") from None
+    if command is None:
+        raise CliError("a command is required: " + ", ".join(COMMANDS))
+    func, table = COMMANDS[command]
+    missing = [opt for opt, spec in table.items() if spec[2] is _REQUIRED and opt not in given]
+    if missing:
+        raise CliError("the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(command=command, func=func, **{
+        dest: given.get(opt, default) for opt, (dest, _, default) in table.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         # a reader gone from a buffered stdout shows here, not at exit
         sys.stdout.flush()

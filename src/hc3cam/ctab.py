@@ -21,7 +21,6 @@ decides which file a constant set comes from.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 from functools import cache, lru_cache
@@ -29,6 +28,11 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import ENV_CONSTANTS_DIR, ConstantsError
+
+try:    # the built-in SHA-256 hashlib falls back to, without hashlib's OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 
 _MAGIC = re.compile(r"%ctab\s+v(\d+)\s+(\S+)\s*$")
@@ -62,7 +66,7 @@ class Ctab(NamedTuple):
 
 
 def _digest(sections: list[tuple[str, bytes]]) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for name, payload in sections:
         h.update(name.encode())
         h.update(b"\0")

@@ -435,11 +435,9 @@ def test_simulate_variant_and_profile_file_exclude_each_other(tmp_path, capsys, 
     options = [["--variant", variant], ["--profile-file", str(f)]]
     if profile_first:
         options.reverse()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", *options[0], *options[1], "--blocks", "0"])
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
-    assert "not allowed with argument" in out.err
+    code, out, err = run(["simulate", *options[0], *options[1], "--blocks", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("hc3cam: error: ") and "--variant" in err and "--profile-file" in err
 
 
 def test_unreadable_inputs_are_usage_errors(tmp_path, monkeypatch, capsys):
@@ -476,12 +474,12 @@ def test_simulate_requires_variant_or_profile(capsys):
 
 
 def test_simulate_variant_list_matches_profiles(capsys):
-    # the parser lists the variants without importing archsim
+    # the help lists the variants without importing archsim
     from hc3cam import archsim
     assert cli.VARIANTS == tuple(sorted(archsim.PROFILES))
-    with pytest.raises(SystemExit):
-        cli.main(["simulate", "--help"])
-    assert ", ".join(cli.VARIANTS) in " ".join(capsys.readouterr().out.split())
+    code, out, err = run(["simulate", "--help"], capsys)
+    assert code == 0 and err == ""
+    assert ", ".join(cli.VARIANTS) in " ".join(out.split())
 
 
 def test_bench_single_block(capsys):
@@ -499,20 +497,22 @@ def test_bench_single_block(capsys):
 def reference_kat(cipher, records, encrypt, decrypt):
     """Exit code and stdout of kat built with per-record key schedules."""
     mod = {"hc3": hc3, "camellia": camellia}[cipher]
-    lines, failures = [], 0
+    lines, failed = [], 0
     for index, (key, pt, ct) in enumerate(records, 1):
         ks = mod.key_schedule(key)
+        record_failed = False
         for direction, expected, got in (("encrypt", ct, encrypt(pt, ks)),
                                          ("decrypt", pt, decrypt(ct, ks))):
             if got != expected:
-                failures += 1
+                record_failed = True
                 lines += [f"record {index}: {direction} mismatch", f"  key      {key.hex()}",
                           f"  expected {expected.hex()}", f"  got      {got.hex()}"]
-    if failures:
-        lines.append(f"{cipher}: {failures} mismatch(es) across {len(records)} record(s)")
+        failed += record_failed
+    if failed:
+        lines.append(f"{cipher}: {failed} of {len(records)} record(s) failed")
     else:
         lines.append(f"{cipher}: all {len(records)} record(s) passed, both directions")
-    return (1 if failures else 0), "\n".join(lines) + "\n"
+    return (1 if failed else 0), "\n".join(lines) + "\n"
 
 
 def write_kat(path, records):
@@ -564,6 +564,7 @@ def test_kat_output_matches_per_record_reference(cipher, chunk, tmp_path, monkey
     want = reference_kat(cipher, records, faulty(mod.encrypt, enc_bad),
                          faulty(mod.decrypt, dec_bad))
     assert want[0] == 1 and want[1].count("mismatch\n") == 12
+    assert want[1].endswith(f"{cipher}: 10 of 23 record(s) failed\n")
 
     f = tmp_path / "mixed.kat"
     write_kat(f, records)
@@ -593,6 +594,20 @@ def test_kat_one_record_and_chunk_edges(cipher, tmp_path, monkeypatch, capsys):
     code, out, _ = run(["kat", "--cipher", cipher, "--vectors", str(f)], capsys)
     assert (code, out) == reference_kat(cipher, bad, mod.encrypt, mod.decrypt)
     assert out.count("mismatch\n") == 2
+
+
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+def test_kat_counts_failed_records(cipher, tmp_path, capsys):
+    # one corrupted CT fails its record both ways: two mismatch reports,
+    # one failed record
+    records = kat_records(cipher, 23, seed=f"count:{cipher}")
+    key, pt, ct = records[9]
+    records[9] = (key, pt, bytes([ct[0] ^ 1]) + ct[1:])
+    f = tmp_path / "one-bad.kat"
+    write_kat(f, records)
+    code, out, _ = run(["kat", "--cipher", cipher, "--vectors", str(f)], capsys)
+    assert code == 1 and out.count("mismatch\n") == 2
+    assert out.endswith(f"\n{cipher}: 1 of 23 record(s) failed\n")
 
 
 # --- kat vector file parsing --------------------------------------------------

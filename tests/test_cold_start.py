@@ -20,9 +20,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "hc3cam" / "data"
 KEY = "000102030405060708090a0b0c0d0e0f"
 
+# the module ctab takes SHA-256 from: CPython's built-in _sha256, so that
+# no command loads OpenSSL through hashlib's _hashlib
+SHA_MODULE = ctab.sha256.__module__
+# loaded by no command: argparse (and the gettext it calls), OpenSSL, and
+# shlex, which only a profile file needs
+UNLOADED = {"dataclasses", "inspect", "argparse", "gettext", "_hashlib", "shlex"}
 # runs `python -m hc3cam.cli ARGS` and prints its exit code, then the
 # hc3cam modules it imported and those of WATCHED
-WATCHED = ("dataclasses", "inspect", "hashlib")
+WATCHED = (*sorted(UNLOADED), SHA_MODULE)
 PROBE = f"""
 import runpy, sys
 try:
@@ -136,12 +142,12 @@ COMMANDS = {
 def test_no_command_imports_dataclasses(command, tmp_path):
     code, mods, err = probe(COMMANDS[command](tmp_path))
     assert code == (2 if command == "usage-error" else 0), err
-    assert not mods & {"dataclasses", "inspect"}
+    assert not mods & UNLOADED
     # a command that loads no constant set loads no .ctab reader
     if command in ("simulate-0", "usage-error", "help"):
-        assert not mods & {"hc3cam.ctab", "hashlib"}
+        assert not mods & {"hc3cam.ctab", SHA_MODULE}
     else:
-        assert {"hc3cam.ctab", "hashlib"} <= mods
+        assert {"hc3cam.ctab", SHA_MODULE} <= mods
 
 
 @pytest.mark.parametrize("cipher", ["hc3", "camellia"])
@@ -158,7 +164,20 @@ def test_checksum_still_checked(cipher, tmp_path):
             if cipher == "hc3" else crypt_args(tmp_path))
     code, mods, err = probe(argv, consts)
     assert code == 2
-    assert "checksum mismatch" in err and "hashlib" in mods
+    assert "checksum mismatch" in err and SHA_MODULE in mods
+
+
+@pytest.mark.parametrize("cipher", ["hc3", "camellia"])
+def test_ctab_digest_is_hashlib_sha256(cipher):
+    # the built-in SHA-256 gives the digest hashlib gives, over the sections
+    # hashed as name NUL payload NUL in file order
+    import hashlib
+    assert SHA_MODULE == "_sha256"
+    table = ctab.parse((DATA / f"{cipher}.ctab").read_text())
+    h = hashlib.sha256()
+    for name, payload in table.sections.items():
+        h.update(name.encode() + b"\0" + payload + b"\0")
+    assert table.sha256 == h.hexdigest()
 
 
 def fresh_hc3():
