@@ -142,25 +142,6 @@ PROFILES: dict[str, ArchProfile] = {
 }
 
 
-class ReferenceRow(NamedTuple):
-    label: str
-    cipher: str
-    resources: str
-    paper_throughput_mbps: float
-
-
-# Published comparison rows carried verbatim.
-REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
-    ReferenceRow("TOSHIBA high speed", "hc3", "22700 LE", 52.6),
-    ReferenceRow("TOSHIBA small area", "hc3", "6300 LE", 4.1),
-    ReferenceRow("NTT/Mitsubishi loop (XC4000XL)", "camellia", "1296 LE", 77.34),
-    ReferenceRow("NTT/Mitsubishi loop (VirtexE)", "camellia", "1816 LE", 199.46),
-    ReferenceRow("NTT/Mitsubishi loop (VirtexE)", "camellia", "1816 LE", 211.90),
-    ReferenceRow("NTT/Mitsubishi loop (VirtexE)", "camellia", "1780 LE", 227.42),
-    ReferenceRow("NTT/Mitsubishi unrolled (VirtexE)", "camellia", "9426 LE", 401.89),
-)
-
-
 # --- two-phase device handshake ------------------------------------------
 
 SETUP, READY, WORKING, REARM = "setup", "ready", "working", "rearm"
@@ -503,17 +484,25 @@ def model_row(profile: ArchProfile, clock_mhz: float | None = None) -> SimRow:
     )
 
 
+def _published(label: str, cipher: str, resources: str, paper_mbps: float) -> SimRow:
+    return SimRow(label, cipher, False, None, None, None, paper_mbps, None, False, resources)
+
+
+# Published comparison rows carried verbatim.
+REFERENCE_ROWS: tuple[SimRow, ...] = (
+    _published("TOSHIBA high speed", "hc3", "22700 LE", 52.6),
+    _published("TOSHIBA small area", "hc3", "6300 LE", 4.1),
+    _published("NTT/Mitsubishi loop (XC4000XL)", "camellia", "1296 LE", 77.34),
+    _published("NTT/Mitsubishi loop (VirtexE)", "camellia", "1816 LE", 199.46),
+    _published("NTT/Mitsubishi loop (VirtexE)", "camellia", "1816 LE", 211.90),
+    _published("NTT/Mitsubishi loop (VirtexE)", "camellia", "1780 LE", 227.42),
+    _published("NTT/Mitsubishi unrolled (VirtexE)", "camellia", "9426 LE", 401.89),
+)
+
+
 def report() -> tuple[SimRow, ...]:
     """Model rows for every variant plus the published comparison rows."""
-    rows = [model_row(p) for p in PROFILES.values()]
-    for ref in REFERENCE_ROWS:
-        rows.append(SimRow(
-            label=ref.label, cipher=ref.cipher, is_model=False,
-            cycles_per_block=None, clock_mhz=None, modeled_mbps=None,
-            paper_mbps=ref.paper_throughput_mbps, deviation=None,
-            flagged=False, resources=ref.resources,
-        ))
-    return tuple(rows)
+    return (*map(model_row, PROFILES.values()), *REFERENCE_ROWS)
 
 
 def render_report(rows, cipher: str | None = None) -> str:

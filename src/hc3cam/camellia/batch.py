@@ -1,13 +1,20 @@
 """Camellia-128's single-key byte-plane engine: the network of
-hc3cam.camellia.steps with one key repeated in every slice."""
+hc3cam.camellia.steps with one key repeated in every slice.
+
+The key planes are as wide as the batch, so a program serves one
+(subkeys, direction, batch size).  The last two are kept: a stream's
+full chunks and its last one, or one key's two directions."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..planes import block_count, ones, run_steps
 from .cipher import CamelliaSubkeys
 from .steps import decrypt_order, program
 
 
+@lru_cache(maxsize=2)
 def _repeated(sk: CamelliaSubkeys, decrypt: bool, n: int):
     """The program for sk in every one of n slices."""
     rep = ones(n)
@@ -23,13 +30,7 @@ def _run_blocks(data: bytes, sk: CamelliaSubkeys, decrypt: bool) -> bytes:
     n = block_count(data, "camellia")
     if not n:
         return b""
-    # the key planes are as wide as the batch: keep the program of the last
-    # batch size only
-    programs = sk.batch_tables.setdefault(decrypt, {})
-    if n not in programs:
-        programs.clear()
-        programs[n] = _repeated(sk, decrypt, n)
-    return run_steps(data, programs[n])
+    return run_steps(data, _repeated(sk, decrypt, n))
 
 
 def encrypt_blocks(data: bytes, sk: CamelliaSubkeys) -> bytes:

@@ -29,38 +29,17 @@ class KeyVars(NamedTuple):
     ka_var: int   # 128-bit K_A
 
 
-class CamelliaSubkeys:
-    """The subkeys of one key.  Two are equal, and hash alike, when their
-    key material is: kw, k, kl and key_vars, whatever their consts or
-    batch_tables."""
+class CamelliaSubkeys(NamedTuple):
+    """The subkeys of one key and the constant set they were derived with:
+    the cipher uses it for every block, so a set loaded later can never be
+    paired with these keys.  Both constants classes compare by identity,
+    so two subkey sets are equal only under one constant set."""
 
-    __slots__ = ("kw", "k", "kl", "consts", "key_vars", "batch_tables")
-
-    def __init__(self, kw: tuple[int, int, int, int], k: tuple[int, ...],
-                 kl: tuple[int, int, int, int], consts: CamelliaConstants,
-                 key_vars: KeyVars | None = None):
-        self.kw = kw
-        self.k = k                  # k1..k18
-        self.kl = kl
-        # the constant set the subkeys were derived with; the cipher uses it
-        # for every block, so a set loaded later can never be paired with
-        # these keys
-        self.consts = consts
-        self.key_vars = key_vars
-        # by direction, the program of the batch engine (encrypt_blocks) for
-        # the size of the last batch, built on first use
-        self.batch_tables = {}
-
-    def _material(self):
-        return self.kw, self.k, self.kl, self.key_vars
-
-    def __eq__(self, other):
-        if type(other) is not CamelliaSubkeys:
-            return NotImplemented
-        return self._material() == other._material()
-
-    def __hash__(self):
-        return hash(self._material())
+    kw: tuple[int, int, int, int]
+    k: tuple[int, ...]                  # k1..k18
+    kl: tuple[int, int, int, int]
+    consts: CamelliaConstants
+    key_vars: KeyVars
 
 
 def p_layer(x: int, consts: CamelliaConstants) -> int:
@@ -177,7 +156,7 @@ def key_schedule(key: bytes,
 def reverse_subkeys(sk: CamelliaSubkeys) -> CamelliaSubkeys:
     """Subkey order for decryption through the same network."""
     kw, k, kl = decrypt_order(sk.kw, sk.k, sk.kl)
-    return CamelliaSubkeys(kw=kw, k=k, kl=kl, consts=sk.consts, key_vars=sk.key_vars)
+    return sk._replace(kw=kw, k=k, kl=kl)
 
 
 def _run(block: bytes, consts: CamelliaConstants, kw, k, kl) -> bytes:

@@ -1,11 +1,4 @@
-"""Command-line front end.
-
-    hc3cam encrypt  --cipher hc3|camellia --key <hex32> --in F --out G
-    hc3cam decrypt  --cipher hc3|camellia --key <hex32> --in F --out G
-    hc3cam kat      --cipher hc3|camellia --vectors F
-    hc3cam bench    --cipher hc3|camellia [--blocks N]
-    hc3cam simulate (--variant V | --profile-file F) [--blocks N]
-                    [--clock-mhz F] [--trace]
+"""Command-line front end; USAGE lists the commands and their options.
 
 Exit codes: 0 success, 1 known-answer verification mismatch, 2 usage or
 format error, 141 (128 + SIGPIPE) when the reader of standard output closed
@@ -49,6 +42,14 @@ from typing import NamedTuple, NoReturn
 
 from . import ConstantsError
 
+# what -h/--help prints: a constant, not the docstring, so python -OO keeps it
+USAGE = """\
+    hc3cam encrypt  --cipher hc3|camellia --key <hex32> --in F --out G
+    hc3cam decrypt  --cipher hc3|camellia --key <hex32> --in F --out G
+    hc3cam kat      --cipher hc3|camellia --vectors F
+    hc3cam bench    --cipher hc3|camellia [--blocks N]
+    hc3cam simulate (--variant V | --profile-file F) [--blocks N]
+                    [--clock-mhz F] [--trace]"""
 BLOCK_BYTES = 16
 # encrypt/decrypt read, process and write this many blocks at a time, and
 # simulate checks this many per batch call: memory stays bounded whatever
@@ -396,9 +397,8 @@ def _cipher(name: str) -> str:
 
 
 def _help(args) -> int:
-    """-h/--help: the usage block of the module docstring, and the variants."""
-    usage = (__doc__ or "\n\n").split("\n\n")[1]
-    print(f"usage:\n{usage}\n\nvariants: {', '.join(VARIANTS)}")
+    """-h/--help: USAGE and the variants."""
+    print(f"usage:\n{USAGE}\n\nvariants: {', '.join(VARIANTS)}")
     return 0
 
 

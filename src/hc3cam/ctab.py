@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import re
 from functools import cache, lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from . import ENV_CONSTANTS_DIR, ConstantsError
@@ -162,8 +161,7 @@ def loader(name: str, cls):
 
     @cache
     def packaged():
-        res = resources.files(__package__).joinpath(f"data/{name}.ctab")
-        return cls(parse(res.read_text(), source=str(res)))
+        return cls(load(os.path.join(os.path.dirname(__file__), "data", f"{name}.ctab")))
 
     def load_constants(path=None):
         """The constant set in the file at path if one is given, else in

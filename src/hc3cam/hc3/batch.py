@@ -4,10 +4,14 @@ An s-box layer with its key addition is one translate per plane,
 MDS-lower one translate per (input byte, output byte) pair whose results
 XOR as big ints, and MDS-higher an XOR of whole planes.  Under one key
 the key additions are in the translate tables and the planes stay bytes
-between layers.
+between layers.  The program of a (schedule, direction) is built on its
+first call with data and kept for the last two, so one key's encryption
+and decryption both stay built.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .. import gf2
 from ..planes import block_count, run_steps
@@ -47,6 +51,7 @@ def _mds_h_bytes(planes, rows):
     return [v.to_bytes(n, "little") for v in gf2.apply_rows(rows, ints)]
 
 
+@lru_cache(maxsize=2)
 def _plane_program(ks: Hc3KeySchedule, inverse: bool):
     consts = ks.consts
     if inverse:
@@ -69,12 +74,7 @@ def _plane_program(ks: Hc3KeySchedule, inverse: bool):
 def _run_blocks(data: bytes, ks: Hc3KeySchedule, inverse: bool) -> bytes:
     if not block_count(data, "hc3"):
         return b""
-    # the steps of a direction are built on its first call with data and
-    # kept on the key schedule
-    steps = ks.batch_tables.get(inverse)
-    if steps is None:
-        steps = ks.batch_tables[inverse] = _plane_program(ks, inverse)
-    return run_steps(data, steps)
+    return run_steps(data, _plane_program(ks, inverse))
 
 
 def encrypt_blocks(data: bytes, ks: Hc3KeySchedule) -> bytes:

@@ -67,35 +67,16 @@ class Cache1600(NamedTuple):
     f_outputs: tuple[int, ...]
 
 
-class Hc3KeySchedule:
-    """The round keys of one main key.  Two schedules are equal, and hash
-    alike, when their key material is: round_keys, mode and
-    intermediate_cache, whatever their consts or batch_tables."""
+class Hc3KeySchedule(NamedTuple):
+    """The round keys of one main key, the constant set they were derived
+    with (the cipher uses it for every block, so a set loaded later can
+    never be paired with these keys), and the 1600-bit cache of a
+    cached_1600 schedule.  Both constants classes compare by identity, so
+    two schedules are equal only under one constant set."""
 
-    __slots__ = ("round_keys", "mode", "consts", "intermediate_cache", "batch_tables")
-
-    def __init__(self, round_keys: tuple[RoundKey256, ...], mode: str,
-                 consts: Hc3Constants, intermediate_cache: Cache1600 | None = None):
-        self.round_keys = round_keys
-        self.mode = mode
-        # the constant set the keys were derived with; the cipher uses it for
-        # every block, so a set loaded later can never be paired with these keys
-        self.consts = consts
-        self.intermediate_cache = intermediate_cache
-        # per-key tables of the batch engine (batch.encrypt_blocks), by
-        # direction, built on first use
-        self.batch_tables = {}
-
-    def _material(self):
-        return self.round_keys, self.mode, self.intermediate_cache
-
-    def __eq__(self, other):
-        if type(other) is not Hc3KeySchedule:
-            return NotImplemented
-        return self._material() == other._material()
-
-    def __hash__(self):
-        return hash(self._material())
+    round_keys: tuple[RoundKey256, ...]
+    consts: Hc3Constants
+    intermediate_cache: Cache1600 | None = None
 
 
 # The step and round-key functions take the 256-bit state as any tuple
@@ -237,8 +218,8 @@ def key_schedule(key: bytes, mode: str = "full_precompute",
     z0 = pad_and_prewhiten(key, consts)
     walk = walk_schedule(z0, consts)
     if mode == "full_precompute":
-        return Hc3KeySchedule(tuple(RoundKey256(*k) for k, _, _ in walk), mode, consts)
+        return Hc3KeySchedule(tuple(RoundKey256(*k) for k, _, _ in walk), consts)
     steps = list(islice(walk, T_TURN + 1))
     cache = Cache1600((z0, *(IntermediateKey(*z) for _, _, z in steps[:T_TURN])),
                       tuple(v for _, v, _ in steps))
-    return Hc3KeySchedule(_keys_from_cache(cache, consts), mode, consts, cache)
+    return Hc3KeySchedule(_keys_from_cache(cache, consts), consts, cache)

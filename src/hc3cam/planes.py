@@ -6,7 +6,7 @@ across the batch an s-box with its key addition is one translate per plane
 and a byte-XOR diffusion layer an XOR of whole planes as big ints: the
 byte-level form of bitslicing.  A cipher direction is a list of
 (layer, per-key argument) steps over the sixteen planes, built once per
-key and kept on its key schedule.
+key and kept by its engine.
 
 Key-sliced batches put a different key under every block, as bitsliced
 DES key search does (Biham, FSE 1997): the keys form byte planes of

@@ -208,20 +208,19 @@ def test_subkeys_pure_function_of_key():
     assert a.kw == b.kw and a.k == b.k and a.kl == b.kl
 
 
-def test_subkeys_compare_on_key_material_only():
-    # two constant objects with equal content: the subkeys are equal and
-    # hash alike, but each keeps its own constants and batch tables
+def test_subkeys_are_values_of_one_constant_set():
+    # subkeys are their fields, and a constant set compares by identity:
+    # two sets of equal content give equal subkeys but unequal subkey sets
     text = (KAT_PATH.parent.parent / "camellia.ctab").read_text()
     c1, c2 = (camellia.CamelliaConstants(ctab.parse(text)) for _ in range(2))
     a, b = key_schedule(OFFICIAL_KEY, c1), key_schedule(OFFICIAL_KEY, c2)
+    assert a == key_schedule(OFFICIAL_KEY, c1) and hash(a) == hash(key_schedule(OFFICIAL_KEY, c1))
     assert a.consts is c1 and b.consts is c2
-    assert a == b and hash(a) == hash(b)
-    assert a.batch_tables is not b.batch_tables
-    camellia.encrypt_blocks(bytes(32), a)
-    assert a.batch_tables and not b.batch_tables
-    assert a == b and hash(a) == hash(b)
+    assert (a.kw, a.k, a.kl, a.key_vars) == (b.kw, b.k, b.kl, b.key_vars) and a != b
+    assert b._replace(consts=c1) == a
     assert a != key_schedule(bytes(16), c1)
-    assert a != cam_cipher.reverse_subkeys(a)
+    reverse = cam_cipher.reverse_subkeys(a)
+    assert reverse != a and (reverse.consts, reverse.key_vars) == (c1, a.key_vars)
 
 
 def test_p_columns_match_row_wise_p_layer():

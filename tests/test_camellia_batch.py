@@ -7,6 +7,7 @@ import random
 import pytest
 
 from hc3cam import camellia, cli
+from hc3cam.camellia import batch as cam_batch
 
 RFC_KEY = bytes.fromhex("0123456789abcdeffedcba9876543210")
 RFC_PT = RFC_KEY
@@ -33,15 +34,23 @@ def test_rfc3713_vector_through_batch():
 
 
 def test_tables_built_on_first_batch_call_only():
+    # a program serves one (subkeys, direction, batch size); it is built on
+    # the first call with data, and the last two are kept
+    programs = cam_batch._repeated
+    programs.cache_clear()
     sk = camellia.key_schedule(bytes(range(16)))
     assert camellia.decrypt(camellia.encrypt(bytes(16), sk), sk) == bytes(16)
     assert camellia.encrypt_blocks(b"", sk) == camellia.decrypt_blocks(b"", sk) == b""
-    assert not sk.batch_tables   # the per-block path and empty data build none
+    assert programs.cache_info().currsize == 0   # the per-block path and empty data build none
     camellia.encrypt_blocks(bytes(32), sk)
-    assert len(sk.batch_tables) == 1
-    steps = sk.batch_tables[False]
+    assert programs.cache_info()[:2] == (0, 1)
+    camellia.encrypt_blocks(bytes(32), sk)
+    # equal subkeys under the same constant set share the program
+    camellia.encrypt_blocks(bytes(32), camellia.key_schedule(bytes(range(16))))
+    assert programs.cache_info()[:2] == (2, 1)
     camellia.encrypt_blocks(bytes(16), sk)
-    assert sk.batch_tables[False] is steps
+    camellia.decrypt_blocks(bytes(32), sk)
+    assert programs.cache_info()[:2] == (2, 3) and programs.cache_info().currsize == 2
 
 
 def test_batch_rejects_partial_block():

@@ -6,12 +6,18 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hc3cam import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 
@@ -224,6 +230,17 @@ def test_help_names_every_option_and_variant(capsys):
         for option in options:
             assert option in text, option
     assert f"variants: {', '.join(cli.VARIANTS)}" in text
+
+
+def test_help_survives_stripped_docstrings():
+    # python -OO drops every docstring; the usage is not one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-OO", "-m", "hc3cam.cli", "--help"], env=env,
+                          capture_output=True, text=True, check=True)
+    for command in cli.COMMANDS:
+        assert f"hc3cam {command} " in proc.stdout, command
+    assert f"variants: {', '.join(cli.VARIANTS)}" in proc.stdout
 
 
 def test_values_reach_the_commands_checks(capsys):

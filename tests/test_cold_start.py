@@ -150,6 +150,22 @@ def test_no_command_imports_dataclasses(command, tmp_path):
         assert {"hc3cam.ctab", SHA_MODULE} <= mods
 
 
+def test_no_module_imports_importlib_resources():
+    # static, as UNLOADED cannot say it: site may import importlib.resources
+    # before any hc3cam module runs
+    found = []
+    for path in sorted((SRC / "hc3cam").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.startswith("importlib.resources")]
+    assert not found
+
+
 @pytest.mark.parametrize("cipher", ["hc3", "camellia"])
 def test_checksum_still_checked(cipher, tmp_path):
     # a .ctab whose payload no longer matches its %checksum is refused

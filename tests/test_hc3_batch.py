@@ -6,6 +6,8 @@ import random
 import pytest
 
 from hc3cam import cli, hc3
+from hc3cam.hc3 import batch as hc3_batch
+from test_constants_override import use_non_involution_override
 
 
 def per_block(fn, data, ks):
@@ -28,14 +30,43 @@ def test_plane_columns_match_position_tables():
 
 def test_batch_matches_per_block():
     rng = random.Random(71)
+    programs = hc3_batch._plane_program
     for mode in hc3.MODES:
         ks = hc3.key_schedule(rng.randbytes(16), mode)
+        programs.cache_clear()
         assert hc3.decrypt(hc3.encrypt(bytes(16), ks), ks) == bytes(16)
-        assert not ks.batch_tables   # the per-block path builds none
+        assert hc3.encrypt_blocks(b"", ks) == hc3.decrypt_blocks(b"", ks) == b""
+        # the per-block path and empty data build no program
+        assert programs.cache_info().currsize == 0
         for n in (0, 1, 2, 17, 300):
             data = rng.randbytes(16 * n)
             assert hc3.encrypt_blocks(data, ks) == per_block(hc3.encrypt, data, ks)
             assert hc3.decrypt_blocks(data, ks) == per_block(hc3.decrypt, data, ks)
+        # one program per direction, built on the first call with data
+        assert programs.cache_info()[:2] == (6, 2)
+
+
+def test_schedules_of_two_constant_sets_alternate(tmp_path, monkeypatch):
+    # under one key, schedules of the packaged and of an override set, and
+    # the packaged round keys paired with the override set, each run with
+    # their own constants however the calls interleave
+    key, data = bytes(range(16)), random.Random(73).randbytes(16 * 40)
+    packaged = hc3.key_schedule(key)
+    override = hc3.key_schedule(key, consts=use_non_involution_override(tmp_path, monkeypatch))
+    mixed = packaged._replace(consts=override.consts)
+    assert override.consts is not packaged.consts and mixed != packaged
+    schedules = (packaged, override, mixed)
+    want = {ks: (per_block(hc3.encrypt, data, ks), per_block(hc3.decrypt, data, ks))
+            for ks in schedules}
+    assert len(set(want.values())) == 3
+    for _ in range(2):
+        for ks in schedules:
+            assert hc3.encrypt_blocks(data, ks) == want[ks][0]
+            assert hc3.decrypt_blocks(data, ks) == want[ks][1]
+        for ks in schedules:
+            assert hc3.decrypt_blocks(data, ks) == want[ks][1]
+            assert hc3.encrypt_blocks(data, ks) == want[ks][0]
+    assert hc3_batch._plane_program.cache_info().currsize <= 2
 
 
 # either side of the chunk edges of the CLI stream

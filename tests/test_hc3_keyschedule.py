@@ -13,7 +13,6 @@ from hc3cam.hc3 import (
     RoundKey256,
     f_sigma,
     get_constants,
-    encrypt_blocks,
     key_schedule,
     pad_and_prewhiten,
     pad_key,
@@ -154,21 +153,19 @@ def test_schedule_is_pure():
     assert a.round_keys == b.round_keys
 
 
-def test_schedules_compare_on_key_material_only():
-    # two constant objects with equal content: the schedules are equal and
-    # hash alike, but each keeps its own constants and batch tables
+def test_schedules_are_values_of_one_constant_set():
+    # a schedule is its fields, and a constant set compares by identity:
+    # two sets of equal content give equal round keys but unequal schedules
     text = (Path(__file__).resolve().parent.parent / "src" / "hc3cam" / "data"
             / "hc3.ctab").read_text()
     c1, c2 = (Hc3Constants(ctab.parse(text)) for _ in range(2))
     key = bytes(range(16))
     for mode in MODES:
         a, b = key_schedule(key, mode, c1), key_schedule(key, mode, c2)
+        assert a == key_schedule(key, mode, c1) and hash(a) == hash(key_schedule(key, mode, c1))
         assert a.consts is c1 and b.consts is c2
-        assert a == b and hash(a) == hash(b)
-        assert a.batch_tables is not b.batch_tables
-        encrypt_blocks(bytes(32), a)
-        assert a.batch_tables and not b.batch_tables
-        assert a == b and hash(a) == hash(b)
+        assert a.round_keys == b.round_keys and a != b
+        assert b._replace(consts=c1) == a
     assert key_schedule(key, "full_precompute", c1) != key_schedule(key, "cached_1600", c1)
     assert key_schedule(key, "full_precompute", c1) != key_schedule(bytes(16), "full_precompute", c1)
 
