@@ -66,7 +66,6 @@ def test_schedules_of_two_constant_sets_alternate(tmp_path, monkeypatch):
         for ks in schedules:
             assert hc3.decrypt_blocks(data, ks) == want[ks][1]
             assert hc3.encrypt_blocks(data, ks) == want[ks][0]
-    assert hc3_batch._plane_program.cache_info().currsize <= 2
 
 
 # either side of the chunk edges of the CLI stream
