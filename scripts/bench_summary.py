@@ -10,7 +10,7 @@ Reads the end-to-end records (``*-trace0.json``) of both sides, pairs them
 by workload and seed, and writes for every workload and every end-to-end
 metric that BENCHMARK.json declares: each side's runs, median and
 quartiles, in how many pairs the change did better, and a verdict
-(gain, regression, unresolved or level; see verdict()); and, for the
+(gain, regression, unresolved or level; see VERDICT); and, for the
 workloads that run ``simulate``, each side's median per-variant host rate
 (the "host ... blocks/s" of every record's simulate lines) and in how many
 pairs the change's rate of each variant was higher.  With --layers it
@@ -32,6 +32,9 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
+# what --help prints: a constant, not the docstring, so python -OO keeps it
+DESCRIPTION = ("Condense perfbench result records of a parent and a change into one\n"
+               "committed summary, BENCH_<n>.json.")
 PROVENANCE_KEYS = ("commit", "src_sha256", "python", "nproc", "platform", "ctab")
 # a record's simulate line: the variant first, its host rate last
 HOST_RATE = re.compile(r"^(\S+) .* host ([0-9.]+) blocks/s$")
@@ -60,18 +63,21 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def verdict(better: str, bound: float, parent: list[float], change: list[float]) -> str:
-    """One metric's verdict over paired runs:
+# what verdict() decides, copied into every record: a constant, not the
+# docstring, so python -OO keeps it
+VERDICT = ("One metric's verdict over paired runs: "
+           "- gain: the change is better in at least 9/10 of the pairs (ties count "
+           "for neither side), and its median is better than the parent's by "
+           "more than the parent's quartile spread; "
+           "- regression: the change's median is worse than the parent's by more "
+           "than the bound, a fraction of the parent's median; "
+           "- unresolved: the parent's quartile spread is wider than the bound, "
+           "unless every change run is better than every parent run; "
+           "- level: none of these.")
 
-    - gain: the change is better in at least 9/10 of the pairs (ties count
-      for neither side), and its median is better than the parent's by
-      more than the parent's quartile spread;
-    - regression: the change's median is worse than the parent's by more
-      than the bound, a fraction of the parent's median;
-    - unresolved: the parent's quartile spread is wider than the bound,
-      unless every change run is better than every parent run;
-    - level: none of these.
-    """
+
+def verdict(better: str, bound: float, parent: list[float], change: list[float]) -> str:
+    """One metric's verdict over paired runs, as VERDICT says."""
     sign = 1 if better == "higher" else -1
     p = [sign * x for x in parent]
     c = [sign * y for y in change]
@@ -161,7 +167,7 @@ def summarise_layers(parent: dict, change: dict, spec: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=DESCRIPTION)
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
@@ -178,7 +184,7 @@ def main(argv=None) -> int:
                    f"--seconds {spec['run_seconds']} --trace 0",
         "pairing": "one parent and one change run per seed, alternating which runs first",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
-        "verdict": " ".join(verdict.__doc__.split()),
+        "verdict": VERDICT,
         "provenance": {"parent": parent_stamp, "change": change_stamp},
         "workloads": summarise(parent, change, spec),
     }

@@ -462,13 +462,12 @@ class SimRow(NamedTuple):
     resources: str
 
 
-def model_row(profile: ArchProfile, clock_mhz: float | None = None) -> SimRow:
-    clock = clock_mhz if clock_mhz is not None else profile.clock_mhz
+def model_row(profile: ArchProfile) -> SimRow:
     modeled = None
     deviation = None
     flagged = False
-    if clock is not None:
-        modeled = throughput_model(clock * 1e6, profile.work_cycles_per_block) / 1e6
+    if profile.clock_mhz is not None:
+        modeled = throughput_model(profile.clock_mhz * 1e6, profile.work_cycles_per_block) / 1e6
         paper = profile.paper_throughput_mbps
         if paper:
             deviation = abs(modeled - paper) / paper
@@ -478,7 +477,7 @@ def model_row(profile: ArchProfile, clock_mhz: float | None = None) -> SimRow:
             flagged = deviation > DISCREPANCY_THRESHOLD
     return SimRow(
         label=profile.variant, cipher=profile.cipher, is_model=True,
-        cycles_per_block=profile.work_cycles_per_block, clock_mhz=clock,
+        cycles_per_block=profile.work_cycles_per_block, clock_mhz=profile.clock_mhz,
         modeled_mbps=modeled, paper_mbps=profile.paper_throughput_mbps,
         deviation=deviation, flagged=flagged, resources=profile.resources,
     )
@@ -546,17 +545,22 @@ def _positive(text: str, what: str, where: str, kind=float):
     return value
 
 
-# keywords of a profile file that take one value; `setup` may repeat
-PROFILE_KEYWORDS = ("variant", "datapath", "cipher", "work-cycles", "clock-mhz",
-                    "paper-throughput-mbps", "resources", "critical-path",
-                    "critical-path-ns")
+# keyword of a profile file -> (ArchProfile field, type of its value), in
+# the order format_profile writes them; `setup` may repeat and is not here
+PROFILE_FIELDS: dict[str, tuple[str, type]] = {
+    "variant": ("variant", str), "datapath": ("datapath", str), "cipher": ("cipher", str),
+    "work-cycles": ("work_cycles_per_block", int), "clock-mhz": ("clock_mhz", float),
+    "paper-throughput-mbps": ("paper_throughput_mbps", float), "resources": ("resources", str),
+    "critical-path": ("critical_path_label", str), "critical-path-ns": ("critical_path_ns", float),
+}
+PROFILE_KEYWORDS = tuple(PROFILE_FIELDS)
 
 
 def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
     """Read a profile description (see README for the grammar)."""
     import shlex      # here, not at the top: simulate --variant reads no profile text
-    fields: dict[str, str] = {}
-    where_is: dict[str, str] = {}   # keyword -> "source:line"
+    fields: dict[str, object] = {}  # ArchProfile field -> value
+    given: dict[str, tuple[str, str]] = {}  # keyword -> ("source:line", value as written)
     setup: list[MicroOp] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         where = f"{source}:{lineno}"
@@ -574,91 +578,58 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
             ns = _positive(args[1], "setup latency", where) if len(args) > 1 else None
             setup.append(MicroOp(args[0], ns))
             continue
-        if keyword not in PROFILE_KEYWORDS:
+        if keyword not in PROFILE_FIELDS:
             raise ValueError(f"{where}: unknown keyword {keyword!r}; known: setup, "
                              + ", ".join(PROFILE_KEYWORDS))
-        if keyword in fields:
+        if keyword in given:
             raise ValueError(f"{where}: '{keyword}' given twice "
-                             f"(first at {where_is[keyword]})")
+                             f"(first at {given[keyword][0]})")
         if len(args) != 1:
             raise ValueError(f"{where}: '{keyword}' takes one value")
-        fields[keyword] = args[0]
-        where_is[keyword] = where
-
-    def number(keyword, default, kind=float):
-        if keyword not in fields:
-            return default
-        return _positive(fields[keyword], keyword, where_is[keyword], kind)
+        field, kind = PROFILE_FIELDS[keyword]
+        fields[field] = args[0] if kind is str else _positive(args[0], keyword, where, kind)
+        given[keyword] = where, args[0]
 
     if "variant" not in fields:
         raise ValueError(f"{source}: missing 'variant'")
-    datapath = fields.get("datapath", fields["variant"])
+    datapath = fields.setdefault("datapath", fields["variant"])
     base = PROFILES.get(datapath)
     if base is None:
-        where = where_is.get("datapath", where_is["variant"])
+        where = given.get("datapath", given["variant"])[0]
         raise ValueError(
             f"{where}: unknown datapath {datapath!r}; known: "
             f"{', '.join(sorted(PROFILES))}"
         )
-    work = number("work-cycles", base.work_cycles_per_block, int)
-    if work != base.work_cycles_per_block:
-        raise ValueError(
-            f"{where_is['work-cycles']}: work-cycles {work} does not match datapath "
-            f"{datapath!r} ({base.work_cycles_per_block})"
-        )
-    cipher = fields.get("cipher", base.cipher)
-    if cipher != base.cipher:
-        raise ValueError(
-            f"{where_is['cipher']}: cipher {cipher!r} does not match datapath "
-            f"{datapath!r} ({base.cipher})"
-        )
-    profile = ArchProfile(
-        variant=fields["variant"],
-        cipher=cipher,
-        datapath=datapath,
-        work_cycles_per_block=work,
-        setup_schedule=tuple(setup) or base.setup_schedule,
-        clock_mhz=number("clock-mhz", base.clock_mhz),
-        paper_throughput_mbps=number("paper-throughput-mbps", base.paper_throughput_mbps),
-        resources=fields.get("resources", base.resources),
-        critical_path_label=fields.get("critical-path", base.critical_path_label),
-        critical_path_ns=number("critical-path-ns", base.critical_path_ns),
-    )
+    for keyword in ("work-cycles", "cipher"):
+        field = PROFILE_FIELDS[keyword][0]
+        if keyword in given and fields[field] != getattr(base, field):
+            raise ValueError(f"{given[keyword][0]}: {keyword} {fields[field]!r} does not "
+                             f"match datapath {datapath!r} ({getattr(base, field)})")
+    profile = base._replace(setup_schedule=tuple(setup) or base.setup_schedule, **fields)
     # each number is finite and > 0; so must be the figures derived from
-    # them: the modeled rate 128 * f / c, its deviation from the published
-    # rate and the max clock 1000 / ns
-    for keyword, derive in (("clock-mhz", model_row), ("paper-throughput-mbps", model_row),
-                            ("critical-path-ns", attrgetter("max_clock_mhz"))):
-        if keyword in fields:
+    # them, each on its own keyword's line: clock-mhz the modeled rate 128 * f
+    # / c, paper-throughput-mbps its deviation, critical-path-ns 1000 / ns
+    for keyword, check in (
+            ("clock-mhz", lambda p: throughput_model(p.clock_mhz * 1e6, p.work_cycles_per_block)),
+            ("paper-throughput-mbps", model_row),
+            ("critical-path-ns", attrgetter("max_clock_mhz"))):
+        if keyword in given:
             try:
-                derive(profile)
+                check(profile)
             except ValueError as exc:
-                raise ValueError(f"{where_is[keyword]}: {keyword} "
-                                 f"{fields[keyword]}: {exc}") from None
+                where, value = given[keyword]
+                raise ValueError(f"{where}: {keyword} {value}: {exc}") from None
     return profile
 
 
 def format_profile(profile: ArchProfile) -> str:
+    """Text that parse_profile reads back as profile, every value shell-quoted.
+    The format has no "none": an empty resources or critical-path, or a None
+    figure, is left out, and parse_profile fills in the datapath's built-in one."""
     import shlex
-    lines = [
-        f"variant {profile.variant}",
-        f"datapath {profile.datapath}",
-        f"cipher {profile.cipher}",
-        f"work-cycles {profile.work_cycles_per_block}",
-    ]
-    if profile.clock_mhz is not None:
-        lines.append(f"clock-mhz {profile.clock_mhz}")
-    if profile.paper_throughput_mbps is not None:
-        lines.append(f"paper-throughput-mbps {profile.paper_throughput_mbps}")
-    if profile.resources:
-        lines.append(f"resources {shlex.quote(profile.resources)}")
-    if profile.critical_path_label:
-        lines.append(f"critical-path {shlex.quote(profile.critical_path_label)}")
-    if profile.critical_path_ns is not None:
-        lines.append(f"critical-path-ns {profile.critical_path_ns}")
-    for op in profile.setup_schedule:
-        if op.ns is None:
-            lines.append(f"setup {shlex.quote(op.label)}")
-        else:
-            lines.append(f"setup {shlex.quote(op.label)} {op.ns}")
+    lines = [f"{keyword} {shlex.quote(str(value))}"
+             for keyword, (field, _) in PROFILE_FIELDS.items()
+             if (value := getattr(profile, field)) not in (None, "")]
+    lines += ["setup " + " ".join(shlex.quote(str(v)) for v in op if v is not None)
+              for op in profile.setup_schedule]
     return "\n".join(lines) + "\n"

@@ -323,15 +323,15 @@ def cmd_simulate(args) -> int:
             raise CliError(
                 f"unknown variant {args.variant!r}; valid: " + ", ".join(VARIANTS)
             )
-    if args.clock_mhz is not None and not (math.isfinite(args.clock_mhz)
-                                           and args.clock_mhz > 0):
-        raise CliError("--clock-mhz must be finite and positive")
+    if args.clock_mhz is not None:
+        if not (math.isfinite(args.clock_mhz) and args.clock_mhz > 0):
+            raise CliError("--clock-mhz must be finite and positive")
+        profile = profile._replace(clock_mhz=args.clock_mhz)
     if args.blocks < 0:
         raise CliError("--blocks must be non-negative")
 
-    clock = args.clock_mhz if args.clock_mhz is not None else profile.clock_mhz
     try:
-        row = archsim.model_row(profile, clock)
+        row = archsim.model_row(profile)
     except ValueError as exc:
         # only --clock-mhz can get here: a profile's figures were checked
         # when it was read
@@ -340,8 +340,8 @@ def cmd_simulate(args) -> int:
     print(f"variant: {profile.variant} ({profile.cipher})")
     print(f"setup cycles: {len(profile.setup_schedule)}")
     print(f"work cycles per block: {profile.work_cycles_per_block}")
-    if clock is not None:
-        print(f"clock: {clock:.2f} MHz")
+    if profile.clock_mhz is not None:
+        print(f"clock: {profile.clock_mhz:.2f} MHz")
     if profile.critical_path_label:
         extra = ""
         if profile.critical_path_ns is not None:

@@ -498,9 +498,23 @@ def test_render_report():
 
 
 def test_profile_file_roundtrip():
-    for p in PROFILES.values():
-        parsed = parse_profile(format_profile(p))
-        assert parsed == p
+    long = PROFILES["hc3-long"]
+    boards = [
+        *PROFILES.values(),
+        long._replace(variant="my board"),
+        long._replace(resources="9497 LE / 48 kb \"EAB\" 'x'"),
+        long._replace(setup_schedule=(archsim.MicroOp("pad key", 14.0),
+                                      archsim.MicroOp("it's", 0.1 + 0.2),
+                                      archsim.MicroOp("no latency"))),
+        # every number a value other than the built-in one
+        long._replace(clock_mhz=0.1 + 0.2, paper_throughput_mbps=1e-300,
+                      critical_path_ns=1e300),
+        PROFILES["hc3-extensive"]._replace(clock_mhz=1e-5, paper_throughput_mbps=123456789.5,
+                                           critical_path_ns=33.3),
+    ]
+    for p in boards:
+        text = format_profile(p)
+        assert parse_profile(text) == p, text
 
 
 def test_profile_file_overrides_and_errors():
@@ -518,6 +532,9 @@ def test_profile_file_overrides_and_errors():
         parse_profile("variant x\ndatapath hc3-long\nwork-cycles 9\n")
     with pytest.raises(ValueError, match="missing 'variant'"):
         parse_profile("datapath hc3-long\n")
+    # a bad number is refused on its own line, before the checks of the whole file
+    with pytest.raises(ValueError, match="^<profile>:2: clock-mhz must be a finite number"):
+        parse_profile("datapath nope\nclock-mhz x\n")
 
 
 def test_profile_file_cipher_mismatch_rejected():

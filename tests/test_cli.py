@@ -394,6 +394,13 @@ def test_simulate_rejects_derived_figures_that_are_not_finite(tmp_path, capsys):
         code, out, err = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"hc3cam: error: {f}:3: {line}: ") and message in err
+    # the clock on line 5 is fine; the deviation is the published figure's fault
+    f.write_text(f"{head}work-cycles 8\ncipher hc3\nclock-mhz 11.91\n"
+                 "paper-throughput-mbps 1e-307\n")
+    code, out, err = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"hc3cam: error: {f}:6: paper-throughput-mbps 1e-307: ")
+    assert "is not a finite deviation" in err
     # a published figure the profile's own clock passes, a --clock-mhz does not
     f.write_text(f"{head}paper-throughput-mbps 1e-10\n")
     code, out, _ = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)

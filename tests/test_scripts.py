@@ -7,6 +7,8 @@ be in the layout kat reads by columns.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,7 +57,6 @@ def test_kat_files_are_in_the_one_scan_layout(tmp_path, monkeypatch):
 
 
 def test_bench_summary_pairs_runs_by_seed(tmp_path, monkeypatch):
-    import json
     module = load_script("bench_summary", monkeypatch)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
@@ -89,8 +90,34 @@ def test_bench_summary_pairs_runs_by_seed(tmp_path, monkeypatch):
                      str(tmp_path / "change"), "--out", str(out)])
 
 
+def test_bench_summary_runs_without_docstrings(tmp_path, monkeypatch):
+    # python -OO drops every docstring; --help and the verdict rules that
+    # every record carries are constants
+    script = [sys.executable, "-OO", str(ROOT / "scripts" / "bench_summary.py")]
+    proc = subprocess.run([*script, "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "BENCH_<n>.json" in proc.stdout
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record = {"workload": "many-keys", "seed": 1, "attempted": 4, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                          for m in spec["end_to_end"]},
+              "provenance": {"commit": "c0", "src_sha256": "s", "python": "3.x",
+                             "nproc": 2, "platform": "p", "ctab": []}}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "many-keys-seed1-trace0.json").write_text(json.dumps(record))
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run([*script, "--parent", str(tmp_path / "parent"), "--change",
+                           str(tmp_path / "change"), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict == load_script("bench_summary", monkeypatch).VERDICT
+    # the same text as the committed records that carry one
+    assert verdict == json.loads((ROOT / "BENCH_22.json").read_text())["verdict"]
+
+
 def test_bench_summary_layers_pairs_trace1_records(tmp_path, monkeypatch):
-    import json
     module = load_script("bench_summary", monkeypatch)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
@@ -135,7 +162,6 @@ def test_bench_summary_layers_pairs_trace1_records(tmp_path, monkeypatch):
 
 
 def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
-    import json
     module = load_script("bench_summary", monkeypatch)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
@@ -176,7 +202,6 @@ def test_bench_summary_medians_simulate_host_rates(tmp_path, monkeypatch):
 
 
 def test_bench_summary_verdicts(tmp_path, monkeypatch):
-    import json
     module = load_script("bench_summary", monkeypatch)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     stamp = {"commit": "c0", "src_sha256": "s", "python": "3.x", "nproc": 2,
