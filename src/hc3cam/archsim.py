@@ -606,9 +606,9 @@ def parse_profile(text: str, source: str = "<profile>") -> ArchProfile:
             raise ValueError(f"{given[keyword][0]}: {keyword} {fields[field]!r} does not "
                              f"match datapath {datapath!r} ({getattr(base, field)})")
     profile = base._replace(setup_schedule=tuple(setup) or base.setup_schedule, **fields)
-    # each number is finite and > 0; so must be the figures derived from
-    # them, each on its own keyword's line: clock-mhz the modeled rate 128 * f
-    # / c, paper-throughput-mbps its deviation, critical-path-ns 1000 / ns
+    # each number is finite and > 0; so must be the figures derived from them,
+    # each checked on its keyword's line: clock-mhz the modeled rate 128 * f / c,
+    # paper-throughput-mbps its deviation, critical-path-ns the max clock 1000 / ns
     for keyword, check in (
             ("clock-mhz", lambda p: throughput_model(p.clock_mhz * 1e6, p.work_cycles_per_block)),
             ("paper-throughput-mbps", model_row),

@@ -388,19 +388,17 @@ def test_simulate_rejects_derived_figures_that_are_not_finite(tmp_path, capsys):
     # each number is finite and > 0, but |m - p| / p or 1000 / ns is not
     f = tmp_path / "b.profile"
     head = "variant b\ndatapath hc3-long\n"
-    for line, message in (("paper-throughput-mbps 1e-307", "is not a finite deviation"),
-                          ("critical-path-ns 1e-320", "is not a finite clock")):
-        f.write_text(f"{head}{line}\n")
+    # each error names the last line; with a clock given, a deviation that is
+    # not finite is still the published figure's fault
+    for lines, message in ((["paper-throughput-mbps 1e-307"], "is not a finite deviation"),
+                           (["critical-path-ns 1e-320"], "is not a finite clock"),
+                           (["work-cycles 8", "cipher hc3", "clock-mhz 11.91",
+                             "paper-throughput-mbps 1e-307"], "is not a finite deviation")):
+        f.write_text(head + "".join(f"{line}\n" for line in lines))
         code, out, err = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)
         assert code == 2 and out == ""
-        assert err.startswith(f"hc3cam: error: {f}:3: {line}: ") and message in err
-    # the clock on line 5 is fine; the deviation is the published figure's fault
-    f.write_text(f"{head}work-cycles 8\ncipher hc3\nclock-mhz 11.91\n"
-                 "paper-throughput-mbps 1e-307\n")
-    code, out, err = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith(f"hc3cam: error: {f}:6: paper-throughput-mbps 1e-307: ")
-    assert "is not a finite deviation" in err
+        assert err.startswith(f"hc3cam: error: {f}:{len(lines) + 2}: {lines[-1]}: ")
+        assert message in err
     # a published figure the profile's own clock passes, a --clock-mhz does not
     f.write_text(f"{head}paper-throughput-mbps 1e-10\n")
     code, out, _ = run(["simulate", "--profile-file", str(f), "--blocks", "0"], capsys)
