@@ -53,7 +53,8 @@ class CamelliaConstants:
     def p_columns(self):
         # p_columns[pos][v]: 64-bit P-layer image of byte v sitting alone
         # at byte position pos
-        return gf2.lane_tables(self.p_rows, 8)
+        from ..lanes import lane_tables
+        return lane_tables(self.p_rows, 8)
 
     @cached_property
     def f_tables(self):
@@ -65,7 +66,8 @@ class CamelliaConstants:
     @cached_property
     def f_map(self):
         # the per-block F after its key addition, on the eight input bytes
-        return gf2.lane_map(self.f_tables)
+        from ..lanes import lane_map
+        return lane_map(self.f_tables)
 
 
 load_constants = ctab.loader("camellia", CamelliaConstants)

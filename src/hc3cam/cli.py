@@ -16,25 +16,30 @@ decrypt_sliced of the ciphertexts.  simulate checks every block the device
 model produced against the batch engine, one encrypt_blocks call per
 CHUNK_BLOCKS blocks.
 
+What lives where: this module holds main() and run(), the argv reader
+with its COMMANDS table, the names every command shares (CliError,
+BLOCK_BYTES, CHUNK_BLOCKS, CIPHERS, VARIANTS, _read_text) and kat with
+its vector reader, so --help, a usage error and kat compile nothing
+else of the front end.  The encrypt, decrypt, bench and simulate
+handlers live in hc3cam.commands, which parse_args imports only once it
+has read one of those commands.
+
 A command compiles only the modules it runs (see hc3cam.hc3 and
 hc3cam.camellia): encrypt, decrypt and bench its cipher's per-key
 schedule and batch engine, kat the key-sliced engine, simulate archsim
-and, from one block on, the datapath's per-block rounds and schedule and
-the batch engine.  A process (`python -m hc3cam.cli`, the `hc3cam`
-script) runs main() through run(), which freezes the heap before it
-exits, so CPython's collections at shutdown walk none of it.
+and, from one block on, the datapath's schedule and the batch engine.
+A process (`python -m hc3cam.cli`, the `hc3cam` script) runs main()
+through run(), which freezes the heap before it exits, so CPython's
+collections at shutdown walk none of it.
 """
 
 from __future__ import annotations
 
 import binascii
 import gc
-import math
 import os
 import re
-import stat
 import sys
-import time
 from importlib import import_module
 from operator import itemgetter
 from types import SimpleNamespace
@@ -56,11 +61,6 @@ BLOCK_BYTES = 16
 # the size, and a chunk is large enough that the batch engine's per-call
 # cost is spread thin
 CHUNK_BLOCKS = 8192
-# bench reports the fastest of at least BENCH_PASSES passes over --blocks
-# blocks, repeated until they took BENCH_MIN_S in all: a pass can take
-# only milliseconds, which one scheduler stall can double
-BENCH_PASSES = 3
-BENCH_MIN_S = 0.1
 # --cipher name -> package with key_schedule, encrypt, decrypt,
 # encrypt_blocks, decrypt_blocks, key_schedule_sliced, encrypt_sliced and
 # decrypt_sliced, imported when a command names it; its functions are
@@ -74,58 +74,6 @@ VARIANTS = ("camellia-lu3", "hc3-extensive", "hc3-long", "hc3-short", "hc3-veryl
 
 class CliError(Exception):
     """Usage or data-format problem; maps to exit code 2."""
-
-
-def _parse_key(hex_key: str) -> bytes:
-    cleaned = hex_key.strip()
-    try:
-        key = bytes.fromhex(cleaned)
-    except ValueError:
-        raise CliError(f"key is not valid hex: {hex_key!r}") from None
-    if len(key) != BLOCK_BYTES:
-        raise CliError(f"key must be 32 hex digits (16 bytes), got {len(key)} bytes")
-    return key
-
-
-def _chunk_fn(cipher: str, key: bytes, decrypt: bool):
-    """chunk -> chunk through the cipher's batch engine."""
-    mod = import_module(CIPHERS[cipher])
-    ks = mod.key_schedule(key)
-    batch = mod.decrypt_blocks if decrypt else mod.encrypt_blocks
-    return lambda chunk: batch(chunk, ks)
-
-
-def _check_length(n: int) -> None:
-    if n % BLOCK_BYTES:
-        raise CliError(
-            f"input length {n} is not a multiple of {BLOCK_BYTES} bytes "
-            "(raw ECB block processing, no padding)"
-        )
-
-
-def cmd_crypt(args) -> int:
-    key = _parse_key(args.key)
-    process = _chunk_fn(args.cipher, key, args.command == "decrypt")
-    try:
-        with open(args.infile, "rb") as src:
-            st = os.fstat(src.fileno())
-            if stat.S_ISREG(st.st_mode):
-                _check_length(st.st_size)
-            try:
-                in_place = os.path.samestat(st, os.stat(args.outfile))
-            except OSError:
-                in_place = False
-            # in place, each chunk is written back over itself after it was
-            # read; "wb" would truncate the input before the first read
-            with open(args.outfile, "r+b" if in_place else "wb") as dst:
-                total = 0
-                while chunk := src.read(CHUNK_BLOCKS * BLOCK_BYTES):
-                    total += len(chunk)
-                    _check_length(total)   # a pipe's length shows at its end
-                    dst.write(process(chunk))
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
-    return 0
 
 
 class KatVectors(NamedTuple):
@@ -285,111 +233,6 @@ def cmd_kat(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.blocks <= 0:
-        raise CliError("--blocks must be positive")
-    mod = import_module(CIPHERS[args.cipher])
-    ks = mod.key_schedule(bytes(range(16)))
-    # the step tables are built by the first call, before the timer starts
-    mod.encrypt_blocks(bytes(BLOCK_BYTES), ks)
-    chunk = bytes(BLOCK_BYTES * min(args.blocks, CHUNK_BLOCKS))
-    passes = []
-    while len(passes) < BENCH_PASSES or sum(passes) < BENCH_MIN_S:
-        t0 = time.perf_counter()
-        for start in range(0, args.blocks, CHUNK_BLOCKS):
-            mod.encrypt_blocks(chunk[:BLOCK_BYTES * (args.blocks - start)], ks)
-        passes.append(time.perf_counter() - t0)
-    seconds = min(passes)
-    mbps = args.blocks * 128 / seconds / 1e6 if seconds > 0 else float("inf")
-    print("cipher,blocks,seconds,throughput_mbps")
-    print(f"{args.cipher},{args.blocks},{seconds:.6f},{mbps:.3f}")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    if (args.variant is None) == (args.profile_file is None):
-        raise CliError("simulate needs exactly one of --variant and --profile-file; "
-                       "valid variants: " + ", ".join(VARIANTS))
-    from . import archsim
-    if args.profile_file is not None:
-        text = _read_text(args.profile_file)
-        try:
-            profile = archsim.parse_profile(text, source=args.profile_file)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    else:
-        profile = archsim.PROFILES.get(args.variant)
-        if profile is None:
-            raise CliError(
-                f"unknown variant {args.variant!r}; valid: " + ", ".join(VARIANTS)
-            )
-    if args.clock_mhz is not None:
-        if not (math.isfinite(args.clock_mhz) and args.clock_mhz > 0):
-            raise CliError("--clock-mhz must be finite and positive")
-        profile = profile._replace(clock_mhz=args.clock_mhz)
-    if args.blocks < 0:
-        raise CliError("--blocks must be non-negative")
-
-    try:
-        row = archsim.model_row(profile)
-    except ValueError as exc:
-        # only --clock-mhz can get here: a profile's figures were checked
-        # when it was read
-        raise CliError(f"--clock-mhz {args.clock_mhz:g}: {exc}") from exc
-
-    print(f"variant: {profile.variant} ({profile.cipher})")
-    print(f"setup cycles: {len(profile.setup_schedule)}")
-    print(f"work cycles per block: {profile.work_cycles_per_block}")
-    if profile.clock_mhz is not None:
-        print(f"clock: {profile.clock_mhz:.2f} MHz")
-    if profile.critical_path_label:
-        extra = ""
-        if profile.critical_path_ns is not None:
-            extra = (f" ({profile.critical_path_ns:g} ns, max clock "
-                     f"{profile.max_clock_mhz:.2f} MHz)")
-        print(f"critical path: {profile.critical_path_label}{extra}")
-    if profile.resources:
-        print(f"resources: {profile.resources}")
-    if row.modeled_mbps is not None:
-        print(f"modeled throughput: {row.modeled_mbps:.2f} Mb/s")
-    if row.paper_mbps is not None:
-        print(f"published throughput: {row.paper_mbps:.2f} Mb/s")
-    if row.deviation is not None:
-        flag = "  ** DISCREPANCY (documented; figures kept verbatim) **" if row.flagged else ""
-        print(f"deviation: {100 * row.deviation:.2f}%{flag}")
-
-    device = archsim.Device(profile, bytes(range(16)))
-    functional_ok = True
-    # every block's ciphertext is checked against the cipher's byte-plane
-    # batch engine on its default key schedule, one call per chunk: a
-    # different route from the device's setup and per-cycle rounds
-    if args.blocks:
-        ref = import_module(CIPHERS[profile.cipher])
-        ref_ks = ref.key_schedule(device.key)
-    trace = None
-    for start in range(0, args.blocks, CHUNK_BLOCKS):
-        blocks = [i.to_bytes(BLOCK_BYTES, "big")
-                  for i in range(start, min(start + CHUNK_BLOCKS, args.blocks))]
-        cts = []
-        for block in blocks:
-            trace = device.run(block)
-            cts.append(trace.ciphertext)
-        functional_ok &= b"".join(cts) == ref.encrypt_blocks(b"".join(blocks), ref_ks)
-    print(f"blocks simulated: {args.blocks} "
-          f"(ciphertext vs functional model: {'OK' if functional_ok else 'MISMATCH'})")
-    print(f"device ticks: {device.state.cycle_counter} total, {device.setup_ticks} setup")
-    if args.trace and trace is not None:
-        print("cycle trace (last block):")
-        for cyc in trace.cycles:
-            print(f"  {cyc.index}: " + " | ".join(cyc.ops))
-    print()
-    print(f"comparison ({profile.cipher} family):")
-    print(archsim.render_report(archsim.report(), cipher=profile.cipher))
-    if not functional_ok:
-        return 1
-    return 0
-
-
 def _cipher(name: str) -> str:
     if name not in CIPHERS:
         raise ValueError(f"invalid choice: {name!r} (choose from {', '.join(CIPHERS)})")
@@ -408,13 +251,15 @@ _CRYPT = {**_CIPHER, "--key": ("key", str, _REQUIRED), "--in": ("infile", str, _
           "--out": ("outfile", str, _REQUIRED)}
 # command -> (handler, {option: (dest, conversion, default)}).  An option
 # whose default is _REQUIRED must be given; one whose conversion is None is
-# a flag, True when given.  -h/--help, anywhere, runs _help.
+# a flag, True when given.  -h/--help, anywhere, runs _help.  A handler
+# given by name lives in hc3cam.commands, imported once a command line
+# names it.
 COMMANDS = {
-    "encrypt": (cmd_crypt, _CRYPT),
-    "decrypt": (cmd_crypt, _CRYPT),
+    "encrypt": ("cmd_crypt", _CRYPT),
+    "decrypt": ("cmd_crypt", _CRYPT),
     "kat": (cmd_kat, {**_CIPHER, "--vectors": ("vectors", str, _REQUIRED)}),
-    "bench": (cmd_bench, {**_CIPHER, "--blocks": ("blocks", int, 10000)}),
-    "simulate": (cmd_simulate, {
+    "bench": ("cmd_bench", {**_CIPHER, "--blocks": ("blocks", int, 10000)}),
+    "simulate": ("cmd_simulate", {
         "--variant": ("variant", str, None), "--profile-file": ("profile_file", str, None),
         "--blocks": ("blocks", int, 1), "--clock-mhz": ("clock_mhz", float, None),
         "--trace": ("trace", None, False)}),
@@ -476,6 +321,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     missing = [opt for opt, spec in table.items() if spec[2] is _REQUIRED and opt not in given]
     if missing:
         raise CliError("the following arguments are required: " + ", ".join(missing))
+    if isinstance(func, str):
+        func = getattr(import_module(".commands", __package__), func)
     return SimpleNamespace(command=command, func=func, **{
         dest: given.get(opt, default) for opt, (dest, _, default) in table.items()})
 
@@ -502,7 +349,12 @@ def run() -> NoReturn:
     lives until the process ends, so gc.freeze() first moves it to the
     permanent generation, which the collections of interpreter shutdown
     skip.  main() itself freezes nothing: tests and tracers call it inside
-    long-lived processes."""
+    long-lived processes.
+
+    Under `python -m hc3cam.cli` this file runs as __main__; it is also
+    registered as hc3cam.cli, so hc3cam.commands, which imports that,
+    shares its globals instead of compiling this file a second time."""
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     code = main()
     gc.freeze()
     sys.exit(code)

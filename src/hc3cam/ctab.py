@@ -34,7 +34,7 @@ except ImportError:
     from hashlib import sha256
 
 
-_MAGIC = re.compile(r"%ctab\s+v(\d+)\s+(\S+)\s*$")
+_MAGIC = re.compile(r"%ctab\s+v1\s+(\S+)\s*$")
 _SECTION = re.compile(r"\[([a-z0-9_]+)\]\s*$")
 _CHECKSUM = re.compile(r"%checksum\s+sha256\s+([0-9a-fA-F]{64})\s*$")
 
@@ -76,7 +76,6 @@ def _digest(sections: list[tuple[str, bytes]]) -> str:
 
 def parse(text: str, source: str = "<ctab>") -> Ctab:
     name = None
-    version = None
     order: list[tuple[str, bytes]] = []
     current: str | None = None
     hexbuf: list[str] = []
@@ -101,12 +100,17 @@ def parse(text: str, source: str = "<ctab>") -> Ctab:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if declared_sum is not None:
+            raise ConstantsError(f"{source}:{lineno}: text after the %checksum line")
         if line.startswith("%ctab"):
             m = _MAGIC.match(line)
             if not m or name is not None:
-                raise ConstantsError(f"{source}:{lineno}: bad or repeated magic line")
-            version, name = int(m.group(1)), m.group(2)
+                raise ConstantsError(f"{source}:{lineno}: bad or repeated magic line "
+                                     "(one '%ctab v1 <name>' line leads the file)")
+            name = m.group(1)
             continue
+        if name is None:
+            raise ConstantsError(f"{source}:{lineno}: missing %ctab magic line before this one")
         if line.startswith("%checksum"):
             m = _CHECKSUM.match(line)
             if not m:
@@ -136,7 +140,7 @@ def parse(text: str, source: str = "<ctab>") -> Ctab:
     dup = {n for n, _ in order if sum(1 for m2, _ in order if m2 == n) > 1}
     if dup:
         raise ConstantsError(f"{source}: duplicate sections {sorted(dup)}")
-    return Ctab(name=name, version=version, sections=dict(order), sha256=actual)
+    return Ctab(name=name, version=1, sections=dict(order), sha256=actual)
 
 
 def load(path) -> Ctab:

@@ -15,23 +15,11 @@ from __future__ import annotations
 from .constants import Hc3Constants, get_constants
 from .keyschedule import Hc3KeySchedule, RoundKey256, key_halves
 from .linear import check_block, mds_h, mds_h_inv
-from .steps import T_ROUNDS
+from .steps import T_ROUNDS, xs_core
 
 
 def _block_int(block: bytes) -> int:
     return int.from_bytes(check_block(block), "big")
-
-
-def xs_core(v: int, k12: int, k34: int, consts: Hc3Constants, merged: bool = False) -> bytes:
-    """The integer round core: XS of the state v up to its second s-box
-    layer, as the 16 bytes that layer, or a map fused with it, reads.
-
-    merged runs the first s-box layer and MDS-lower as the fused
-    merged_map instead of a translate and mdsl_map.
-    """
-    b = (v ^ k12).to_bytes(16, "big")
-    y = consts.merged_map(b) if merged else consts.mdsl_map(b.translate(consts.sbox))
-    return (y ^ k34).to_bytes(16, "big")
 
 
 def xs(block: bytes, rk: RoundKey256, consts: Hc3Constants | None = None) -> bytes:

@@ -19,9 +19,13 @@ IDENTITY = gf2.IDENTITY
 
 def _layer(args):
     """A table set built on first read, as _position_tables(*args(consts)),
-    and its gf2.lane_map, built on first read from the set."""
+    and its lanes.lane_map, built on first read from the set."""
     tables = cached_property(lambda self: self._position_tables(*args(self)))
-    return tables, cached_property(lambda self: gf2.lane_map(tables.__get__(self)))
+
+    def lane_map(self):
+        from ..lanes import lane_map
+        return lane_map(tables.__get__(self))
+    return tables, cached_property(lane_map)
 
 
 class Hc3Constants:
@@ -68,23 +72,19 @@ class Hc3Constants:
 
     def _position_tables(self, layer, src=IDENTITY):
         """tables[pos][x]: the layer's output for byte src[x] at input
-        position pos, for gf2.lane_map.  layer is a GF(2^8) MdsMatrix4
-        applied to every 32-bit word, or (rows, width): a lane-selection
-        row set over width-bit lanes (gf2.lane_tables).  Each distinct set
-        is built once, so an involution's inverse shares them."""
+        position pos, for lanes.lane_map.  layer is a GF(2^8) MdsMatrix4
+        applied to every 32-bit word (mdsl.word_tables of its product
+        columns), or (rows, width): a lane-selection row set over
+        width-bit lanes (lanes.lane_tables).  Each distinct set is built
+        once, so an involution's inverse shares them."""
         key = (layer, src)
         if key not in self._built:
             if isinstance(layer, gf256.MdsMatrix4):
-                # column j of the matrix shifted into word w, a linear map
-                # of the byte, built from its images of 1, 2, ..., 128
-                m, products = layer.entries, _products(layer)
-                cols = [[sum(products[m[i][j]][1 << b] << 8 * (3 - i) for i in range(4))
-                         for b in range(8)] for j in range(4)]
-                self._built[key] = tuple(
-                    tuple(map(_linear([v << 32 * (3 - w) for v in cols[j]]).__getitem__, src))
-                    for w in range(4) for j in range(4))
+                from .mdsl import word_tables
+                self._built[key] = word_tables(_plane_columns(layer), src)
             else:
-                self._built[key] = gf2.lane_tables(*layer, src)
+                from ..lanes import lane_tables
+                self._built[key] = lane_tables(*layer, src)
         return self._built[key]
 
     # Each layer's tables and map are built when a cipher path first reads

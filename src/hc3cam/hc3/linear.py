@@ -1,7 +1,7 @@
 """Keyless building blocks of HIEROCRYPT-3: the word/byte XOR selection
 layers P(n), M_5E, M_B3, MDS higher level, and the F-sigma mixer.
 
-The layers the ciphers run (F-sigma, MDS higher) are gf2.lane_maps that
+The layers the ciphers run (F-sigma, MDS higher) are lanes.lane_maps that
 `Hc3Constants` binds to per-byte-position tables.  M_5E, M_B3 and P(32)
 run only fused into sigma and sigma-inverse, so their functions here
 apply the row definition (`p_n`, gf2.apply_rows) and serve as the

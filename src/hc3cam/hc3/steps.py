@@ -1,6 +1,8 @@
 """What every HIEROCRYPT-3 engine shares: the rounds and the steps of the
-key schedule, and, for the two byte-plane engines (batch, one key; sliced,
-one key per block), MDS-lower of byte planes and a direction's step order.
+key schedule; the integer round core that the per-block rounds and
+archsim's datapaths run; and, for the two byte-plane engines (batch, one
+key; sliced, one key per block), MDS-lower of byte planes and a
+direction's step order.
 """
 
 from typing import NamedTuple
@@ -25,6 +27,18 @@ SCHEDULE_ROWS: tuple[ScheduleRow, ...] = (
     ScheduleRow(6, "sigma_inv", 2),
     ScheduleRow(7, "sigma_inv", 1),
 )
+
+
+def xs_core(v: int, k12: int, k34: int, consts, merged: bool = False) -> bytes:
+    """The integer round core: XS of the state v up to its second s-box
+    layer, as the 16 bytes that layer, or a map fused with it, reads.
+
+    merged runs the first s-box layer and MDS-lower as the fused
+    merged_map instead of a translate and mdsl_map.
+    """
+    b = (v ^ k12).to_bytes(16, "big")
+    y = consts.merged_map(b) if merged else consts.mdsl_map(b.translate(consts.sbox))
+    return (y ^ k34).to_bytes(16, "big")
 
 
 def products(planes, columns) -> list[int]:

@@ -11,14 +11,13 @@ from hc3cam.archsim import (
     PROFILES,
     Device,
     initial_state,
-    parse_profile,
-    format_profile,
     report,
     render_report,
     run_block,
     step,
     throughput_model,
 )
+from hc3cam.profile_file import format_profile, parse_profile
 from test_constants_override import use_non_involution_override, use_shifted_sbox_override
 
 

@@ -371,8 +371,8 @@ def test_simulate_rejects_a_clock_with_no_finite_throughput(tmp_path, capsys):
                          capsys)
     assert code == 2 and out == ""
     assert "--clock-mhz 1e+308: 128 * f / 8 cycles is not a finite bit rate" in err
-    from hc3cam import archsim
-    text = archsim.format_profile(archsim.PROFILES["camellia-lu3"])
+    from hc3cam import archsim, profile_file
+    text = profile_file.format_profile(archsim.PROFILES["camellia-lu3"])
     f = tmp_path / "fast.profile"
     f.write_text(text.replace("clock-mhz 13.15", "clock-mhz 1e308"))
     code, out, err = run(["simulate", "--profile-file", str(f)], capsys)
@@ -410,8 +410,8 @@ def test_simulate_rejects_derived_figures_that_are_not_finite(tmp_path, capsys):
 
 
 def test_simulate_profile_file(tmp_path, capsys):
-    from hc3cam import archsim
-    text = archsim.format_profile(archsim.PROFILES["hc3-long"]).replace(
+    from hc3cam import archsim, profile_file
+    text = profile_file.format_profile(archsim.PROFILES["hc3-long"]).replace(
         "variant hc3-long", "variant custom-board")
     f = tmp_path / "board.profile"
     f.write_text(text)
@@ -434,9 +434,9 @@ def test_simulate_profile_file(tmp_path, capsys):
 def test_simulate_variant_and_profile_file_exclude_each_other(tmp_path, capsys, variant,
                                                               profile_first):
     # neither option silently overrides the other, whichever comes first
-    from hc3cam import archsim
+    from hc3cam import archsim, profile_file
     f = tmp_path / "board.profile"
-    f.write_text(archsim.format_profile(archsim.PROFILES["camellia-lu3"]))
+    f.write_text(profile_file.format_profile(archsim.PROFILES["camellia-lu3"]))
     options = [["--variant", variant], ["--profile-file", str(f)]]
     if profile_first:
         options.reverse()

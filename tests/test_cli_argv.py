@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hc3cam import cli
+from hc3cam import cli, commands
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encrypt", help="encrypt a file of 16-byte blocks")
     p_dec = sub.add_parser("decrypt", help="decrypt a file of 16-byte blocks")
     for p in (p_enc, p_dec):
-        p.set_defaults(func=cli.cmd_crypt)
+        p.set_defaults(func=commands.cmd_crypt)
         add_cipher(p)
         p.add_argument("--key", required=True, help="32 hex digits")
         p.add_argument("--in", dest="infile", required=True)
@@ -48,12 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_kat.add_argument("--vectors", required=True)
 
     p_bench = sub.add_parser("bench", help="time software block encryption")
-    p_bench.set_defaults(func=cli.cmd_bench)
+    p_bench.set_defaults(func=commands.cmd_bench)
     add_cipher(p_bench)
     p_bench.add_argument("--blocks", type=int, default=10000)
 
     p_sim = sub.add_parser("simulate", help="run the datapath model")
-    p_sim.set_defaults(func=cli.cmd_simulate)
+    p_sim.set_defaults(func=commands.cmd_simulate)
     board = p_sim.add_mutually_exclusive_group()
     board.add_argument("--variant", default=None, help=", ".join(cli.VARIANTS))
     board.add_argument("--profile-file", default=None,

@@ -115,6 +115,40 @@ def test_single_key_commands_load_no_key_sliced_engine(command, cipher, tmp_path
     assert not mods & SLICED
 
 
+# the handlers of encrypt, decrypt, bench and simulate; the GF(2^8) XOR
+# networks and MDS check; the byte-lane kernel and HC3's MDS-lower tables
+# for it: kat, --help and a usage error run none of them
+FRONT_FREE = {"hc3cam.commands", "hc3cam.networks", "hc3cam.lanes", "hc3cam.hc3.mdsl"}
+KAT_ARGV = {cipher: ["kat", "--cipher", cipher, "--vectors", str(DATA / "kat" / f"{cipher}.kat")]
+            for cipher in ("hc3", "camellia")}
+
+
+@pytest.mark.parametrize("argv", [KAT_ARGV["hc3"], KAT_ARGV["camellia"], ["--help"],
+                                  ["simulate", "--blocks", "many"]], ids=" ".join)
+def test_kat_and_help_load_no_handler_network_or_lane_kernel(argv):
+    code, mods, err = probe(argv)
+    assert code == (2 if "many" in argv else 0), err
+    assert not mods & FRONT_FREE
+
+
+def test_simulate_hc3_loads_no_profile_reader_or_reference_rounds():
+    # the datapaths run steps.xs_core and the per-key schedule
+    mods = imported_by(["simulate", "--variant", "hc3-long", "--blocks", "1"])
+    assert {"hc3cam.commands", "hc3cam.hc3.keyschedule", "hc3cam.hc3.steps"} <= mods
+    assert not mods & {"hc3cam.profile_file", "hc3cam.hc3.cipher", "hc3cam.hc3.linear"}
+
+
+def test_handler_errors_are_usage_errors_under_python_m(tmp_path):
+    # hc3cam.commands imports the running cli, not a second copy of it
+    # whose CliError main() would not catch
+    argv = crypt_args(tmp_path)
+    argv[argv.index("--key") + 1] = "00"
+    code, mods, err = probe(argv)
+    assert "hc3cam.commands" in mods
+    assert (code, err) == (2, "hc3cam: error: key must be 32 hex digits (16 bytes), "
+                              "got 1 bytes\n")
+
+
 @pytest.mark.parametrize("package", ["hc3cam.hc3", "hc3cam.camellia"])
 def test_importing_a_cipher_package_imports_no_submodule(package):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -136,6 +170,39 @@ COMMANDS = {
     "usage-error": lambda tmp: ["simulate", "--blocks", "many"],
     "help": lambda tmp: ["--help"],
 }
+
+
+# Every hc3cam source file a process imports is compiled, at ~2-3 us of CPU
+# per AST node when no bytecode is cached (PYTHONDONTWRITEBYTECODE=1, as
+# perfbench runs).  So each command has a budget of AST nodes over the
+# files it imports, cli.py included: a count, which repeats exactly where a
+# timing would not.  kat and simulate of an HC3 variant have budgets of
+# their own; every other command compiles at most 2 % more than BEFORE, its
+# count before the command handlers, gf256's XOR networks, gf2's byte-lane
+# kernel and archsim's profile reader left the modules every command loads.
+BEFORE = {"encrypt": 11_071, "decrypt": 9_138, "bench": 11_071, "simulate-0": 7_860,
+          "simulate-1": 13_427, "usage-error": 3_571, "help": 3_571}
+NODE_BUDGET = {"kat-hc3": 8_000, "kat": 6_600, "simulate-hc3": 14_000,
+               **{command: int(1.02 * n) for command, n in BEFORE.items()}}
+BUDGETED = {**COMMANDS, "kat-hc3": lambda tmp: KAT_ARGV["hc3"],
+            "simulate-hc3": lambda tmp: ["simulate", "--variant", "hc3-long", "--blocks", "1"]}
+
+
+def compiled_nodes(mods):
+    """AST nodes of cli.py and of every hc3cam module in mods."""
+    files = {SRC / "hc3cam" / "cli.py"}
+    for name in mods:
+        if name.startswith("hc3cam"):
+            path = SRC.joinpath(*name.split("."))
+            files.add(path / "__init__.py" if path.is_dir() else path.with_suffix(".py"))
+    return sum(sum(1 for _ in ast.walk(ast.parse(f.read_text()))) for f in files)
+
+
+@pytest.mark.parametrize("command", sorted(BUDGETED))
+def test_compiled_nodes_within_budget(command, tmp_path):
+    code, mods, err = probe(BUDGETED[command](tmp_path))
+    assert code == (2 if command == "usage-error" else 0), err
+    assert compiled_nodes(mods) <= NODE_BUDGET[command]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

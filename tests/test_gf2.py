@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hc3cam import gf2
+from hc3cam import lanes as lane_kernel
 
 
 def test_identity_apply():
@@ -57,7 +58,7 @@ def test_invert_rejects_non_square():
 def test_lane_map_matches_plain_loop(arity, bits):
     rng = random.Random(f"lane-map-{arity}-{bits}")
     tables = tuple(tuple(rng.getrandbits(bits) for _ in range(256)) for _ in range(arity))
-    lane_map = gf2.lane_map(tables)
+    lane_map = lane_kernel.lane_map(tables)
     for _ in range(500):
         data = rng.randbytes(arity)
         want = 0
@@ -69,7 +70,7 @@ def test_lane_map_matches_plain_loop(arity, bits):
 @pytest.mark.parametrize("arity", [0, 4, 7, 9, 15, 17, 32])
 def test_lane_map_rejects_other_arities(arity):
     with pytest.raises(ValueError, match="8 or 16 tables"):
-        gf2.lane_map(((0,) * 256,) * arity)
+        lane_kernel.lane_map(((0,) * 256,) * arity)
 
 
 @pytest.mark.parametrize("n_rows, n_in, width", [(4, 4, 32), (16, 16, 8), (32, 16, 8),
@@ -79,7 +80,7 @@ def test_lane_tables_match_apply_rows(n_rows, n_in, width):
     rng = random.Random(f"lane-tables-{n_rows}-{n_in}-{width}")
     rows = [rng.getrandbits(n_in) for _ in range(n_rows)]
     rows[0] |= 1 << n_in - 1   # the rows read the last input lane
-    tables = gf2.lane_tables(rows, width)
+    tables = lane_kernel.lane_tables(rows, width)
     assert len(tables) == n_in * width // 8
     mask = (1 << width) - 1
     for _ in range(200):
