@@ -31,7 +31,8 @@ SCHEDULE_ROWS: tuple[ScheduleRow, ...] = (
 
 def xs_core(v: int, k12: int, k34: int, consts, merged: bool = False) -> bytes:
     """The integer round core: XS of the state v up to its second s-box
-    layer, as the 16 bytes that layer, or a map fused with it, reads.
+    layer, as the 16 bytes that layer, or a map fused with it, reads;
+    consts is the Hc3Constants whose maps it runs.
 
     merged runs the first s-box layer and MDS-lower as the fused
     merged_map instead of a translate and mdsl_map.
