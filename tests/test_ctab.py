@@ -104,24 +104,21 @@ def _checksum_of(tab):
     return ctab._digest(list(tab.sections.items()))
 
 
-def _out_of_order_texts():
-    text = sample_text()
-    alpha = ctab.write("demo", [("alpha", bytes(range(8)))])
-    both = ctab._digest([("alpha", bytes(range(8))), ("beta", b"\xff\x00")])
-    return {
-        # a version this reader does not know, on the magic line (line 2)
-        "version": (text.replace("v1", "v7"), 2, "bad or repeated magic line"),
-        # a section, line 1, before the magic line
-        "section-first": ("[alpha]\n00\n" + text, 1, "missing %ctab magic line"),
-        # a second %checksum after one more section, the last one covering
-        # every section: the section after the first checksum, line 5
-        "second-checksum": (alpha + f"[beta]\nff00\n%checksum sha256 {both}\n", 5,
-                            "text after the %checksum line"),
-    }
+ALPHA_ONLY = ctab.write("demo", [("alpha", bytes(range(8)))])
+BOTH_DIGEST = ctab._digest([("alpha", bytes(range(8))), ("beta", b"\xff\x00")])
 
 
-@pytest.mark.parametrize("case", ["version", "section-first", "second-checksum"])
-def test_layout_the_format_forbids_rejected(case):
-    text, lineno, message = _out_of_order_texts()[case]
+@pytest.mark.parametrize("text, lineno, message", [
+    # a version this reader does not know, on the magic line (line 2)
+    (sample_text().replace("v1", "v7"), 2, "bad or repeated magic line"),
+    # a section, line 1, before the magic line
+    (f"[alpha]\n{bytes(range(8)).hex()}\n%ctab v1 demo\n[beta]\nff00\n"
+     f"%checksum sha256 {BOTH_DIGEST}\n", 1, "missing %ctab magic line"),
+    # a second %checksum after one more section, the last one covering
+    # every section: the section after the first checksum, line 5
+    (ALPHA_ONLY + f"[beta]\nff00\n%checksum sha256 {BOTH_DIGEST}\n", 5,
+     "text after the %checksum line"),
+], ids=["version", "section-first", "second-checksum"])
+def test_layout_the_format_forbids_rejected(text, lineno, message):
     with pytest.raises(ConstantsError, match=f"^f.ctab:{lineno}: {message}"):
         ctab.parse(text, source="f.ctab")
