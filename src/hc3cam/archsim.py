@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache, partial
+from itertools import islice
 from types import ModuleType
 from typing import Callable, NamedTuple
 
@@ -223,8 +224,20 @@ class CycleRecord(NamedTuple):
 
 
 class BlockTrace(NamedTuple):
-    cycles: tuple[CycleRecord, ...]
+    """One block's run: each work cycle's op labels (the datapath's, shared
+    by every block) and the 128-bit state after it, as the int the cycle
+    computed, then the ciphertext.  The last state is the ciphertext."""
+
+    ops: tuple[tuple[str, ...], ...]
+    states: tuple[int, ...]
     ciphertext: bytes
+
+    @property
+    def cycles(self) -> tuple[CycleRecord, ...]:
+        """The cycles as records, each state as its 16 bytes: built when
+        read, as no command reads a state."""
+        return tuple(_new(CycleRecord, (i, ops, state.to_bytes(16, "big")))
+                     for i, (ops, state) in enumerate(zip(self.ops, self.states), 1))
 
 
 # A datapath is its setup, setup(package, key, consts) -> work, run once
@@ -260,44 +273,52 @@ def _cached_ops(merged: bool, merge_xs_ak: bool) -> tuple[tuple[str, ...], ...]:
 def _hc3_setup(hc3: ModuleType, key: bytes, consts, short: bool = False,
                merged: bool = False, merge_xs_ak: bool = False):
     """An HC3 datapath: five rho rounds, XS and AK on one integer state, a
-    rho round being the XS core followed by the s-box-fused MDS-higher map.
-    round_keys() yields the (K1 K2, K3 K4) pairs of K(1)..K(7) in order.
+    rho round being the XS core followed by the s-box-fused MDS-higher map;
+    round r takes K(r) as its pair (K1 K2, K3 K4).
 
-    short holds only Z(0) and regenerates the seven round keys from it for
-    every block, each as its round takes it; the last cycle restores the
-    round-1 state for the next one.  Otherwise the keys are derived once
-    from the 1600-bit cache and read.  merged runs XS on the fused
-    s-box/MDS-lower tables; merge_xs_ak runs XS and AK in one cycle.
+    short holds only Z(0) and walks the seven round keys from it for every
+    block, each as its round takes it; the last cycle restores the round-1
+    state for the next one.  Otherwise the keys are derived once from the
+    1600-bit cache and bound in.  merged runs XS on the fused s-box/MDS-lower
+    tables; merge_xs_ak runs XS and AK in one cycle.
     """
     core, fused, sbox = hc3.xs_core, consts.sbox_mds_h_map, consts.sbox
     if short:
-        ops, halves, walk = _HC3_SHORT_OPS, hc3.key_halves, hc3.walk_schedule
-        z0 = hc3.pad_and_prewhiten(key, consts)
+        walk, z0 = hc3.walk_schedule, hc3.pad_and_prewhiten(key, consts)
 
-        def round_keys():
-            return (halves(k) for k, _, _ in walk(z0, consts))
-    else:
-        ops = _cached_ops(merged, merge_xs_ak)
-        ks = hc3.key_schedule(key, "cached_1600", consts)
-        round_keys = tuple(map(hc3.key_halves, ks.round_keys)).__iter__
+        def work(block: bytes) -> BlockTrace:
+            # K(1)..K(5) key the rho rounds, K(6) XS and K(7)'s first half AK
+            keys = walk(z0, consts)
+            v = int.from_bytes(block, "big")
+            states = [v]
+            for (k1, k2, k3, k4), _, _ in islice(keys, 5):
+                v = fused(core(v, k1 << 64 | k2, k3 << 64 | k4, consts))
+                states.append(v)
+            (k1, k2, k3, k4), _, _ = next(keys)
+            x = int.from_bytes(core(v, k1 << 64 | k2, k3 << 64 | k4, consts).translate(sbox),
+                               "big")
+            (k1, k2, _, _), _, _ = next(keys)
+            ct = x ^ (k1 << 64 | k2)
+            states += x, ct
+            return _new(BlockTrace, (_HC3_SHORT_OPS, tuple(states), ct.to_bytes(16, "big")))
+        return work
+
+    ops = _cached_ops(merged, merge_xs_ak)
+    ks = hc3.key_schedule(key, "cached_1600", consts)
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (ak, _) = map(
+        hc3.key_halves, ks.round_keys)
 
     def work(block: bytes) -> BlockTrace:
-        # bytes are made for each cycle's state
-        keys = round_keys()
-        v = int.from_bytes(block, "big")
-        cycles = [_new(CycleRecord, (1, ops[0], block))]
-        for r in range(1, 6):
-            k12, k34 = next(keys)
-            v = fused(core(v, k12, k34, consts, merged))
-            cycles.append(_new(CycleRecord, (r + 1, ops[r], v.to_bytes(16, "big"))))
-        k12, k34 = next(keys)
-        x = core(v, k12, k34, consts, merged).translate(sbox)
-        ct = (int.from_bytes(x, "big") ^ next(keys)[0]).to_bytes(16, "big")
-        if merge_xs_ak:
-            cycles.append(_new(CycleRecord, (7, ops[6], ct)))
-        else:
-            cycles += (_new(CycleRecord, (7, ops[6], x)), _new(CycleRecord, (8, ops[7], ct)))
-        return _new(BlockTrace, (tuple(cycles), ct))
+        v0 = int.from_bytes(block, "big")
+        v1 = fused(core(v0, a1, b1, consts, merged))
+        v2 = fused(core(v1, a2, b2, consts, merged))
+        v3 = fused(core(v2, a3, b3, consts, merged))
+        v4 = fused(core(v3, a4, b4, consts, merged))
+        v5 = fused(core(v4, a5, b5, consts, merged))
+        x = int.from_bytes(core(v5, a6, b6, consts, merged).translate(sbox), "big")
+        ct = x ^ ak
+        states = (v0, v1, v2, v3, v4, v5, ct) if merge_xs_ak else (v0, v1, v2, v3, v4, v5, x, ct)
+        return _new(BlockTrace, (ops, states, ct.to_bytes(16, "big")))
     return work
 
 
@@ -322,8 +343,8 @@ def _camellia_lu3_setup(cam: ModuleType, key: bytes, consts):
     def work(block: bytes) -> BlockTrace:
         m = int.from_bytes(block, "big")
         left, right = (m >> 64) ^ kw[0], (m & ((1 << 64) - 1)) ^ kw[1]
-        cycles = []
-        for i, ops in enumerate(_CAMELLIA_LU3_OPS):
+        states = []
+        for i in range(6):
             r = 3 * i
             left, right = right ^ f((left ^ k[r]).to_bytes(8, "big")), left
             left, right = right ^ f((left ^ k[r + 1]).to_bytes(8, "big")), left
@@ -332,9 +353,9 @@ def _camellia_lu3_setup(cam: ModuleType, key: bytes, consts):
                 left, right = fl(left, kl[i - 1]), fl_inv(right, kl[i])
             elif i == 5:
                 left, right = right ^ kw[2], left ^ kw[3]
-            state = (left << 64 | right).to_bytes(16, "big")
-            cycles.append(_new(CycleRecord, (i + 1, ops, state)))
-        return _new(BlockTrace, (tuple(cycles), state))
+            states.append(left << 64 | right)
+        return _new(BlockTrace, (_CAMELLIA_LU3_OPS, tuple(states),
+                                 states[5].to_bytes(16, "big")))
     return work
 
 
@@ -384,9 +405,9 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes, consts=None) -> Bl
     # bytes(key): a bytearray key must hash for the register
     trace = _key_register(profile.datapath, bytes(key), consts)(block)
     want = profile.work_cycles_per_block
-    if len(trace.cycles) != want:
+    if len(trace.states) != want:
         raise AssertionError(
-            f"{profile.variant}: datapath produced {len(trace.cycles)} cycles, "
+            f"{profile.variant}: datapath produced {len(trace.states)} cycles, "
             f"profile says {want}"
         )
     return trace

@@ -21,8 +21,9 @@ with its COMMANDS table, the names every command shares (CliError,
 BLOCK_BYTES, CHUNK_BLOCKS, CIPHERS, VARIANTS, _read_text) and kat with
 its vector reader, so --help, a usage error and kat compile nothing
 else of the front end.  The encrypt, decrypt, bench and simulate
-handlers live in hc3cam.commands, which parse_args imports only once it
-has read one of those commands.
+handlers live in the hc3cam.commands package, which parse_args imports
+only once it has read one of those commands, and then only the handler's
+own submodule.
 
 A command compiles only the modules it runs (see hc3cam.hc3 and
 hc3cam.camellia): encrypt, decrypt and bench its cipher's per-key

@@ -166,19 +166,27 @@ def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], i
     (round key words, V, next state) as it forms.
 
     This is the on-the-fly order the short-setup datapath executes in
-    parallel with the rounds.
+    parallel with the rounds, once per block: so every step runs in this
+    one frame, a sigma step as _sigma_step then round_keys_fwd and a
+    sigma-inverse step as _sigma_inv_step then round_keys_bwd.
     """
-    z = z0
-    for _, op, g_index in SCHEDULE_ROWS[1:]:
-        g = consts.g0[g_index]
-        if op == "sigma":
-            z_next = _sigma_step(z, g, consts)[0]
-            key, v = round_keys_fwd(z, z_next, consts)
+    sigma_map, sigma_inv_map, f = consts.sigma_map, consts.sigma_inv_map, consts.f_sigma_map
+    g0 = consts.g0
+    z1, z2, z3, z4 = z0
+    for step, _, g_index in SCHEDULE_ROWS[1:]:
+        if step <= T_TURN:
+            y = sigma_map((z3 << 64 | z4).to_bytes(16, "big"))
+            n3, n4 = y >> 64 ^ g0[g_index], y & MASK64
+            v = f((z2 ^ z3).to_bytes(8, "big"))
+            key = z1 ^ v, n3 ^ v, n4 ^ v, z2 ^ n4
+            z1, z2, z3, z4 = z2, z1 ^ f((z2 ^ n3).to_bytes(8, "big")), n3, n4
         else:
-            z_next, w1, w2 = _sigma_inv_step(z, g, consts)
-            key, v = round_keys_bwd(z, z_next, w1, w2, consts)
-        yield key, v, z_next
-        z = z_next
+            y = sigma_inv_map(((z3 ^ g0[g_index]) << 64 | z4).to_bytes(16, "big"))
+            n1, n3, w2 = z2 ^ f((z1 ^ z3).to_bytes(8, "big")), y >> 64 & MASK64, y >> 128 & MASK64
+            v = f((z1 ^ n3).to_bytes(8, "big"))
+            key = n1 ^ z3, y >> 192 ^ v, w2 ^ v, z1 ^ w2
+            z1, z2, z3, z4 = n1, z1, n3, y & MASK64
+        yield key, v, (z1, z2, z3, z4)
 
 
 def _keys_from_cache(cache: Cache1600,

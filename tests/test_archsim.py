@@ -108,7 +108,7 @@ def test_run_block_refuses_a_datapath_that_drops_a_cycle(monkeypatch):
 
         def dropping(block):
             trace = work(block)
-            return trace._replace(cycles=trace.cycles[:-1])
+            return trace._replace(states=trace.states[:-1])
         return dropping
     monkeypatch.setitem(archsim._DATAPATHS, "hc3-long", (cipher, dropping_setup))
     profile = PROFILES["hc3-long"]._replace(variant="my-board")
@@ -664,6 +664,41 @@ def test_hc3_short_walk_matches_key_schedule():
         z0 = hc3.pad_and_prewhiten(key, consts)
         walk = [round_key for round_key, _, _ in hc3.walk_schedule(z0, consts)]
         assert walk == list(hc3.key_schedule(key).round_keys)
+
+
+def test_hc3_short_regenerates_its_keys_for_every_block():
+    # setup's sigma0 step takes one sigma_map and one F-sigma lookup; every
+    # block then walks all seven steps from Z(0): four sigma and three
+    # sigma-inverse maps, and two F-sigma lookups a step
+    consts = hc3_constants.Hc3Constants(hc3_constants.load_constants().source)
+    calls = dict.fromkeys(("sigma_map", "sigma_inv_map", "f_sigma_map"), 0)
+
+    def counting(name, fn):
+        def counted(data):
+            calls[name] += 1
+            return fn(data)
+        return counted
+    for name in calls:
+        setattr(consts, name, counting(name, getattr(consts, name)))
+    profile, rng, n = PROFILES["hc3-short"], random.Random("short-counts"), 5
+    key = rng.randbytes(16)
+    for _ in range(n):
+        block = rng.randbytes(16)
+        # the oracle runs on the packaged set, whose maps count nothing
+        assert run_block(profile, key, block, consts).ciphertext == \
+            functional(profile, key, block)
+    assert calls == {"sigma_map": 1 + 4 * n, "sigma_inv_map": 3 * n, "f_sigma_map": 1 + 14 * n}
+
+
+@pytest.mark.parametrize("variant", sorted(PROFILES))
+def test_an_old_trace_keeps_its_own_states(variant):
+    # no datapath reuses a states buffer across blocks
+    profile, key = PROFILES[variant], bytes(range(16))
+    old = run_block(profile, key, bytes(16))
+    for i in range(1, 4):
+        run_block(profile, key, i.to_bytes(16, "big"))
+    assert old.cycles == run_block(profile, key, bytes(16)).cycles
+    assert old.cycles[-1].state == old.ciphertext
 
 
 @pytest.mark.parametrize("variant", [v for v in sorted(PROFILES) if v.startswith("hc3")])

@@ -139,6 +139,14 @@ def test_simulate_hc3_loads_no_profile_reader_or_reference_rounds():
     assert not mods & {"hc3cam.profile_file", "hc3cam.hc3.cipher", "hc3cam.hc3.linear"}
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "bench", "simulate-1"])
+def test_each_command_compiles_only_its_own_handler(command, tmp_path):
+    # encrypt, decrypt and bench share one handler module, simulate has its own
+    handlers = {"hc3cam.commands.crypt", "hc3cam.commands.simulate"}
+    own = "hc3cam.commands.simulate" if command.startswith("simulate") else "hc3cam.commands.crypt"
+    assert imported_by(COMMANDS[command](tmp_path)) & handlers == {own}
+
+
 def test_handler_errors_are_usage_errors_under_python_m(tmp_path):
     # hc3cam.commands imports the running cli, not a second copy of it
     # whose CliError main() would not catch

@@ -72,6 +72,26 @@ def test_sigma_inv_steps_retrace_forward_states():
         assert (z[5], z[6], z[7]) == (z[3], z[2], z[1])
 
 
+def test_walk_matches_the_step_functions():
+    # walk_schedule runs every step in one frame: each step's key, V and
+    # next state are those of the sigma / sigma-inverse step and round-key
+    # functions composed, on any state
+    rng = random.Random(26)
+    for _ in range(300):
+        z0 = rand_state(rng)
+        z = z0
+        for row, got in zip(SCHEDULE_ROWS[1:], walk_schedule(z0, C), strict=True):
+            g = C.g0[row.g_index]
+            if row.op == "sigma":
+                z_next = keyschedule._sigma_step(z, g, C)[0]
+                key, v = round_keys_fwd(z, z_next, C)
+            else:
+                z_next, w1, w2 = keyschedule._sigma_inv_step(z, g, C)
+                key, v = round_keys_bwd(z, z_next, w1, w2, C)
+            assert got == (key, v, z_next)
+            z = z_next
+
+
 def test_round_keys_fwd_zero_propagation():
     # all-zero states collapse every lane to a function of s = F_sigma(0)
     zero = IntermediateKey(0, 0, 0, 0)
