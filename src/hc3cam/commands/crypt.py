@@ -1,5 +1,5 @@
 """The encrypt, decrypt and bench commands, which run a cipher's
-single-key batch engine: over a file, or (bench) over zero blocks."""
+single-key batch engine: over a file, or (bench) over all-zero blocks."""
 
 from __future__ import annotations
 

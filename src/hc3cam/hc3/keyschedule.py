@@ -166,22 +166,26 @@ def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], i
     (round key words, V, next state) as it forms.
 
     This is the on-the-fly order the short-setup datapath executes in
-    parallel with the rounds, once per block: so every step runs in this
-    one frame, a sigma step as _sigma_step then round_keys_fwd and a
-    sigma-inverse step as _sigma_inv_step then round_keys_bwd.
+    parallel with the rounds.  It runs for every block of that datapath,
+    so each step is written out in this one frame: a sigma step is
+    _sigma_step then round_keys_fwd, a sigma-inverse step _sigma_inv_step
+    then round_keys_bwd.
     """
     sigma_map, sigma_inv_map, f = consts.sigma_map, consts.sigma_inv_map, consts.f_sigma_map
     g0 = consts.g0
     z1, z2, z3, z4 = z0
     for step, _, g_index in SCHEDULE_ROWS[1:]:
+        g = g0[g_index]
         if step <= T_TURN:
+            # y: the new z3, before G is added, || the new z4
             y = sigma_map((z3 << 64 | z4).to_bytes(16, "big"))
-            n3, n4 = y >> 64 ^ g0[g_index], y & MASK64
+            n3, n4 = y >> 64 ^ g, y & MASK64
             v = f((z2 ^ z3).to_bytes(8, "big"))
             key = z1 ^ v, n3 ^ v, n4 ^ v, z2 ^ n4
             z1, z2, z3, z4 = z2, z1 ^ f((z2 ^ n3).to_bytes(8, "big")), n3, n4
         else:
-            y = sigma_inv_map(((z3 ^ g0[g_index]) << 64 | z4).to_bytes(16, "big"))
+            # y: W1 || W2 || the new z3 || the new z4
+            y = sigma_inv_map(((z3 ^ g) << 64 | z4).to_bytes(16, "big"))
             n1, n3, w2 = z2 ^ f((z1 ^ z3).to_bytes(8, "big")), y >> 64 & MASK64, y >> 128 & MASK64
             v = f((z1 ^ n3).to_bytes(8, "big"))
             key = n1 ^ z3, y >> 192 ^ v, w2 ^ v, z1 ^ w2
