@@ -698,7 +698,6 @@ def test_an_old_trace_keeps_its_own_states(variant):
     for i in range(1, 4):
         run_block(profile, key, i.to_bytes(16, "big"))
     assert old.cycles == run_block(profile, key, bytes(16)).cycles
-    assert old.cycles[-1].state == old.ciphertext
 
 
 @pytest.mark.parametrize("variant", [v for v in sorted(PROFILES) if v.startswith("hc3")])
