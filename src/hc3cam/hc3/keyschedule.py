@@ -79,43 +79,11 @@ class Hc3KeySchedule(NamedTuple):
     intermediate_cache: Cache1600 | None = None
 
 
-# The step and round-key functions take the 256-bit state as any tuple
-# (z1, z2, z3, z4) and return plain tuples, so a per-block walk builds no
-# NamedTuple; sigma, sigma_inv, pad_and_prewhiten and key_schedule wrap
-# theirs in IntermediateKey and RoundKey256.
-
-def _sigma_step(z, g: int, consts) -> tuple[tuple[int, ...], int]:
-    """One sigma update; also returns the F-sigma word it computed.
-
-    P(32) of z3 || z4 and M_5E of both halves are one fused 16-byte map.
-    """
-    z1, z2, z3, z4 = z
-    y = consts.sigma_map((z3 << 64 | z4).to_bytes(16, "big"))
-    z3 = y >> 64 ^ g
-    f_out = consts.f_sigma_map((z2 ^ z3).to_bytes(8, "big"))   # reads the new z3
-    return (z2, z1 ^ f_out, z3, y & MASK64), f_out
-
-
-def _sigma_inv_step(z, g: int, consts) -> tuple[tuple[int, ...], int, int]:
-    """One sigma-inverse update; also returns its W words, which the
-    second-regime round keys consume.
-
-    M_B3 of both halves, and P(32)^-1 after it, are one fused 16-byte map
-    giving W1 || W2 || z3 || z4.
-    """
-    z1, z2, z3, z4 = z
-    y = consts.sigma_inv_map(((z3 ^ g) << 64 | z4).to_bytes(16, "big"))
-    return ((z2 ^ consts.f_sigma_map((z1 ^ z3).to_bytes(8, "big")), z1,
-             y >> 64 & MASK64, y & MASK64), y >> 192, y >> 128 & MASK64)
-
-
-def sigma(z: IntermediateKey, g: int, consts: Hc3Constants | None = None) -> IntermediateKey:
-    return IntermediateKey(*_sigma_step(z, g, consts or get_constants())[0])
-
-
-def sigma_inv(z: IntermediateKey, g: int, consts: Hc3Constants | None = None) -> IntermediateKey:
-    return IntermediateKey(*_sigma_inv_step(z, g, consts or get_constants())[0])
-
+# The key walk takes the 256-bit state as any tuple (z1, z2, z3, z4) and
+# yields plain tuples, so a per-block walk builds no NamedTuple;
+# pad_and_prewhiten and key_schedule wrap theirs in IntermediateKey and
+# RoundKey256.  hc3cam.hc3.linear holds the layer-by-layer sigma and
+# sigma_inv the fused steps here are checked against.
 
 def _fwd_key(z_prev, z_next, v: int) -> tuple[int, ...]:
     """K1..K4 of a forward (sigma) step, given its F-sigma word V."""
@@ -125,21 +93,6 @@ def _fwd_key(z_prev, z_next, v: int) -> tuple[int, ...]:
 def _bwd_key(z_prev, z_next, w1: int, w2: int, v: int) -> tuple[int, ...]:
     """K1..K4 of a backward (sigma-inverse) step, given its V and W words."""
     return z_next[0] ^ z_prev[2], w1 ^ v, w2 ^ v, z_prev[0] ^ w2
-
-
-def round_keys_fwd(z_prev: IntermediateKey, z_next: IntermediateKey,
-                   consts: Hc3Constants) -> tuple[tuple[int, ...], int]:
-    """Round key of a forward (sigma) step, plus the F-sigma word V."""
-    v = consts.f_sigma_map((z_prev[1] ^ z_prev[2]).to_bytes(8, "big"))
-    return _fwd_key(z_prev, z_next, v), v
-
-
-def round_keys_bwd(z_prev: IntermediateKey, z_next: IntermediateKey,
-                   w1: int, w2: int,
-                   consts: Hc3Constants) -> tuple[tuple[int, ...], int]:
-    """Round key of a backward (sigma-inverse) step, plus its V word."""
-    v = consts.f_sigma_map((z_prev[0] ^ z_next[2]).to_bytes(8, "big"))
-    return _bwd_key(z_prev, z_next, w1, w2, v), v
 
 
 def pad_key(key: bytes, consts: Hc3Constants) -> IntermediateKey:
@@ -157,8 +110,12 @@ def pad_key(key: bytes, consts: Hc3Constants) -> IntermediateKey:
 def pad_and_prewhiten(key: bytes, consts: Hc3Constants | None = None) -> IntermediateKey:
     """PAD then the sigma0 pre-whitening step: the state Z(0)."""
     consts = consts or get_constants()
-    z = pad_key(key, consts)
-    return IntermediateKey(*_sigma_step(z, consts.g0[5], consts)[0])
+    z1, z2, z3, z4 = pad_key(key, consts)
+    # P(32) of z3 || z4 and M_5E of both halves are one fused 16-byte map
+    y = consts.sigma_map((z3 << 64 | z4).to_bytes(16, "big"))
+    z3 = y >> 64 ^ consts.g0[5]
+    return IntermediateKey(z2, z1 ^ consts.f_sigma_map((z2 ^ z3).to_bytes(8, "big")),
+                           z3, y & MASK64)
 
 
 def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
@@ -167,9 +124,11 @@ def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], i
 
     This is the on-the-fly order the short-setup datapath executes in
     parallel with the rounds.  It runs for every block of that datapath,
-    so each step is written out in this one frame: a sigma step is
-    _sigma_step then round_keys_fwd, a sigma-inverse step _sigma_inv_step
-    then round_keys_bwd.
+    so each step is written out in this one frame: a sigma step is one
+    sigma_map (P(32) then M_5E) and two F-sigma lookups, a sigma-inverse
+    step one sigma_inv_map (M_B3 then P(32)^-1, with the W words) and two
+    F-sigma lookups.  The tests hold it to a walk composed layer by layer
+    from linear.sigma and linear.sigma_inv.
     """
     sigma_map, sigma_inv_map, f = consts.sigma_map, consts.sigma_inv_map, consts.f_sigma_map
     g0 = consts.g0

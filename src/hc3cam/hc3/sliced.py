@@ -40,9 +40,8 @@ def _f_sigma_planes(x, n: int, consts: Hc3Constants) -> list[int]:
 
 
 def _sigma_planes(z, g, n: int, consts: Hc3Constants):
-    """keyschedule._sigma_step on planes: the next state, as a tuple of
-    four words, and P(32) of z3 || z4, the W1 || W2 of the sigma-inverse
-    step back."""
+    """linear.sigma on planes: the next state, as a tuple of four words,
+    and P(32) of z3 || z4, the W1 || W2 of the sigma-inverse step back."""
     z1, z2, z3, z4 = z
     w = _lane_layer(consts.p32_rows, z3 + z4, 4)
     z3 = xor(_lane_layer(consts.m5e_rows, w[:8], 1), g)

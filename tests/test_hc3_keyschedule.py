@@ -14,20 +14,16 @@ from hc3cam.hc3 import (
     f_sigma,
     get_constants,
     key_schedule,
+    mb3,
     pad_and_prewhiten,
     pad_key,
-    round_keys_bwd,
-    round_keys_fwd,
-    m5e,
-    mb3,
-    p32_pair,
     sigma,
     sigma_inv,
     walk_schedule,
 )
-from hc3cam.hc3 import keyschedule
 
 C = get_constants()
+MASK64 = (1 << 64) - 1
 
 
 def rand_state(rng):
@@ -72,41 +68,102 @@ def test_sigma_inv_steps_retrace_forward_states():
         assert (z[5], z[6], z[7]) == (z[3], z[2], z[1])
 
 
+# --- the layer-composed reference walk ----------------------------------------
+#
+# hc3.sigma and hc3.sigma_inv compose P(32), M_5E, M_B3 and F-sigma layer by
+# layer (hc3cam.hc3.linear); the key walk runs them as fused lane maps.  The
+# round-key formulas below are the specification's, written out here.
+
+def forward_key(z, n, consts):
+    """Round key and F-sigma word V of the sigma step from z to n."""
+    v = f_sigma(z.z2 ^ z.z3, consts)
+    return RoundKey256(z.z1 ^ v, n.z3 ^ v, n.z4 ^ v, z.z2 ^ n.z4), v
+
+
+def backward_key(z, n, g, consts):
+    """Round key and V of the sigma-inverse step from z to n under G = g:
+    its W words are M_B3 of z3 ^ G and of z4."""
+    w1, w2 = mb3(z.z3 ^ g, consts), mb3(z.z4, consts)
+    v = f_sigma(z.z1 ^ n.z3, consts)
+    return RoundKey256(n.z1 ^ z.z3, w1 ^ v, w2 ^ v, z.z1 ^ w2), v
+
+
+def reference_walk(z0, consts):
+    """Steps 1..7 from Z(0), each as (round key, V, next state)."""
+    z = IntermediateKey(*z0)
+    for row in SCHEDULE_ROWS[1:]:
+        g = consts.g0[row.g_index]
+        if row.op == "sigma":
+            n = sigma(z, g, consts)
+            key, v = forward_key(z, n, consts)
+        else:
+            n = sigma_inv(z, g, consts)
+            key, v = backward_key(z, n, g, consts)
+        yield key, v, n
+        z = n
+
+
+def permuted_p32_constants():
+    """The packaged set with P(32) a 3-cycle of lanes: unlike the packaged
+    P(32), not its own inverse."""
+    tab = C.source
+    sections = [(name, bytes((0x02, 0x04, 0x01, 0x08)) if name == "p32" else data)
+                for name, data in tab.sections.items()]
+    return Hc3Constants(ctab.parse(ctab.write("hc3", sections)))
+
+
 def test_walk_matches_the_step_functions():
-    # walk_schedule runs every step in one frame: each step's key, V and
-    # next state are those of the sigma / sigma-inverse step and round-key
-    # functions composed, on any state
-    rng = random.Random(26)
-    for _ in range(300):
-        z0 = rand_state(rng)
-        z = z0
-        for row, got in zip(SCHEDULE_ROWS[1:], walk_schedule(z0, C), strict=True):
-            g = C.g0[row.g_index]
-            if row.op == "sigma":
-                z_next = keyschedule._sigma_step(z, g, C)[0]
-                key, v = round_keys_fwd(z, z_next, C)
-            else:
-                z_next, w1, w2 = keyschedule._sigma_inv_step(z, g, C)
-                key, v = round_keys_bwd(z, z_next, w1, w2, C)
-            assert got == (key, v, z_next)
-            z = z_next
+    # walk_schedule runs every step in one frame on the fused maps: each
+    # step's key, V and next state are those of the layer-composed walk,
+    # on any state
+    for consts, cases in ((C, 300), (permuted_p32_constants(), 100)):
+        rng = random.Random(26)
+        for _ in range(cases):
+            z0 = rand_state(rng)
+            assert (list(walk_schedule(z0, consts))
+                    == list(reference_walk(z0, consts)))
 
 
 def test_round_keys_fwd_zero_propagation():
     # all-zero states collapse every lane to a function of s = F_sigma(0)
     zero = IntermediateKey(0, 0, 0, 0)
     s = f_sigma(0, C)
-    key, v = round_keys_fwd(zero, zero, C)
+    key, v = forward_key(zero, zero, C)
     assert v == s
     assert key == RoundKey256(s, s, s, 0)
 
 
 def test_round_keys_bwd_zero_propagation():
+    # with G = 0 the W words of an all-zero state are zero too
     zero = IntermediateKey(0, 0, 0, 0)
     s = f_sigma(0, C)
-    key, v = round_keys_bwd(zero, zero, 0, 0, C)
+    key, v = backward_key(zero, zero, 0, C)
     assert v == s
     assert key == RoundKey256(0, s, s, 0)
+
+
+@pytest.mark.parametrize("packaged", [True, False], ids=["packaged", "p32-not-involution"])
+def test_prewhitening_is_sigma0_of_the_padded_key(packaged):
+    consts = C if packaged else permuted_p32_constants()
+    rng = random.Random(27)
+    for _ in range(100):
+        key = rng.randbytes(16)
+        assert (pad_and_prewhiten(key, consts)
+                == sigma(pad_key(key, consts), consts.g0[SCHEDULE_ROWS[0].g_index], consts))
+
+
+@pytest.mark.parametrize("packaged", [True, False], ids=["packaged", "p32-not-involution"])
+def test_cache_holds_the_reference_walks_states_and_words(packaged):
+    # Cache1600: Z(0)..Z(4) and the V words of steps 1..5
+    consts = C if packaged else permuted_p32_constants()
+    rng = random.Random(28)
+    for _ in range(50):
+        key = rng.randbytes(16)
+        cache = key_schedule(key, "cached_1600", consts).intermediate_cache
+        z0 = pad_and_prewhiten(key, consts)
+        steps = list(reference_walk(z0, consts))[:5]
+        assert cache.z_states == (z0, *(z for _, _, z in steps[:4]))
+        assert cache.f_outputs == tuple(v for _, v, _ in steps)
 
 
 def test_pad_layout():
@@ -192,34 +249,9 @@ def test_schedules_are_values_of_one_constant_set():
 
 # --- fused sigma / sigma-inverse maps ----------------------------------------
 #
-# _sigma_step and _sigma_inv_step run P(32) and M_5E (M_B3 and P(32)^-1) as
-# one fused 16-byte map; the single-layer composition they replaced is the
+# The key walk runs P(32) and M_5E (M_B3 and P(32)^-1) as one fused 16-byte
+# map each; the layer composition of hc3.sigma and hc3.sigma_inv is the
 # oracle here.
-
-def composed_sigma_step(z, g, consts):
-    w1, w2 = p32_pair(z.z3, z.z4, consts)
-    z3 = m5e(w1, consts) ^ g
-    z4 = m5e(w2, consts)
-    f_out = f_sigma(z.z2 ^ z3, consts)
-    return IntermediateKey(z.z2, z.z1 ^ f_out, z3, z4), f_out
-
-
-def composed_sigma_inv_step(z, g, consts):
-    z1 = z.z2 ^ f_sigma(z.z1 ^ z.z3, consts)
-    w1 = mb3(z.z3 ^ g, consts)
-    w2 = mb3(z.z4, consts)
-    z3, z4 = p32_pair(w1, w2, consts, inverse=True)
-    return IntermediateKey(z1, z.z1, z3, z4), w1, w2
-
-
-def permuted_p32_constants():
-    """The packaged set with P(32) a 3-cycle of lanes: unlike the packaged
-    P(32), not its own inverse."""
-    tab = C.source
-    sections = [(name, bytes((0x02, 0x04, 0x01, 0x08)) if name == "p32" else data)
-                for name, data in tab.sections.items()]
-    return Hc3Constants(ctab.parse(ctab.write("hc3", sections)))
-
 
 @pytest.mark.parametrize("packaged", [True, False], ids=["packaged", "p32-not-involution"])
 @pytest.mark.parametrize("g_index", range(6))
@@ -230,7 +262,10 @@ def test_fused_sigma_steps_match_layer_composition(g_index, packaged):
     rng = random.Random(f"fused-sigma-{g_index}")
     for _ in range(2000 if packaged else 200):
         z = rand_state(rng)
-        assert keyschedule._sigma_step(z, g, consts) == composed_sigma_step(z, g, consts)
-        # W1 and W2 as well as the state
-        assert (keyschedule._sigma_inv_step(z, g, consts)
-                == composed_sigma_inv_step(z, g, consts))
+        # sigma_map: the new z3, before G is added, || the new z4
+        y = consts.sigma_map((z.z3 << 64 | z.z4).to_bytes(16, "big"))
+        assert (y >> 64 ^ g, y & MASK64) == sigma(z, g, consts)[2:]
+        # sigma_inv_map: W1 || W2 || the new z3 || the new z4
+        y = consts.sigma_inv_map(((z.z3 ^ g) << 64 | z.z4).to_bytes(16, "big"))
+        assert (y >> 192, y >> 128 & MASK64) == (mb3(z.z3 ^ g, consts), mb3(z.z4, consts))
+        assert (y >> 64 & MASK64, y & MASK64) == sigma_inv(z, g, consts)[2:]
