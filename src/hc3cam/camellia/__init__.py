@@ -12,10 +12,10 @@ read constants and steps.
 from .. import _lazy
 
 __all__, __getattr__, __dir__ = _lazy.exports(__name__, {
-    "cipher": "SUBKEY_ROTATIONS CamelliaSubkeys KeyVars decrypt encrypt f_function fl "
+    "cipher": "CamelliaSubkeys KeyVars decrypt encrypt f_function fl "
               "fl_inv key_schedule p_layer reverse_subkeys sbox_layer",
     "batch": "decrypt_blocks encrypt_blocks",
     "sliced": "CamelliaSlicedSubkeys decrypt_sliced encrypt_sliced key_schedule_sliced",
     "constants": "CamelliaConstants get_constants load_constants",
-    "steps": "FL_LAYER_ROUNDS N_ROUNDS SIGMA SigmaConstants",
+    "steps": "FL_LAYER_ROUNDS N_ROUNDS SIGMA SUBKEY_LAYOUT SUBKEY_ROTATIONS SigmaConstants",
 })

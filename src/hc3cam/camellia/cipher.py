@@ -12,15 +12,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .constants import CamelliaConstants, get_constants
-from .steps import FL_LAYER_ROUNDS, N_ROUNDS, SIGMA, decrypt_order
+from .steps import FL_LAYER_ROUNDS, N_ROUNDS, SIGMA, SUBKEY_LAYOUT, decrypt_order
 
 MASK8 = 0xFF
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
-
-# Rotation amounts Table 4.2 draws subkeys from.
-SUBKEY_ROTATIONS = (0, 15, 30, 45, 60, 77, 94, 111)
 
 
 class KeyVars(NamedTuple):
@@ -94,63 +91,35 @@ def _rot128(x: int, n: int) -> int:
     return ((x << n) | (x >> (128 - n))) & MASK128
 
 
-def _halves(x: int) -> tuple[int, int]:
-    return x >> 64, x & MASK64
-
-
 def key_schedule(key: bytes,
                  consts: CamelliaConstants | None = None) -> CamelliaSubkeys:
-    """Derive kw1..4, k1..18, kl1..4 for a 128-bit key."""
+    """Derive kw1..4, k1..18, kl1..4 for a 128-bit key: K_A from four
+    rounds of the per-block F keyed by Sigma1..4, then the subkey table."""
     consts = consts or get_constants()
     if len(key) != 16:
         raise ValueError(f"camellia key must be 16 bytes, got {len(key)}")
     kl_var = int.from_bytes(key, "big")
     kr_var = 0
 
-    lanes = tuple(zip(range(56, -8, -8), consts.sbox_order, consts.p_columns))
-
-    def f(x, k):
-        # F as the s-boxes, then P as eight column lookups, without
-        # f_tables: the batch engines never read them, and the four KA
-        # rounds alone do not repay building them
-        x ^= k
-        out = 0
-        for shift, box, column in lanes:
-            out ^= column[box[x >> shift & MASK8]]
-        return out
-
-    d1, d2 = _halves(kl_var ^ kr_var)
-    d2 ^= f(d1, SIGMA.sigma1)
-    d1 ^= f(d2, SIGMA.sigma2)
+    d1, d2 = (kl_var ^ kr_var) >> 64, (kl_var ^ kr_var) & MASK64
+    d2 ^= f_function(d1, SIGMA.sigma1, consts)
+    d1 ^= f_function(d2, SIGMA.sigma2, consts)
     d1 ^= kl_var >> 64
     d2 ^= kl_var & MASK64
-    d2 ^= f(d1, SIGMA.sigma3)
-    d1 ^= f(d2, SIGMA.sigma4)
+    d2 ^= f_function(d1, SIGMA.sigma3, consts)
+    d1 ^= f_function(d2, SIGMA.sigma4, consts)
     ka_var = d1 << 64 | d2
 
-    kw1, kw2 = _halves(_rot128(kl_var, 0))
-    k1, k2 = _halves(_rot128(ka_var, 0))
-    k3, k4 = _halves(_rot128(kl_var, 15))
-    k5, k6 = _halves(_rot128(ka_var, 15))
-    kl1, kl2 = _halves(_rot128(ka_var, 30))
-    k7, k8 = _halves(_rot128(kl_var, 45))
-    k9 = _rot128(ka_var, 45) >> 64
-    k10 = _rot128(kl_var, 60) & MASK64
-    k11, k12 = _halves(_rot128(ka_var, 60))
-    kl3, kl4 = _halves(_rot128(kl_var, 77))
-    k13, k14 = _halves(_rot128(kl_var, 94))
-    k15, k16 = _halves(_rot128(ka_var, 94))
-    k17, k18 = _halves(_rot128(kl_var, 111))
-    kw3, kw4 = _halves(_rot128(ka_var, 111))
-
+    sources, subkeys = (kl_var, ka_var), [None] * 26
+    for var, r, left, right in SUBKEY_LAYOUT:
+        x = _rot128(sources[var], r)
+        if left is not None:
+            subkeys[left] = x >> 64
+        if right is not None:
+            subkeys[right] = x & MASK64
     return CamelliaSubkeys(
-        kw=(kw1, kw2, kw3, kw4),
-        k=(k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
-           k11, k12, k13, k14, k15, k16, k17, k18),
-        kl=(kl1, kl2, kl3, kl4),
-        consts=consts,
-        key_vars=KeyVars(kl_var, kr_var, ka_var),
-    )
+        kw=tuple(subkeys[:4]), k=tuple(subkeys[4:22]), kl=tuple(subkeys[22:]),
+        consts=consts, key_vars=KeyVars(kl_var, kr_var, ka_var))
 
 
 def reverse_subkeys(sk: CamelliaSubkeys) -> CamelliaSubkeys:

@@ -59,7 +59,8 @@ class CamelliaConstants:
     @cached_property
     def f_tables(self):
         # f_tables[pos][v]: p_columns[pos] of sbox_pos(v); read by the
-        # per-block F only, not by the key schedule or the byte-plane networks
+        # per-block F, which the per-key schedule runs too, not by the
+        # byte-plane networks
         return tuple(tuple(map(column.__getitem__, box))
                      for column, box in zip(self.p_columns, self.sbox_order))
 

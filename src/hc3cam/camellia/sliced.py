@@ -1,8 +1,9 @@
 """Camellia-128 key-sliced: the key schedule and both directions for a
 batch with one key per block, on the planes of hc3cam.camellia.steps.
 
-KA is four F rounds keyed by planes of the Sigma constants.  A rotation
-of KL or KA by 8q + s bits re-indexes the sixteen planes by q and moves s
+KA is four F rounds keyed by planes of the Sigma constants, and the
+subkeys are the rotations of KL and KA that steps.SUBKEY_LAYOUT lists.  A
+rotation by 8q + s bits re-indexes the sixteen planes by q and moves s
 bits between neighbouring planes under masks of one repeated byte
 (Matsui-Nakajima, CHES 2007).
 """
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from ..planes import key_planes, ones, run_sliced, xor
 from .constants import CamelliaConstants, get_constants
-from .steps import SIGMA, decrypt_order, f_round, program
+from .steps import SIGMA, SUBKEY_LAYOUT, decrypt_order, f_round, program
 
 
 class CamelliaSlicedSubkeys(NamedTuple):
@@ -55,21 +56,16 @@ def key_schedule_sliced(keys: bytes) -> CamelliaSlicedSubkeys:
             left, right = xor(left, kl_var[:8]), xor(right, kl_var[8:])
     ka_var = left + right
 
-    kl_rot = {r: _rotl_planes(kl_var, r, rep) for r in (0, 15, 45, 60, 77, 94, 111)}
-    ka_rot = {r: _rotl_planes(ka_var, r, rep) for r in (0, 15, 30, 45, 60, 94, 111)}
-
-    def halves(x):
-        return x[:8], x[8:]
-
+    sources, subkeys = (kl_var, ka_var), [None] * 26
+    for var, r, left, right in SUBKEY_LAYOUT:
+        x = _rotl_planes(sources[var], r, rep)
+        if left is not None:
+            subkeys[left] = x[:8]
+        if right is not None:
+            subkeys[right] = x[8:]
     return CamelliaSlicedSubkeys(
-        n,
-        kw=(*halves(kl_rot[0]), *halves(ka_rot[111])),
-        k=(*halves(ka_rot[0]), *halves(kl_rot[15]), *halves(ka_rot[15]),
-           *halves(kl_rot[45]), ka_rot[45][:8], kl_rot[60][8:], *halves(ka_rot[60]),
-           *halves(kl_rot[94]), *halves(ka_rot[94]), *halves(kl_rot[111])),
-        kl=(*halves(ka_rot[30]), *halves(kl_rot[77])),
-        consts=consts,
-    )
+        n, kw=tuple(subkeys[:4]), k=tuple(subkeys[4:22]), kl=tuple(subkeys[22:]),
+        consts=consts)
 
 
 def encrypt_sliced(data: bytes, sk: CamelliaSlicedSubkeys) -> bytes:

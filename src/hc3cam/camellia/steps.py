@@ -1,7 +1,7 @@
 """What every Camellia-128 engine shares: the round structure, the key
-schedule's Sigma constants, the subkey order of decryption and, for the
-two byte-plane engines (batch, one key; sliced, one key per block), the
-network on planes (hc3cam.planes).
+schedule's Sigma constants and subkey table, the subkey order of
+decryption and, for the two byte-plane engines (batch, one key; sliced,
+one key per block), the network on planes (hc3cam.planes).
 
 The left half of a block is planes 0-7 and the right half planes 8-15,
 byte 0 of each half its most significant, all held as big ints.  Every
@@ -41,6 +41,28 @@ SIGMA = SigmaConstants(
     0x10E527FADE682D1D,
     0xB05688C2B3E6C1FD,
 )
+
+# RFC 3713 section 2.2's subkey table for 128-bit keys: each row rotates
+# K_L (0) or K_A (1) left by r bits and names the subkeys its left and
+# right halves become, as slots of kw1..4, k1..18, kl1..4 (0-3, 4-21,
+# 22-25); None where that half is unused.
+SUBKEY_LAYOUT = (
+    (0, 0, 0, 1),           # kw1, kw2
+    (1, 0, 4, 5),           # k1, k2
+    (0, 15, 6, 7),          # k3, k4
+    (1, 15, 8, 9),          # k5, k6
+    (1, 30, 22, 23),        # kl1, kl2
+    (0, 45, 10, 11),        # k7, k8
+    (1, 45, 12, None),      # k9
+    (0, 60, None, 13),      # k10
+    (1, 60, 14, 15),        # k11, k12
+    (0, 77, 24, 25),        # kl3, kl4
+    (0, 94, 16, 17),        # k13, k14
+    (1, 94, 18, 19),        # k15, k16
+    (0, 111, 20, 21),       # k17, k18
+    (1, 111, 2, 3),         # kw3, kw4
+)
+SUBKEY_ROTATIONS = tuple(sorted({r for _, r, _, _ in SUBKEY_LAYOUT}))
 
 
 def decrypt_order(kw, k, kl):

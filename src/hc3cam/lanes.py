@@ -8,7 +8,7 @@ GF(2^8), are built by hc3cam.hc3.mdsl.
 A constant set imports this module when it first builds a lane map or
 the tables behind one: HC3's key schedule, per-block rounds and archsim
 datapaths (the *_tables and *_map of hc3.constants), and Camellia's
-single-key schedule (p_columns) and per-block F (f_map).  The byte-plane
+per-block F (f_map), which its per-key schedule runs too.  The byte-plane
 and key-sliced engines read neither, so kat compiles none of this.
 """
 

@@ -305,20 +305,25 @@ def test_hc3_tables_built_per_layer_on_first_use(monkeypatch):
 
 def test_camellia_f_tables_built_on_first_use(monkeypatch):
     from hc3cam import camellia
-    consts = cam_constants.CamelliaConstants(
-        ctab.parse((DATA / "camellia.ctab").read_text()))
+
+    def fresh():
+        return cam_constants.CamelliaConstants(ctab.parse((DATA / "camellia.ctab").read_text()))
+    consts = fresh()
     monkeypatch.setattr(camellia.sliced, "get_constants", lambda: consts)
     sk = camellia.key_schedule_sliced(bytes(32))
     camellia.decrypt_sliced(camellia.encrypt_sliced(bytes(32), sk), sk)
     assert sk.consts is consts and "f_tables" not in vars(consts)
-    # the single-key schedule and the byte-plane engine do not read them
+    # the single-key schedule runs its K_A rounds through the per-block F
     sk = camellia.key_schedule(bytes(16), consts)
+    assert "f_tables" in vars(consts)
+    # the byte-plane engine does not read them, here under a fresh set
+    consts = fresh()
+    sk = sk._replace(consts=consts)
     camellia.decrypt_blocks(camellia.encrypt_blocks(bytes(48), sk), sk)
     assert "f_tables" not in vars(consts)
     camellia.encrypt(bytes(16), sk)            # per-block F reads them
     assert "f_tables" in vars(consts)
-    consts = cam_constants.CamelliaConstants(
-        ctab.parse((DATA / "camellia.ctab").read_text()))
+    consts = fresh()
     camellia.f_function(0, 0, consts)
     assert "f_tables" in vars(consts)
 

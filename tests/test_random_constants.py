@@ -1,11 +1,14 @@
-"""Random HIEROCRYPT-3 constant sets through every HC3 engine.
+"""Random constant sets through every engine of both ciphers.
 
 hc3.ctab is a reconstruction, so no engine may rely on a property of its
-particular tables.  Each set here is drawn from a seed: a random s-box
-permutation, random G0 and padding words, random invertible P(32), P(16)
-and MDS-higher rows, and a random invertible M_5E with M_B3 its inverse.
-It is written with ctab.write and loaded as an override, and every
-engine must agree with every other under it.
+particular tables.  Each set here is drawn from a seed.  An HC3 set has
+a random s-box permutation, random G0 and padding words, random
+invertible P(32), P(16) and MDS-higher rows, and a random invertible
+M_5E with M_B3 its inverse.  A Camellia set has a random s1 with s2-s4
+derived from it by the published rules, and a random invertible P.  It
+is written with ctab.write and loaded as an override, and every engine
+must agree with every other under it; the simulated devices run their
+blocks and cycles as on the packaged sets.
 """
 
 import random
@@ -13,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from hc3cam import archsim, ctab, gf2, hc3
+from hc3cam import archsim, camellia, cli, ctab, gf2, hc3
+from hc3cam.camellia import constants as cam_constants
 from hc3cam.hc3 import constants as hc3_constants
 from test_hc3_keyschedule import reference_walk
-from test_sliced import hc3_round_keys_at
+from test_sliced import camellia_subkeys_at, hc3_round_keys_at
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "hc3cam" / "data"
 SEEDS = range(4)
@@ -50,13 +54,46 @@ def random_hc3_sections(seed):
     ]
 
 
+def rotl8(x, n):
+    return (x << n | x >> (8 - n)) & 0xFF
+
+
+def random_camellia_sections(seed):
+    rng = random.Random(f"camellia-constants-{seed}")
+    s1 = rng.sample(range(256), 256)
+    return [
+        ("s1", bytes(s1)),
+        ("s2", bytes(rotl8(v, 1) for v in s1)),
+        ("s3", bytes(rotl8(v, 7) for v in s1)),
+        ("s4", bytes(s1[rotl8(x, 1)] for x in range(256))),
+        ("p", bytes(random_invertible(rng, 8))),
+    ]
+
+
+def use_random_sets(tmp_path, monkeypatch, seed, names=("hc3", "camellia")):
+    """Write the named sets of one seed and point the constants-directory
+    override at them."""
+    for name in names:
+        sections = {"hc3": random_hc3_sections, "camellia": random_camellia_sections}[name]
+        (tmp_path / f"{name}.ctab").write_text(ctab.write(name, sections(seed)))
+    monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+
+
 @pytest.fixture(params=SEEDS, ids=lambda seed: f"seed{seed}")
 def random_set(request, tmp_path, monkeypatch):
-    """Load the set of one seed through the constants-directory override."""
-    (tmp_path / "hc3.ctab").write_text(ctab.write("hc3", random_hc3_sections(request.param)))
-    monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+    """Load the HC3 set of one seed through the constants-directory override."""
+    use_random_sets(tmp_path, monkeypatch, request.param, ["hc3"])
     consts = hc3_constants.load_constants()
     assert consts is hc3.get_constants()
+    return request.param, consts
+
+
+@pytest.fixture(params=SEEDS, ids=lambda seed: f"seed{seed}")
+def random_camellia_set(request, tmp_path, monkeypatch):
+    """Load the Camellia set of one seed through the constants-directory override."""
+    use_random_sets(tmp_path, monkeypatch, request.param, ["camellia"])
+    consts = cam_constants.load_constants()
+    assert consts is camellia.get_constants()
     return request.param, consts
 
 
@@ -125,3 +162,64 @@ def test_datapaths_agree(random_set, variant):
         key, block = rng.randbytes(16), rng.randbytes(16)
         want = hc3.encrypt(block, hc3.key_schedule(key))
         assert archsim.run_block(archsim.PROFILES[variant], key, block, consts).ciphertext == want
+
+
+def test_camellia_sets_differ_from_the_packaged_one(random_camellia_set):
+    _, consts = random_camellia_set
+    packaged = cam_constants.load_constants(DATA / "camellia.ctab")
+    for name in ("s1", "s2", "s3", "s4", "p_rows"):
+        assert getattr(consts, name) != getattr(packaged, name), name
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_camellia_engines_agree(random_camellia_set, n):
+    seed, consts = random_camellia_set
+    rng = random.Random(f"camellia-engines-{seed}-{n}")
+    keys, data = rng.randbytes(16 * n), rng.randbytes(16 * n)
+    blocks = [data[off:off + 16] for off in range(0, len(data), 16)]
+    schedules = [camellia.key_schedule(keys[off:off + 16]) for off in range(0, len(keys), 16)]
+    assert all(sk.consts is consts for sk in schedules)
+
+    # the key-sliced schedule and engine, one key per block
+    sliced = camellia.key_schedule_sliced(keys)
+    assert sliced.consts is consts
+    for i, sk in enumerate(schedules):
+        assert camellia_subkeys_at(sliced, i) == (sk.kw, sk.k, sk.kl)
+    ct = b"".join(camellia.encrypt(b, sk) for b, sk in zip(blocks, schedules))
+    assert camellia.encrypt_sliced(data, sliced) == ct
+    assert camellia.decrypt_sliced(ct, sliced) == data
+    assert b"".join(camellia.decrypt(b, sk) for b, sk in zip(blocks, schedules)) \
+        == camellia.decrypt_sliced(data, sliced)
+
+    # the single-key plane engine and camellia-lu3, n blocks under one key
+    key = rng.randbytes(16)
+    sk = camellia.key_schedule(key)
+    ct = b"".join(camellia.encrypt(b, sk) for b in blocks)
+    assert camellia.encrypt_blocks(data, sk) == ct
+    assert camellia.decrypt_blocks(ct, sk) == data
+    assert camellia.decrypt_blocks(data, sk) == b"".join(camellia.decrypt(b, sk) for b in blocks)
+    profile = archsim.PROFILES["camellia-lu3"]
+    assert b"".join(archsim.run_block(profile, key, b, consts).ciphertext
+                    for b in blocks) == ct
+
+
+# what simulate --blocks 3 reports of each device: the cycle counts do not
+# depend on the constant set
+DEVICE_LINES = {
+    "hc3-short": (4, 8, 31), "hc3-long": (8, 8, 35), "hc3-verylong": (18, 7, 42),
+    "hc3-extensive": (18, 7, 42), "camellia-lu3": (2, 6, 23),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(DEVICE_LINES))
+def test_devices_match_the_batch_engine(variant, tmp_path, monkeypatch, capsys):
+    use_random_sets(tmp_path, monkeypatch, 0)
+    assert hc3.get_constants() is hc3_constants.load_constants(tmp_path / "hc3.ctab")
+    assert camellia.get_constants() is cam_constants.load_constants(tmp_path / "camellia.ctab")
+    assert cli.main(["simulate", "--variant", variant, "--blocks", "3"]) == 0
+    setup, work, ticks = DEVICE_LINES[variant]
+    lines = capsys.readouterr().out.splitlines()
+    for line in (f"setup cycles: {setup}", f"work cycles per block: {work}",
+                 "blocks simulated: 3 (ciphertext vs functional model: OK)",
+                 f"device ticks: {ticks} total, {setup} setup"):
+        assert line in lines
