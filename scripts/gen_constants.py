@@ -38,6 +38,10 @@ from hc3cam import ctab, gf2, gf256
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "hc3cam" / "data"
 
+# what --help prints: a constant, not the docstring, so python -OO keeps it
+USAGE = ("usage: python scripts/gen_constants.py\n"
+         "Rewrite src/hc3cam/data/camellia.ctab and hc3.ctab; takes no arguments.")
+
 # --- camellia -----------------------------------------------------------
 
 SBOX1 = bytes([
@@ -131,7 +135,14 @@ def hc3_sections():
     ]
 
 
-def main():
+def main(argv=None) -> int:
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
+    if argv:
+        print(f"{USAGE}\ngen_constants.py: error: unrecognized arguments: {' '.join(argv)}",
+              file=sys.stderr)
+        return 2
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     cam = ctab.write(
         "camellia",
@@ -152,7 +163,8 @@ def main():
     (DATA_DIR / "hc3.ctab").write_text(hc3)
     print(f"wrote {DATA_DIR / 'camellia.ctab'}")
     print(f"wrote {DATA_DIR / 'hc3.ctab'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

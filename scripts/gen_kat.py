@@ -20,6 +20,10 @@ from hc3cam import camellia, hc3
 
 KAT_DIR = Path(__file__).resolve().parent.parent / "src" / "hc3cam" / "data" / "kat"
 
+# what --help prints: a constant, not the docstring, so python -OO keeps it
+USAGE = ("usage: python scripts/gen_kat.py\n"
+         "Rewrite src/hc3cam/data/kat/camellia.kat and hc3.kat; takes no arguments.")
+
 CAMELLIA_OFFICIAL = (
     "0123456789abcdeffedcba9876543210",
     "0123456789abcdeffedcba9876543210",
@@ -39,7 +43,14 @@ def extra_inputs():
     yield bytes.fromhex("000102030405060708090a0b0c0d0e0f"), bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
-def main():
+def main(argv=None) -> int:
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
+    if argv:
+        print(f"{USAGE}\ngen_kat.py: error: unrecognized arguments: {' '.join(argv)}",
+              file=sys.stderr)
+        return 2
     KAT_DIR.mkdir(parents=True, exist_ok=True)
 
     key, pt, ct = (bytes.fromhex(h) for h in CAMELLIA_OFFICIAL)
@@ -65,7 +76,8 @@ def main():
     (KAT_DIR / "hc3.kat").write_text("\n".join(parts))
     print(f"wrote {KAT_DIR / 'camellia.kat'}")
     print(f"wrote {KAT_DIR / 'hc3.kat'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

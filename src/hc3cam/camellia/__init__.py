@@ -12,7 +12,7 @@ read constants and steps.
 from .. import _lazy
 
 __all__, __getattr__, __dir__ = _lazy.exports(__name__, {
-    "cipher": "CamelliaSubkeys KeyVars decrypt encrypt f_function fl "
+    "cipher": "CamelliaSubkeys decrypt encrypt f_function fl "
               "fl_inv key_schedule p_layer reverse_subkeys sbox_layer",
     "batch": "decrypt_blocks encrypt_blocks",
     "sliced": "CamelliaSlicedSubkeys decrypt_sliced encrypt_sliced key_schedule_sliced",

@@ -20,12 +20,6 @@ MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
 
 
-class KeyVars(NamedTuple):
-    kl_var: int   # 128-bit K_L
-    kr_var: int   # 128-bit K_R (zero for 128-bit keys)
-    ka_var: int   # 128-bit K_A
-
-
 class CamelliaSubkeys(NamedTuple):
     """The subkeys of one key and the constant set they were derived with:
     the cipher uses it for every block, so a set loaded later can never be
@@ -36,7 +30,6 @@ class CamelliaSubkeys(NamedTuple):
     k: tuple[int, ...]                  # k1..k18
     kl: tuple[int, int, int, int]
     consts: CamelliaConstants
-    key_vars: KeyVars
 
 
 def p_layer(x: int, consts: CamelliaConstants) -> int:
@@ -99,9 +92,8 @@ def key_schedule(key: bytes,
     if len(key) != 16:
         raise ValueError(f"camellia key must be 16 bytes, got {len(key)}")
     kl_var = int.from_bytes(key, "big")
-    kr_var = 0
 
-    d1, d2 = (kl_var ^ kr_var) >> 64, (kl_var ^ kr_var) & MASK64
+    d1, d2 = kl_var >> 64, kl_var & MASK64
     d2 ^= f_function(d1, SIGMA.sigma1, consts)
     d1 ^= f_function(d2, SIGMA.sigma2, consts)
     d1 ^= kl_var >> 64
@@ -119,7 +111,7 @@ def key_schedule(key: bytes,
             subkeys[right] = x & MASK64
     return CamelliaSubkeys(
         kw=tuple(subkeys[:4]), k=tuple(subkeys[4:22]), kl=tuple(subkeys[22:]),
-        consts=consts, key_vars=KeyVars(kl_var, kr_var, ka_var))
+        consts=consts)
 
 
 def reverse_subkeys(sk: CamelliaSubkeys) -> CamelliaSubkeys:

@@ -16,8 +16,8 @@ K(1)..K(6) key the six rounds; K(7) keys the final addition.
 
 sigma-inverse undoes sigma exactly, so step t of 5..7 walks back from
 Z(9 - t) to Z(8 - t), states the forward walk reached, with the V word
-of forward step 9 - t: the 1600-bit cache and the key-sliced schedule
-read them from their forward walk; walk_schedule computes every step.
+of forward step 9 - t: the key-sliced schedule reads them from its
+forward walk; walk_schedule computes every step.
 
 hc3cam.hc3.sliced runs the same schedule for a batch of keys at once on
 byte planes, one key per slice.
@@ -25,7 +25,6 @@ byte planes, one key per slice.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .constants import Hc3Constants, get_constants
@@ -85,16 +84,6 @@ class Hc3KeySchedule(NamedTuple):
 # RoundKey256.  hc3cam.hc3.linear holds the layer-by-layer sigma and
 # sigma_inv the fused steps here are checked against.
 
-def _fwd_key(z_prev, z_next, v: int) -> tuple[int, ...]:
-    """K1..K4 of a forward (sigma) step, given its F-sigma word V."""
-    return z_prev[0] ^ v, z_next[2] ^ v, z_next[3] ^ v, z_prev[1] ^ z_next[3]
-
-
-def _bwd_key(z_prev, z_next, w1: int, w2: int, v: int) -> tuple[int, ...]:
-    """K1..K4 of a backward (sigma-inverse) step, given its V and W words."""
-    return z_next[0] ^ z_prev[2], w1 ^ v, w2 ^ v, z_prev[0] ^ w2
-
-
 def pad_key(key: bytes, consts: Hc3Constants) -> IntermediateKey:
     """Extend the 128-bit main key to 256 bits with the H3/H2 words."""
     if len(key) != 16:
@@ -152,45 +141,24 @@ def walk_schedule(z0, consts: Hc3Constants) -> Iterator[tuple[tuple[int, ...], i
         yield key, v, (z1, z2, z3, z4)
 
 
-def _keys_from_cache(cache: Cache1600,
-                     consts: Hc3Constants) -> tuple[RoundKey256, ...]:
-    """Derive all seven round keys from the 1600 cached bits.
-
-    No step evaluates F-sigma.  Step t of 5..7 walks back over cached
-    states and takes the V of forward step 9 - t (so V(5) = V(4)); it
-    needs only its W words, M_B3 of (z3 ^ G) || z4, from sigma_inv_map.
-    """
-    z, v = cache.z_states, cache.f_outputs
-    keys = []
-    for t in range(1, 5):
-        keys.append(RoundKey256(*_fwd_key(z[t - 1], z[t], v[t - 1])))
-    for t in range(5, 8):
-        z_prev, z_next = z[9 - t], z[8 - t]
-        g = consts.g0[SCHEDULE_ROWS[t].g_index]
-        y = consts.sigma_inv_map(((z_prev[2] ^ g) << 64 | z_prev[3]).to_bytes(16, "big"))
-        keys.append(RoundKey256(*_bwd_key(z_prev, z_next, y >> 192, y >> 128 & MASK64,
-                                          v[8 - t])))
-    return tuple(keys)
-
-
 def key_schedule(key: bytes, mode: str = "full_precompute",
                  consts: Hc3Constants | None = None) -> Hc3KeySchedule:
     """Build K(1)..K(7) from a 16-byte key.
 
-    mode picks what is retained: ``full_precompute`` walks all seven steps
-    and keeps the key set; ``cached_1600`` walks steps 1..5 only, for the
-    1600-bit intermediate cache of the long-setup datapaths, and derives
-    the keys from it.
+    Both modes take the keys from one walk of all seven steps.  mode
+    picks what else is retained: ``cached_1600`` also keeps the 1600-bit
+    intermediate cache of the long-setup datapaths, Z(0)..Z(4) and
+    V(1)..V(5) from that walk's first five steps; ``full_precompute``
+    keeps the key set only.
     """
     consts = consts or get_constants()
     if mode not in MODES:
         raise ValueError(f"unknown key schedule mode {mode!r}; pick one of {MODES}")
 
     z0 = pad_and_prewhiten(key, consts)
-    walk = walk_schedule(z0, consts)
-    if mode == "full_precompute":
-        return Hc3KeySchedule(tuple(RoundKey256(*k) for k, _, _ in walk), consts)
-    steps = list(islice(walk, T_TURN + 1))
-    cache = Cache1600((z0, *(IntermediateKey(*z) for _, _, z in steps[:T_TURN])),
-                      tuple(v for _, v, _ in steps))
-    return Hc3KeySchedule(_keys_from_cache(cache, consts), consts, cache)
+    steps = list(walk_schedule(z0, consts))
+    cache = None
+    if mode == "cached_1600":
+        cache = Cache1600((z0, *(IntermediateKey(*z) for _, _, z in steps[:T_TURN])),
+                          tuple(v for _, v, _ in steps[:T_TURN + 1]))
+    return Hc3KeySchedule(tuple(RoundKey256(*k) for k, _, _ in steps), consts, cache)

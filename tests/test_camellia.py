@@ -141,7 +141,7 @@ def test_subkeys_against_rotation_table():
         key = rng.randbytes(16)
         sk = key_schedule(key)
         kl, ka = _oracle_subkeys(key)
-        assert (sk.key_vars.kl_var, sk.key_vars.kr_var, sk.key_vars.ka_var) == (kl, 0, ka)
+        assert (sk.kw[0] << 64 | sk.kw[1], sk.k[0] << 64 | sk.k[1]) == (kl, ka)
 
         def L(v, n):
             return _rot128(v, n) >> 64
@@ -166,7 +166,7 @@ def test_rotation_amounts_are_exactly_the_published_set():
     # rotation is unused, as published
     key = bytes(range(16))
     sk = key_schedule(key)
-    kl = sk.key_vars.kl_var
+    kl = sk.kw[0] << 64 | sk.kw[1]
     assert sk.k[9] == _rot128(kl, 60) & MASK64
 
 
@@ -216,11 +216,12 @@ def test_subkeys_are_values_of_one_constant_set():
     a, b = key_schedule(OFFICIAL_KEY, c1), key_schedule(OFFICIAL_KEY, c2)
     assert a == key_schedule(OFFICIAL_KEY, c1) and hash(a) == hash(key_schedule(OFFICIAL_KEY, c1))
     assert a.consts is c1 and b.consts is c2
-    assert (a.kw, a.k, a.kl, a.key_vars) == (b.kw, b.k, b.kl, b.key_vars) and a != b
+    assert (a.kw, a.k, a.kl) == (b.kw, b.k, b.kl) and a != b
     assert b._replace(consts=c1) == a
     assert a != key_schedule(bytes(16), c1)
     reverse = cam_cipher.reverse_subkeys(a)
-    assert reverse != a and (reverse.consts, reverse.key_vars) == (c1, a.key_vars)
+    assert reverse != a and (reverse.consts, reverse.kw[2:] + reverse.kw[:2], reverse.k[::-1]) \
+        == (c1, a.kw, a.k)
 
 
 def test_p_columns_match_row_wise_p_layer():

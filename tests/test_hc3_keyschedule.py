@@ -208,6 +208,29 @@ def test_modes_agree_on_round_keys():
         assert builds[0].round_keys == builds[1].round_keys
 
 
+def test_both_modes_walk_the_schedule_once():
+    # per key: sigma0 takes one sigma_map and one F-sigma lookup, then the
+    # walk four sigma and three sigma-inverse maps, two F-sigma lookups a
+    # step; cached_1600 keeps its cache from that walk
+    consts = Hc3Constants(C.source)
+    calls = dict.fromkeys(("sigma_map", "sigma_inv_map", "f_sigma_map"), 0)
+
+    def counting(name, fn):
+        def counted(data):
+            calls[name] += 1
+            return fn(data)
+        return counted
+    for name in calls:
+        setattr(consts, name, counting(name, getattr(consts, name)))
+    rng, n = random.Random("walk-counts"), 3
+    for mode in MODES:
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in range(n):
+            key = rng.randbytes(16)
+            assert key_schedule(key, mode, consts).round_keys == key_schedule(key, mode, C).round_keys
+        assert calls == {"sigma_map": 5 * n, "sigma_inv_map": 3 * n, "f_sigma_map": 15 * n}, mode
+
+
 def test_cache_shape_and_bit_count():
     ks = key_schedule(bytes(16), "cached_1600", C)
     cache = ks.intermediate_cache

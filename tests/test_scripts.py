@@ -41,6 +41,36 @@ def test_script_reproduces_shipped_files(script, out_dir_attr, shipped, names,
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("script, out_dir_attr", [
+    ("gen_constants", "DATA_DIR"), ("gen_kat", "KAT_DIR"),
+], ids=("gen_constants", "gen_kat"))
+def test_script_help_and_bad_arguments_write_nothing(script, out_dir_attr, tmp_path,
+                                                     monkeypatch, capsys):
+    module = load_script(script, monkeypatch)
+    out = tmp_path / "out"
+    monkeypatch.setattr(module, out_dir_attr, out)
+    for argv in (["-h"], ["--help"]):
+        assert module.main(argv) == 0
+        assert capsys.readouterr().out == module.USAGE + "\n"
+    for argv in (["--out-dir", str(tmp_path)], ["-h", "extra"], ["x"]):
+        assert module.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(module.USAGE + "\n")
+        assert f"error: unrecognized arguments: {' '.join(argv)}" in captured.err
+    assert not out.exists()
+    # python -OO drops the docstring; --help prints the constant, exit 0
+    runner = ("import importlib.util, pathlib, sys\n"
+              "spec = importlib.util.spec_from_file_location('s', sys.argv[1])\n"
+              "m = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(m)\n"
+              "setattr(m, sys.argv[2], pathlib.Path(sys.argv[3]))\n"
+              "sys.exit(m.main(sys.argv[4:]))\n")
+    proc = subprocess.run([sys.executable, "-OO", "-c", runner, str(ROOT / "scripts" / f"{script}.py"),
+                           out_dir_attr, str(out), "--help"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, module.USAGE + "\n", "")
+    assert not out.exists()
+
+
 def test_kat_files_are_in_the_one_scan_layout(tmp_path, monkeypatch):
     # kat reads the documented layout by columns and falls back to its line
     # walker for anything else: a regenerated file must not drop back
