@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache, partial
-from itertools import islice
 from types import ModuleType
 from typing import Callable, NamedTuple
 
@@ -276,39 +275,29 @@ def _hc3_setup(hc3: ModuleType, key: bytes, consts, short: bool = False,
     rho round being the XS core followed by the s-box-fused MDS-higher map;
     round r takes K(r) as its pair (K1 K2, K3 K4).
 
-    short holds only Z(0) and walks the seven round keys from it for every
-    block, each as its round takes it; the last cycle restores the round-1
-    state for the next one.  Otherwise the keys are derived once from the
-    1600-bit cache and bound in.  merged runs XS on the fused s-box/MDS-lower
-    tables; merge_xs_ak runs XS and AK in one cycle.
+    keys() gives the seven pairs a block reads.  short holds only Z(0) and
+    walks all seven from it at the start of every block; the last cycle
+    restores the round-1 state for the next one.  Otherwise the pairs are
+    derived once from the 1600-bit cache and bound in.  merged runs XS on
+    the fused s-box/MDS-lower tables; merge_xs_ak runs XS and AK in one
+    cycle.
     """
-    core, fused, sbox = hc3.xs_core, consts.sbox_mds_h_map, consts.sbox
+    core, fused, sbox, halves = hc3.xs_core, consts.sbox_mds_h_map, consts.sbox, hc3.key_halves
     if short:
-        walk, z0 = hc3.walk_schedule, hc3.pad_and_prewhiten(key, consts)
+        ops, walk, z0 = _HC3_SHORT_OPS, hc3.walk_schedule, hc3.pad_and_prewhiten(key, consts)
 
-        def work(block: bytes) -> BlockTrace:
-            # K(1)..K(5) key the rho rounds, K(6) XS and K(7)'s first half AK
-            keys = walk(z0, consts)
-            v = int.from_bytes(block, "big")
-            states = [v]
-            for (k1, k2, k3, k4), _, _ in islice(keys, 5):
-                v = fused(core(v, k1 << 64 | k2, k3 << 64 | k4, consts))
-                states.append(v)
-            (k1, k2, k3, k4), _, _ = next(keys)
-            x = int.from_bytes(core(v, k1 << 64 | k2, k3 << 64 | k4, consts).translate(sbox),
-                               "big")
-            (k1, k2, _, _), _, _ = next(keys)
-            ct = x ^ (k1 << 64 | k2)
-            states += x, ct
-            return _new(BlockTrace, (_HC3_SHORT_OPS, tuple(states), ct.to_bytes(16, "big")))
-        return work
+        def keys():
+            return [halves(rk) for rk, _, _ in walk(z0, consts)]
+    else:
+        ops = _cached_ops(merged, merge_xs_ak)
+        pairs = tuple(map(halves, hc3.key_schedule(key, "cached_1600", consts).round_keys))
 
-    ops = _cached_ops(merged, merge_xs_ak)
-    ks = hc3.key_schedule(key, "cached_1600", consts)
-    (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (ak, _) = map(
-        hc3.key_halves, ks.round_keys)
+        def keys():
+            return pairs
 
     def work(block: bytes) -> BlockTrace:
+        # K(1)..K(5) key the rho rounds, K(6) XS and K(7)'s first half AK
+        (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (ak, _) = keys()
         v0 = int.from_bytes(block, "big")
         v1 = fused(core(v0, a1, b1, consts, merged))
         v2 = fused(core(v1, a2, b2, consts, merged))

@@ -1,9 +1,11 @@
 """GF(2^8) arithmetic over the HIEROCRYPT-3 field x^8 + x^6 + x^5 + x + 1.
 
 The field every HIEROCRYPT-3 command loads: the bit-serial
-shift-and-reduce multiplier (`gf_mul`), inversion, and the MDS-lower
-matrix with its inverse, from which hc3.constants builds the product
-tables the ciphers read.  The per-constant XOR networks (the
+shift-and-reduce multiplier (`gf_mul`) and the MDS-lower matrix with its
+inverse, from which hc3.constants builds the product tables the ciphers
+read.  The inverse goes through gf2.invert, the GF(2) inverter of every
+other inverse pattern; `gf_pow` stays for the s-box generator
+(scripts/gen_constants.py).  The per-constant XOR networks (the
 hardware-style route to each MDS_L multiplication, checked against
 `gf_mul`) and the MDS check live in hc3cam.networks, which no command
 imports; mul_const_network, mds_l_apply and mds_check still resolve
@@ -15,6 +17,8 @@ Bit 7 of a byte is the most significant bit throughout.
 from __future__ import annotations
 
 from collections import namedtuple
+
+from . import gf2
 
 HC3_POLY = 0x163  # x^8 + x^6 + x^5 + x + 1
 
@@ -48,12 +52,6 @@ def gf_pow(a: int, e: int) -> int:
     return r
 
 
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(2^8)")
-    return gf_pow(a, 254)
-
-
 # MDS lower level: circulant over (C4, 65, C8, 8B).
 MDS_L_CONSTANTS = (0xC4, 0x65, 0xC8, 0x8B)
 
@@ -80,24 +78,20 @@ MDS_L = circulant(MDS_L_CONSTANTS)
 
 
 def mds_l_inverse(m: MdsMatrix4 = MDS_L) -> MdsMatrix4:
-    """Inverse matrix over GF(2^8) by Gaussian elimination."""
-    work = [list(r) for r in m.entries]
-    inv = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if work[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("singular matrix passed to mds_l_inverse")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = gf_inv(work[col][col])
-        work[col] = [gf_mul(scale, v) for v in work[col]]
-        inv[col] = [gf_mul(scale, v) for v in inv[col]]
-        for r in range(4):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a ^ gf_mul(f, b) for a, b in zip(work[r], work[col])]
-                inv[r] = [a ^ gf_mul(f, b) for a, b in zip(inv[r], inv[col])]
-    return MdsMatrix4(tuple(tuple(r) for r in inv))
+    """Inverse matrix over GF(2^8), by gf2.invert on m as a 32x32 bit
+    matrix (bit b of byte j is lane 8j + b).  The masks inverted are the
+    transpose's rows, each input lane's image, so the result is the
+    inverse's transpose: its mask 8j is the image of 1 at input byte j,
+    whose byte i is entry (i, j).  ArithmeticError if m is singular.
+    """
+    lanes = [sum(gf_mul(row[j], 1 << b) << 8 * i for i, row in enumerate(m.entries))
+             for j in range(4) for b in range(8)]
+    try:
+        inv = gf2.invert(lanes)
+    except ValueError:
+        raise ArithmeticError("singular matrix passed to mds_l_inverse") from None
+    return MdsMatrix4(tuple(tuple(inv[8 * j] >> 8 * i & 0xFF for j in range(4))
+                            for i in range(4)))
 
 
 def __getattr__(name: str):

@@ -299,6 +299,11 @@ def test_hc3_tables_built_per_layer_on_first_use(monkeypatch):
     archsim.run_block(archsim.PROFILES["hc3-long"], bytes(16), bytes(16))
     assert built(consts) == schedule | {"mdsl_columns", "mdsl_tables", "mdsl_map",
                                         "sbox_mds_h_tables", "sbox_mds_h_map"}
+    # the byte-plane decryption adds MDS-lower's inverse columns, from
+    # gf256.mds_l_inverse, and nothing else
+    before = built(consts)
+    hc3.decrypt_blocks(bytes(32), ks)
+    assert built(consts) == before | {"mdsl_inv_columns"}
     # the packaged mds_h is an involution: its inverse shares the tables
     assert consts.mds_h_inv_tables is consts.mds_h_tables
 

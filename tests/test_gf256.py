@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -8,7 +10,6 @@ from hc3cam.gf256 import (
     MDS_L_CONSTANTS,
     MdsMatrix4,
     circulant,
-    gf_inv,
     gf_mul,
     mds_check,
     mds_l_apply,
@@ -32,12 +33,11 @@ def test_gf_mul_commutative_and_distributive():
         assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
 
 
-def test_gf_inv():
-    # every nonzero byte has an inverse: HC3_POLY gives a field
-    for x in range(1, 256):
-        assert gf_mul(x, gf_inv(x)) == 1
-    with pytest.raises(ZeroDivisionError):
-        gf_inv(0)
+def test_every_nonzero_byte_has_one_inverse():
+    # HC3_POLY gives a field: each nonzero byte has exactly one inverse, 0 none
+    for x in range(256):
+        ones = sum(gf_mul(x, y) == 1 for y in range(256))
+        assert ones == (1 if x else 0)
 
 
 @pytest.mark.parametrize("c", MDS_L_CONSTANTS)
@@ -107,23 +107,49 @@ def test_mds_check_rejects_identity_and_zero_row():
                                      (5, 6, 7, 8), (9, 10, 11, 12))))
 
 
-def test_mds_l_inverse_roundtrip():
-    inv = mds_l_inverse()
+def _gf_matmul(a, b):
+    return tuple(
+        tuple(reduce(xor, (gf_mul(a.entries[i][k], b.entries[k][j]) for k in range(4)))
+              for j in range(4))
+        for i in range(4))
+
+
+def _random_invertible(seed):
+    rng = random.Random(seed)
+    while True:
+        m = MdsMatrix4(tuple(tuple(rng.randrange(256) for _ in range(4)) for _ in range(4)))
+        try:
+            mds_l_inverse(m)
+        except ArithmeticError:
+            continue
+        return m
+
+
+_IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+@pytest.mark.parametrize("m", [MDS_L, *(_random_invertible(s) for s in range(8))],
+                         ids=["MDS_L", *(f"random{s}" for s in range(8))])
+def test_mds_l_inverse_roundtrip(m):
+    inv = mds_l_inverse(m)
+    # both products over the field are the identity matrix
+    assert _gf_matmul(inv, m) == _IDENTITY
+    assert _gf_matmul(m, inv) == _IDENTITY
+
+
+def test_mds_l_inverse_of_mds_l():
+    assert mds_l_inverse() == circulant((0x82, 0xC4, 0x34, 0xF6))
     apply = networks.matrix_apply
-    assert apply(inv, apply(MDS_L, (0x01, 0x02, 0x03, 0x04))) == (0x01, 0x02, 0x03, 0x04)
-    assert apply(inv, (0, 0, 0, 0)) == (0, 0, 0, 0)
-    # M^-1 * M over the field is the identity matrix
-    for i in range(4):
-        for j in range(4):
-            acc = 0
-            for k in range(4):
-                acc ^= gf_mul(inv.entries[i][k], MDS_L.entries[k][j])
-            assert acc == (1 if i == j else 0)
+    assert apply(mds_l_inverse(), apply(MDS_L, (0x01, 0x02, 0x03, 0x04))) == (1, 2, 3, 4)
 
 
-def test_mds_l_inverse_rejects_singular():
+@pytest.mark.parametrize("m", [
+    MdsMatrix4(((0, 0, 0, 0),) * 4),
+    MdsMatrix4(((1, 2, 3, 4), (5, 6, 7, 8), (1, 2, 3, 4), (9, 10, 11, 12))),
+], ids=["zero", "equal-rows"])
+def test_mds_l_inverse_rejects_singular(m):
     with pytest.raises(ArithmeticError):
-        mds_l_inverse(MdsMatrix4(((0, 0, 0, 0),) * 4))
+        mds_l_inverse(m)
 
 
 def test_mds_matrix_value_semantics():
