@@ -53,8 +53,8 @@ class CamelliaConstants:
     def p_columns(self):
         # p_columns[pos][v]: 64-bit P-layer image of byte v sitting alone
         # at byte position pos
-        from ..lanes import lane_tables
-        return lane_tables(self.p_rows, 8)
+        from ..lanes import row_images
+        return gf2.position_tables(row_images(self.p_rows, 8))
 
     @cached_property
     def f_tables(self):

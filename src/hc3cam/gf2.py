@@ -5,14 +5,16 @@ XORs in input lane j.  Lanes can be anything XOR-able (bytes-as-ints,
 16/32/64-bit words), which is how all the byte- and word-level XOR
 selection layers in this package are expressed.  Every command that runs
 a cipher loads this module: the constant sets' load-time checks and the
-byte-plane engines apply row sets with apply_rows.  The byte-lane lookup
-kernel of the per-block layers (lane_tables, lane_map) lives in
+byte-plane engines apply row sets with apply_rows, and position_tables
+builds every lookup table of both ciphers from the images of a layer's
+input bits.  The byte-lane lookup kernel (lane_map, row_images) lives in
 hc3cam.lanes, which a constant set imports when it first builds a lane
 map or P's column tables.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 IDENTITY = bytes(range(256))
@@ -37,6 +39,21 @@ def apply_rows(rows: Sequence[int], lanes: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def position_tables(images: Sequence[int], src: Sequence[int] = IDENTITY):
+    """tables[p][x]: the image of byte src[x] alone at input byte p, byte 0
+    the most significant, under the map whose input bit k has images[k].
+    Each is built by XOR doubling over its byte's eight images,
+    T(x | 1 << b) = T(x) ^ T(1 << b) for x below 1 << b, then re-indexed."""
+    pick = itemgetter(*src)
+    tables = []
+    for k in range(len(images), 0, -8):
+        table = [0]
+        for v in images[k - 8:k]:
+            table += [t ^ v for t in table]
+        tables.append(pick(table))
+    return tuple(tables)
+
+
 def identity(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(n))
 
@@ -44,12 +61,13 @@ def identity(n: int) -> tuple[int, ...]:
 def invert(rows: Sequence[int], n: int | None = None) -> tuple[int, ...]:
     """Invert an n x n bit matrix by Gauss-Jordan elimination.
 
-    Raises ValueError if the matrix is singular.
+    Raises ValueError if the matrix is singular, or not n x n: a row
+    with a bit at or above n would select no lane.
     """
     if n is None:
         n = len(rows)
-    if len(rows) != n:
-        raise ValueError("matrix is not square")
+    if len(rows) != n or max(rows, default=0) >> n:
+        raise ValueError(f"not a {n} x {n} bit matrix")
     work = list(rows)
     inv = list(identity(n))
     for col in range(n):

@@ -1,11 +1,12 @@
 """GF(2^8) arithmetic over the HIEROCRYPT-3 field x^8 + x^6 + x^5 + x + 1.
 
 The field every HIEROCRYPT-3 command loads: the bit-serial
-shift-and-reduce multiplier (`gf_mul`) and the MDS-lower matrix with its
-inverse, from which hc3.constants builds the product tables the ciphers
-read.  The inverse goes through gf2.invert, the GF(2) inverter of every
-other inverse pattern; `gf_pow` stays for the s-box generator
-(scripts/gen_constants.py).  The per-constant XOR networks (the
+shift-and-reduce multiplier (`gf_mul`) and the MDS-lower matrix.  Its
+`images`, those of its input bits on one 32-bit word, are what
+hc3.constants builds every MDS-lower table from, through
+gf2.position_tables; its inverse goes through gf2.invert, the GF(2)
+inverter of every other inverse pattern.  `gf_pow` stays for the s-box
+generator (scripts/gen_constants.py).  The per-constant XOR networks (the
 hardware-style route to each MDS_L multiplication, checked against
 `gf_mul`) and the MDS check live in hc3cam.networks, which no command
 imports; mul_const_network, mds_l_apply and mds_check still resolve
@@ -77,20 +78,26 @@ def circulant(first_row: tuple[int, int, int, int]) -> MdsMatrix4:
 MDS_L = circulant(MDS_L_CONSTANTS)
 
 
+def images(m: MdsMatrix4) -> tuple[int, ...]:
+    """The 32 images of m's input bits on one 32-bit word, byte 0 the most
+    significant: bit b of input byte j is bit k = 8 * (3 - j) + b, and its
+    image holds gf_mul(m[i][j], 1 << b) in output byte i."""
+    return tuple(sum(gf_mul(row[j], 1 << b) << 8 * (3 - i) for i, row in enumerate(m.entries))
+                 for j in (3, 2, 1, 0) for b in range(8))
+
+
 def mds_l_inverse(m: MdsMatrix4 = MDS_L) -> MdsMatrix4:
-    """Inverse matrix over GF(2^8), by gf2.invert on m as a 32x32 bit
-    matrix (bit b of byte j is lane 8j + b).  The masks inverted are the
-    transpose's rows, each input lane's image, so the result is the
-    inverse's transpose: its mask 8j is the image of 1 at input byte j,
-    whose byte i is entry (i, j).  ArithmeticError if m is singular.
+    """Inverse matrix over GF(2^8), by gf2.invert on m's images as a 32x32
+    bit matrix.  The images as rows are the transpose of m's bit matrix,
+    so the inverted rows are the inverse's images, and the image of 1 at
+    input byte j holds entry (i, j) in byte i.  ArithmeticError if m is
+    singular.
     """
-    lanes = [sum(gf_mul(row[j], 1 << b) << 8 * i for i, row in enumerate(m.entries))
-             for j in range(4) for b in range(8)]
     try:
-        inv = gf2.invert(lanes)
+        inv = gf2.invert(images(m))
     except ValueError:
         raise ArithmeticError("singular matrix passed to mds_l_inverse") from None
-    return MdsMatrix4(tuple(tuple(inv[8 * j] >> 8 * i & 0xFF for j in range(4))
+    return MdsMatrix4(tuple(tuple(inv[8 * (3 - j)] >> 8 * (3 - i) & 0xFF for j in range(4))
                             for i in range(4)))
 
 

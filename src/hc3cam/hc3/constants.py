@@ -5,11 +5,13 @@ by the algorithm structure itself (s-box, XOR selection patterns of the
 linear layers, key schedule constants) comes from a .ctab file and is
 validated here before use.  Invalid data refuses to load: transcription
 mistakes surface as hard errors, never as a silently wrong cipher.
+Every lookup table is built on first read by gf2.position_tables.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+import struct
+from functools import cached_property
 
 from .. import ctab, gf2, gf256
 from ..ctab import ENV_CONSTANTS_DIR, ConstantsError  # noqa: F401 (re-exported)
@@ -54,12 +56,11 @@ class Hc3Constants:
         self.mb3_rows = tuple(tab.get("mb3", 8))
         self.mds_h_rows = tab.words("mds_h", 2, 16)
 
-        try:
-            self.p32_inv_rows = gf2.invert(self.p32_rows)
-            self.p16_inv_rows = gf2.invert(self.p16_rows)
-            self.mds_h_inv_rows = gf2.invert(self.mds_h_rows)
-        except ValueError as exc:
-            raise ConstantsError(f"singular linear layer: {exc}") from exc
+        for name in ("p32", "p16", "mds_h"):
+            try:
+                setattr(self, f"{name}_inv_rows", gf2.invert(getattr(self, f"{name}_rows")))
+            except ValueError as exc:
+                raise ConstantsError(f"linear layer [{name}]: {exc}") from exc
         if not gf2.is_identity(gf2.apply_rows(self.mb3_rows, self.m5e_rows)):
             raise ConstantsError("mb3 . m5e is not the identity")
         # sigma's and sigma-inverse's linear layers as byte rows over 16 bytes
@@ -67,54 +68,58 @@ class Hc3Constants:
         self.sigma_rows = gf2.apply_rows(_both_halves(self.m5e_rows), _bytewise(self.p32_rows))
         self.sigma_inv_rows = w + gf2.apply_rows(_bytewise(self.p32_inv_rows), w)
 
-        # position-table sets by (layer, src), each built on first use
+        # position-table sets by (images, src), each built on first use
         self._built = {}
 
-    def _position_tables(self, layer, src=IDENTITY):
+    def _position_tables(self, images, src=IDENTITY):
         """tables[pos][x]: the layer's output for byte src[x] at input
-        position pos, for lanes.lane_map.  layer is a GF(2^8) MdsMatrix4
-        applied to every 32-bit word (mdsl.word_tables of its product
-        columns), or (rows, width): a lane-selection row set over
-        width-bit lanes (lanes.lane_tables).  Each distinct set is built
-        once, so an involution's inverse shares them."""
-        key = (layer, src)
+        position pos, for lanes.lane_map, from the images of its input
+        bits (gf2.position_tables).  Each distinct set is built once, so
+        an involution's inverse shares them."""
+        key = (images, src)
         if key not in self._built:
-            if isinstance(layer, gf256.MdsMatrix4):
-                from .mdsl import word_tables
-                self._built[key] = word_tables(_plane_columns(layer), src)
-            else:
-                from ..lanes import lane_tables
-                self._built[key] = lane_tables(*layer, src)
+            self._built[key] = gf2.position_tables(images, src)
         return self._built[key]
+
+    @cached_property
+    def _mdsl_images(self):
+        """MDS-lower's images on one 32-bit word."""
+        return gf256.images(gf256.MDS_L)
+
+    @cached_property
+    def _mdsl_inv_images(self):
+        """The images as rows are the transpose of the bit matrix, so the
+        inverted rows are the inverse's images."""
+        return gf2.invert(self._mdsl_images)
 
     # Each layer's tables and map are built when a cipher path first reads
     # the map: a key schedule reads sigma, sigma_inv and f_sigma, the
     # per-block rounds mdsl* and mds_h*, merged_xs merged, archsim's
     # datapaths mdsl (or merged) and sbox_mds_h, and the byte-plane
     # engines only the *mdsl*_columns.
-    mdsl_tables, mdsl_map = _layer(lambda c: (gf256.MDS_L,))
-    mdsl_inv_tables, mdsl_inv_map = _layer(lambda c: (gf256.mds_l_inverse(gf256.MDS_L),))
+    mdsl_tables, mdsl_map = _layer(lambda c: (_four_words(c._mdsl_images),))
+    mdsl_inv_tables, mdsl_inv_map = _layer(lambda c: (_four_words(c._mdsl_inv_images),))
     # s-box folded into the column products; the "one bijective sbox per
     # constant" datapath
-    merged_tables, merged_map = _layer(lambda c: (gf256.MDS_L, c.sbox))
-    mds_h_tables, mds_h_map = _layer(lambda c: ((c.mds_h_rows, 8),))
-    mds_h_inv_tables, mds_h_inv_map = _layer(lambda c: ((c.mds_h_inv_rows, 8),))
+    merged_tables, merged_map = _layer(lambda c: (_four_words(c._mdsl_images), c.sbox))
+    mds_h_tables, mds_h_map = _layer(lambda c: (_row_images(c.mds_h_rows, 8),))
+    mds_h_inv_tables, mds_h_inv_map = _layer(lambda c: (_row_images(c.mds_h_inv_rows, 8),))
     # the second s-box layer of XS folded into the MDS-higher after it
-    sbox_mds_h_tables, sbox_mds_h_map = _layer(lambda c: ((c.mds_h_rows, 8), c.sbox))
+    sbox_mds_h_tables, sbox_mds_h_map = _layer(lambda c: (_row_images(c.mds_h_rows, 8), c.sbox))
     # F-sigma: the s-box fused into P(16)
-    f_sigma_tables, f_sigma_map = _layer(lambda c: ((c.p16_rows, 16), c.sbox))
+    f_sigma_tables, f_sigma_map = _layer(lambda c: (_row_images(c.p16_rows, 16), c.sbox))
     # sigma: z3 || z4 -> M_5E on both halves of P(32)(z3 || z4), before G
-    sigma_tables, sigma_map = _layer(lambda c: ((c.sigma_rows, 8),))
+    sigma_tables, sigma_map = _layer(lambda c: (_row_images(c.sigma_rows, 8),))
     # sigma-inverse: (z3 ^ G) || z4 -> W1 || W2 || P(32)^-1(W1 || W2)
-    sigma_inv_tables, sigma_inv_map = _layer(lambda c: ((c.sigma_inv_rows, 8),))
+    sigma_inv_tables, sigma_inv_map = _layer(lambda c: (_row_images(c.sigma_inv_rows, 8),))
 
     @cached_property
     def mdsl_columns(self):
-        return _plane_columns(gf256.MDS_L)
+        return _plane_columns(self._mdsl_images)
 
     @cached_property
     def mdsl_inv_columns(self):
-        return _plane_columns(gf256.mds_l_inverse(gf256.MDS_L))
+        return _plane_columns(self._mdsl_inv_images)
 
     @cached_property
     def sbox_mdsl_columns(self):
@@ -134,30 +139,25 @@ def _bytewise(rows):
                  for row in rows for k in range(4))
 
 
-def _linear(basis):
-    """[T(x) for every byte x] of a GF(2)-linear map T, from its images
-    basis[b] = T(1 << b), by XOR doubling: T(x | 1 << b) = T(x) ^ T(1 << b)
-    for every x below 1 << b."""
-    table = [0]
-    for v in basis:
-        table += [t ^ v for t in table]
-    return table
+def _row_images(rows, width):
+    """lanes.row_images, imported only when a selection set is built."""
+    from ..lanes import row_images
+    return row_images(rows, width)
 
 
-@lru_cache(maxsize=4)
-def _products(layer):
-    """{c: c * x for every byte x} in GF(2^8), for each entry c of an
-    MdsMatrix4; multiplying by c is linear, so gf_mul gives only
-    the products c * 2^b."""
-    return {c: bytes(_linear([gf256.gf_mul(c, 1 << b) for b in range(8)]))
-            for c in set().union(*layer.entries)}
+def _four_words(images):
+    """A word's images, as a block's that applies it to each word."""
+    return tuple(v << 32 * w for w in range(4) for v in images)
 
 
-def _plane_columns(layer):
-    """An MdsMatrix4 for the byte-plane engines: per input byte j of a
-    word, the product table into each output byte i."""
-    m, products = layer.entries, _products(layer)
-    return tuple(tuple(products[m[i][j]] for i in range(4)) for j in range(4))
+def _plane_columns(images):
+    """Per input byte j of a word, the product table into each output
+    byte i, cut from the byte's position table."""
+    columns = []
+    for table in gf2.position_tables(images):
+        packed = struct.pack(">256I", *table)
+        columns.append(tuple(packed[i::4] for i in range(4)))
+    return tuple(columns)
 
 
 load_constants = ctab.loader("hc3", Hc3Constants)

@@ -1,9 +1,10 @@
 """The byte-lane lookup kernel of both ciphers' per-block layers.
 
 lane_map binds 8 or 16 per-byte-position tables into one function that
-XORs their lookups; lane_tables builds those tables for a lane-selection
-row set (gf2 row masks).  HIEROCRYPT-3's MDS-lower sets, a matrix over
-GF(2^8), are built by hc3cam.hc3.mdsl.
+XORs their lookups.  Those tables come from gf2.position_tables, which
+row_images feeds with the images of a lane-selection row set (gf2 row
+masks); HIEROCRYPT-3's MDS-lower, a matrix over GF(2^8), gets its
+images from gf256.images.
 
 A constant set imports this module when it first builds a lane map or
 the tables behind one: HC3's key schedule, per-block rounds and archsim
@@ -16,25 +17,16 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .gf2 import IDENTITY
 
-
-def lane_tables(rows: Sequence[int], width: int,
-                src: Sequence[int] = IDENTITY) -> tuple[tuple[int, ...], ...]:
-    """tables[p][x]: the image under rows of byte src[x] alone at input byte
-    position p, for lane_map.
-
-    rows select over width-bit lanes, lane 0 the most significant; there is
-    a table for each byte of each input lane the rows read, so 32 rows over
-    16 input lanes of 8 bits give 16 tables of 256-bit values.
-    """
-    n, per = len(rows), width // 8
-    # one multiply by a mask of 1-bits puts the byte at every output byte
-    # it feeds; exact, as the bytes never overlap
-    masks = [sum(1 << width * (n - 1 - i) + 8 * (per - 1 - k)
-                 for i, row in enumerate(rows) if row >> j & 1)
-             for j in range(max(rows).bit_length()) for k in range(per)]
-    return tuple(tuple(s * mask for s in src) for mask in masks)
+def row_images(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The images of the input bits under rows, for gf2.position_tables:
+    bit t of input lane j lands at bit t of each output lane whose row
+    selects j.  rows select over width-bit lanes, lane 0 the most
+    significant, and read as many lanes as their highest bit says."""
+    n = len(rows)
+    lanes = [sum(1 << width * (n - 1 - i) for i, row in enumerate(rows) if row >> j & 1)
+             for j in reversed(range(max(rows).bit_length()))]
+    return tuple(lane << t for lane in lanes for t in range(width))
 
 
 def lane_map(tables: Sequence[Sequence[int]]) -> Callable[[bytes], int]:

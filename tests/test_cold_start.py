@@ -116,9 +116,9 @@ def test_single_key_commands_load_no_key_sliced_engine(command, cipher, tmp_path
 
 
 # the handlers of encrypt, decrypt, bench and simulate; the GF(2^8) XOR
-# networks and MDS check; the byte-lane kernel and HC3's MDS-lower tables
-# for it: kat, --help and a usage error run none of them
-FRONT_FREE = {"hc3cam.commands", "hc3cam.networks", "hc3cam.lanes", "hc3cam.hc3.mdsl"}
+# networks and MDS check; the byte-lane kernel: kat, --help and a usage
+# error run none of them
+FRONT_FREE = {"hc3cam.commands", "hc3cam.networks", "hc3cam.lanes"}
 KAT_ARGV = {cipher: ["kat", "--cipher", cipher, "--vectors", str(DATA / "kat" / f"{cipher}.kat")]
             for cipher in ("hc3", "camellia")}
 
@@ -300,7 +300,7 @@ def test_hc3_tables_built_per_layer_on_first_use(monkeypatch):
     assert built(consts) == schedule | {"mdsl_columns", "mdsl_tables", "mdsl_map",
                                         "sbox_mds_h_tables", "sbox_mds_h_map"}
     # the byte-plane decryption adds MDS-lower's inverse columns, from
-    # gf256.mds_l_inverse, and nothing else
+    # gf2.invert of MDS-lower's images, and nothing else
     before = built(consts)
     hc3.decrypt_blocks(bytes(32), ks)
     assert built(consts) == before | {"mdsl_inv_columns"}

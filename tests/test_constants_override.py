@@ -252,3 +252,31 @@ def test_camellia_key_schedule_keeps_its_constants(tmp_path, monkeypatch):
                camellia.encrypt_blocks, camellia.decrypt_blocks):
         with pytest.raises(TypeError):
             fn(block, sk, packaged)
+
+
+STRAY_ARGV = {
+    "bench": ["bench", "--cipher", "hc3", "--blocks", "1"],
+    "simulate": ["simulate", "--variant", "hc3-long", "--blocks", "1"],
+    "kat": ["kat", "--cipher", "hc3", "--vectors", str(DATA / "kat" / "hc3.kat")],
+}
+
+
+@pytest.mark.parametrize("row", range(4))
+@pytest.mark.parametrize("section", ["p32", "p16"])
+def test_stray_row_bits_refused_by_every_command(section, row, tmp_path, monkeypatch, capsys):
+    # p32 and p16 hold four rows over four lanes, one byte each: a bit
+    # 4-7 selects no lane, and the set must not load
+    from hc3cam import cli
+    tab = ctab.parse((DATA / "hc3.ctab").read_text())
+    monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+    for bit in range(4, 8):
+        rows = bytearray(tab.sections[section])
+        rows[row] |= 1 << bit
+        sections = [(n, bytes(rows) if n == section else p) for n, p in tab.sections.items()]
+        (tmp_path / "hc3.ctab").write_text(ctab.write("hc3", sections))
+        with pytest.raises(ConstantsError, match=rf"\[{section}\]: not a 4 x 4 bit matrix"):
+            hc3_constants.load_constants()
+        for command, argv in STRAY_ARGV.items():
+            assert cli.main(argv) == 2, (command, bit)
+            err = capsys.readouterr().err
+            assert f"[{section}]" in err and "Traceback" not in err, (command, bit)

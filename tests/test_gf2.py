@@ -74,13 +74,13 @@ def test_lane_map_rejects_other_arities(arity):
 
 
 @pytest.mark.parametrize("n_rows, n_in, width", [(4, 4, 32), (16, 16, 8), (32, 16, 8),
-                                                 (4, 4, 16)])
-def test_lane_tables_match_apply_rows(n_rows, n_in, width):
+                                                 (4, 4, 16), (8, 8, 8)])
+def test_row_images_match_apply_rows(n_rows, n_in, width):
     # the lane count comes from the rows: 32 rows over 16 lanes give 16 tables
     rng = random.Random(f"lane-tables-{n_rows}-{n_in}-{width}")
     rows = [rng.getrandbits(n_in) for _ in range(n_rows)]
     rows[0] |= 1 << n_in - 1   # the rows read the last input lane
-    tables = lane_kernel.lane_tables(rows, width)
+    tables = gf2.position_tables(lane_kernel.row_images(rows, width))
     assert len(tables) == n_in * width // 8
     mask = (1 << width) - 1
     for _ in range(200):
@@ -94,3 +94,35 @@ def test_lane_tables_match_apply_rows(n_rows, n_in, width):
         for table, byte in zip(tables, data):
             got ^= table[byte]
         assert got == want
+
+
+def xor_of_images(images, p, x):
+    """The image of byte x alone at input byte p, straight from the images
+    of its set bits."""
+    n = len(images) // 8
+    acc = 0
+    for b in range(8):
+        if x >> b & 1:
+            acc ^= images[8 * (n - 1 - p) + b]
+    return acc
+
+
+@pytest.mark.parametrize("n_bytes, bits", [(1, 8), (4, 32), (8, 64), (16, 128)])
+@pytest.mark.parametrize("fused", [False, True])
+def test_position_tables_match_xor_of_images(n_bytes, bits, fused):
+    rng = random.Random(f"position-tables-{n_bytes}-{bits}-{fused}")
+    images = tuple(rng.getrandbits(bits) for _ in range(8 * n_bytes))
+    src = bytes(rng.sample(range(256), 256)) if fused else range(256)
+    tables = gf2.position_tables(images, src) if fused else gf2.position_tables(images)
+    assert len(tables) == n_bytes and all(len(t) == 256 for t in tables)
+    for p, table in enumerate(tables):
+        assert list(table) == [xor_of_images(images, p, s) for s in src]
+
+
+@pytest.mark.parametrize("rows, n", [((0b10001, 0b0010, 0b0100, 0b1000), 4),
+                                     ((0b01, 0b110), 2), ((1 << 40,), 1)])
+def test_invert_refuses_bits_past_the_matrix(rows, n):
+    # the first two are nonsingular over their lanes; the stray bit above
+    # them must still be refused
+    with pytest.raises(ValueError, match="not a .* bit matrix"):
+        gf2.invert(rows, n)

@@ -137,6 +137,19 @@ def test_mds_l_inverse_roundtrip(m):
     assert _gf_matmul(m, inv) == _IDENTITY
 
 
+@pytest.mark.parametrize("m", [MDS_L, mds_l_inverse(), _random_invertible(8)],
+                         ids=["MDS_L", "inverse", "random"])
+def test_images_match_gf_mul_per_bit(m):
+    # bit b of input byte j (byte 0 the most significant) is bit
+    # 8 * (3 - j) + b of the word; its image holds m[i][j] * 2^b in byte i
+    images = gf256.images(m)
+    assert len(images) == 32
+    for j in range(4):
+        for b in range(8):
+            want = tuple(gf_mul(m.entries[i][j], 1 << b) for i in range(4))
+            assert images[8 * (3 - j) + b].to_bytes(4, "big") == bytes(want)
+
+
 def test_mds_l_inverse_of_mds_l():
     assert mds_l_inverse() == circulant((0x82, 0xC4, 0x34, 0xF6))
     apply = networks.matrix_apply

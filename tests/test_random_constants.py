@@ -4,11 +4,12 @@ hc3.ctab is a reconstruction, so no engine may rely on a property of its
 particular tables.  Each set here is drawn from a seed.  An HC3 set has
 a random s-box permutation, random G0 and padding words, random
 invertible P(32), P(16) and MDS-higher rows, and a random invertible
-M_5E with M_B3 its inverse.  A Camellia set has a random s1 with s2-s4
-derived from it by the published rules, and a random invertible P.  It
-is written with ctab.write and loaded as an override, and every engine
-must agree with every other under it; the simulated devices run their
-blocks and cycles as on the packaged sets.
+M_5E with M_B3 its inverse; the same set with a bit set above the four
+lanes of a P(32) or P(16) row must be refused.  A Camellia set has a
+random s1 with s2-s4 derived from it by the published rules, and a
+random invertible P.  Each set is written with ctab.write and loaded as
+an override, and every engine must agree with every other under it; the
+simulated devices run their blocks and cycles as on the packaged sets.
 """
 
 import random
@@ -54,6 +55,17 @@ def random_hc3_sections(seed):
     ]
 
 
+def stray_hc3_sections(seed):
+    """The HC3 set of one seed with a random bit 4-7, which selects no
+    lane, set in one row of p32 or p16; and that section's name."""
+    rng = random.Random(f"hc3-stray-{seed}")
+    section = rng.choice(["p32", "p16"])
+    sections = random_hc3_sections(seed)
+    rows = bytearray(dict(sections)[section])
+    rows[rng.randrange(4)] |= 1 << rng.randrange(4, 8)
+    return [(n, bytes(rows) if n == section else p) for n, p in sections], section
+
+
 def rotl8(x, n):
     return (x << n | x >> (8 - n)) & 0xFF
 
@@ -77,6 +89,17 @@ def use_random_sets(tmp_path, monkeypatch, seed, names=("hc3", "camellia")):
         sections = {"hc3": random_hc3_sections, "camellia": random_camellia_sections}[name]
         (tmp_path / f"{name}.ctab").write_text(ctab.write(name, sections(seed)))
     monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sets_with_stray_row_bits_refused(seed, tmp_path, monkeypatch, capsys):
+    sections, section = stray_hc3_sections(seed)
+    (tmp_path / "hc3.ctab").write_text(ctab.write("hc3", sections))
+    monkeypatch.setenv(hc3_constants.ENV_CONSTANTS_DIR, str(tmp_path))
+    with pytest.raises(ctab.ConstantsError, match=rf"\[{section}\]: not a 4 x 4 bit matrix"):
+        hc3_constants.load_constants()
+    assert cli.main(["bench", "--cipher", "hc3", "--blocks", "1"]) == 2
+    assert f"[{section}]" in capsys.readouterr().err
 
 
 @pytest.fixture(params=SEEDS, ids=lambda seed: f"seed{seed}")
