@@ -54,7 +54,7 @@ class CamelliaConstants:
         # p_columns[pos][v]: 64-bit P-layer image of byte v sitting alone
         # at byte position pos
         from ..lanes import row_images
-        return gf2.position_tables(row_images(self.p_rows, 8))
+        return gf2.position_tables(row_images(self.p_rows))
 
     @cached_property
     def f_tables(self):

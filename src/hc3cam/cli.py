@@ -1,8 +1,10 @@
 """Command-line front end; USAGE lists the commands and their options.
 
 Exit codes: 0 success, 1 known-answer verification mismatch, 2 usage or
-format error, 141 (128 + SIGPIPE) when the reader of standard output closed
-it before the command had written everything.  Files are processed as raw
+format error, 70 (EX_SOFTWARE) when a process ends on an uncaught
+exception, whose traceback it prints, and 141 (128 + SIGPIPE) when the
+reader of standard output closed it before the command had written
+everything.  Files are processed as raw
 16-byte ECB blocks; a partial final block is an error, never padded.
 encrypt/decrypt stream the file in chunks of CHUNK_BLOCKS blocks, each
 through the cipher's byte-plane batch engine (encrypt_blocks/decrypt_blocks
@@ -69,6 +71,8 @@ CHUNK_BLOCKS = 8192
 CIPHERS = {"hc3": "hc3cam.hc3", "camellia": "hc3cam.camellia"}
 # the code a shell gives a process killed by SIGPIPE (13)
 EXIT_BROKEN_PIPE = 128 + 13
+# sysexits.h's EX_SOFTWARE: a fault in the program, never a mismatch (1)
+EXIT_SOFTWARE = 70
 # sorted(archsim.PROFILES), for the help without importing archsim
 VARIANTS = ("camellia-lu3", "hc3-extensive", "hc3-long", "hc3-short", "hc3-verylong")
 
@@ -346,17 +350,22 @@ def main(argv=None) -> int:
 
 
 def run() -> NoReturn:
-    """main(), then exit with its code.  Whatever main() left on the heap
-    lives until the process ends, so gc.freeze() first moves it to the
-    permanent generation, which the collections of interpreter shutdown
-    skip.  main() itself freezes nothing: tests and tracers call it inside
-    long-lived processes.
+    """main(), then exit with its code, or with EXIT_SOFTWARE once an
+    exception main() did not handle has printed its traceback.  Whatever
+    main() left on the heap lives until the process ends, so gc.freeze()
+    first moves it to the permanent generation, which the collections of
+    interpreter shutdown skip.  main() itself freezes nothing and lets a
+    fault propagate: tests and tracers call it inside long-lived processes.
 
     Under `python -m hc3cam.cli` this file runs as __main__; it is also
     registered as hc3cam.cli, so hc3cam.commands, which imports that,
     shares its globals instead of compiling this file a second time."""
     sys.modules.setdefault(__spec__.name, sys.modules[__name__])
-    code = main()
+    try:
+        code = main()
+    except Exception as exc:
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        code = EXIT_SOFTWARE
     gc.freeze()
     sys.exit(code)
 

@@ -1,15 +1,16 @@
 """Bit-matrix linear algebra over GF(2).
 
 A matrix is a tuple of row masks: bit j of row i set means output lane i
-XORs in input lane j.  Lanes can be anything XOR-able (bytes-as-ints,
-16/32/64-bit words), which is how all the byte- and word-level XOR
-selection layers in this package are expressed.  Every command that runs
-a cipher loads this module: the constant sets' load-time checks and the
-byte-plane engines apply row sets with apply_rows, and position_tables
-builds every lookup table of both ciphers from the images of a layer's
-input bits.  The byte-lane lookup kernel (lane_map, row_images) lives in
-hc3cam.lanes, which a constant set imports when it first builds a lane
-map or P's column tables.
+XORs in input lane j.  Lanes can be anything XOR-able: the engines apply
+byte rows to byte planes (ints holding one byte per block or key), and
+hc3.linear's layer-by-layer reference applies the word-lane rows of a
+.ctab to 16/32/64-bit words.  Every command that runs a cipher loads this
+module: the constant sets' load-time checks, the byte-plane engines and
+the key-sliced schedules apply row sets with apply_rows, and
+position_tables builds every lookup table of both ciphers from the
+images of a layer's input bits.  The byte-lane lookup kernel (lane_map,
+row_images) lives in hc3cam.lanes, which a constant set imports when it
+first builds a lane map or P's column tables.
 """
 
 from __future__ import annotations

@@ -4,13 +4,13 @@ The field every HIEROCRYPT-3 command loads: the bit-serial
 shift-and-reduce multiplier (`gf_mul`) and the MDS-lower matrix.  Its
 `images`, those of its input bits on one 32-bit word, are what
 hc3.constants builds every MDS-lower table from, through
-gf2.position_tables; its inverse goes through gf2.invert, the GF(2)
-inverter of every other inverse pattern.  `gf_pow` stays for the s-box
-generator (scripts/gen_constants.py).  The per-constant XOR networks (the
-hardware-style route to each MDS_L multiplication, checked against
-`gf_mul`) and the MDS check live in hc3cam.networks, which no command
-imports; mul_const_network, mds_l_apply and mds_check still resolve
-here, importing it on first read.
+gf2.position_tables, and its inverse tables from gf2.invert of them.
+`gf_pow` stays for the s-box generator (scripts/gen_constants.py).  The
+per-constant XOR networks (the hardware-style route to each MDS_L
+multiplication, checked against `gf_mul`), the MDS check and the inverse
+matrix (`mds_l_inverse`) live in hc3cam.networks, which no command
+imports; mul_const_network, mds_l_apply, mds_check and mds_l_inverse
+still resolve here, importing it on first read.
 
 Bit 7 of a byte is the most significant bit throughout.
 """
@@ -18,8 +18,6 @@ Bit 7 of a byte is the most significant bit throughout.
 from __future__ import annotations
 
 from collections import namedtuple
-
-from . import gf2
 
 HC3_POLY = 0x163  # x^8 + x^6 + x^5 + x + 1
 
@@ -86,26 +84,11 @@ def images(m: MdsMatrix4) -> tuple[int, ...]:
                  for j in (3, 2, 1, 0) for b in range(8))
 
 
-def mds_l_inverse(m: MdsMatrix4 = MDS_L) -> MdsMatrix4:
-    """Inverse matrix over GF(2^8), by gf2.invert on m's images as a 32x32
-    bit matrix.  The images as rows are the transpose of m's bit matrix,
-    so the inverted rows are the inverse's images, and the image of 1 at
-    input byte j holds entry (i, j) in byte i.  ArithmeticError if m is
-    singular.
-    """
-    try:
-        inv = gf2.invert(images(m))
-    except ValueError:
-        raise ArithmeticError("singular matrix passed to mds_l_inverse") from None
-    return MdsMatrix4(tuple(tuple(inv[8 * (3 - j)] >> 8 * (3 - i) & 0xFF for j in range(4))
-                            for i in range(4)))
-
-
 def __getattr__(name: str):
     # a module __getattr__ keeps CPython from specialising reads of the
     # module's names; gf256 is read while a constant set builds its
     # tables, never per block or per tick
-    if name in ("mul_const_network", "mds_l_apply", "mds_check"):
+    if name in ("mul_const_network", "mds_l_apply", "mds_check", "mds_l_inverse"):
         from . import networks
         return getattr(networks, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

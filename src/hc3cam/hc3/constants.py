@@ -63,10 +63,12 @@ class Hc3Constants:
                 raise ConstantsError(f"linear layer [{name}]: {exc}") from exc
         if not gf2.is_identity(gf2.apply_rows(self.mb3_rows, self.m5e_rows)):
             raise ConstantsError("mb3 . m5e is not the identity")
-        # sigma's and sigma-inverse's linear layers as byte rows over 16 bytes
+        # sigma's and sigma-inverse's linear layers as byte rows over 16
+        # bytes, and F-sigma's P(16) as byte rows over 8
         w = _both_halves(self.mb3_rows)
         self.sigma_rows = gf2.apply_rows(_both_halves(self.m5e_rows), _bytewise(self.p32_rows))
         self.sigma_inv_rows = w + gf2.apply_rows(_bytewise(self.p32_inv_rows), w)
+        self.f_sigma_rows = _bytewise(self.p16_rows, 2)
 
         # position-table sets by (images, src), each built on first use
         self._built = {}
@@ -102,16 +104,16 @@ class Hc3Constants:
     # s-box folded into the column products; the "one bijective sbox per
     # constant" datapath
     merged_tables, merged_map = _layer(lambda c: (_four_words(c._mdsl_images), c.sbox))
-    mds_h_tables, mds_h_map = _layer(lambda c: (_row_images(c.mds_h_rows, 8),))
-    mds_h_inv_tables, mds_h_inv_map = _layer(lambda c: (_row_images(c.mds_h_inv_rows, 8),))
+    mds_h_tables, mds_h_map = _layer(lambda c: (_row_images(c.mds_h_rows),))
+    mds_h_inv_tables, mds_h_inv_map = _layer(lambda c: (_row_images(c.mds_h_inv_rows),))
     # the second s-box layer of XS folded into the MDS-higher after it
-    sbox_mds_h_tables, sbox_mds_h_map = _layer(lambda c: (_row_images(c.mds_h_rows, 8), c.sbox))
+    sbox_mds_h_tables, sbox_mds_h_map = _layer(lambda c: (_row_images(c.mds_h_rows), c.sbox))
     # F-sigma: the s-box fused into P(16)
-    f_sigma_tables, f_sigma_map = _layer(lambda c: (_row_images(c.p16_rows, 16), c.sbox))
+    f_sigma_tables, f_sigma_map = _layer(lambda c: (_row_images(c.f_sigma_rows), c.sbox))
     # sigma: z3 || z4 -> M_5E on both halves of P(32)(z3 || z4), before G
-    sigma_tables, sigma_map = _layer(lambda c: (_row_images(c.sigma_rows, 8),))
+    sigma_tables, sigma_map = _layer(lambda c: (_row_images(c.sigma_rows),))
     # sigma-inverse: (z3 ^ G) || z4 -> W1 || W2 || P(32)^-1(W1 || W2)
-    sigma_inv_tables, sigma_inv_map = _layer(lambda c: (_row_images(c.sigma_inv_rows, 8),))
+    sigma_inv_tables, sigma_inv_map = _layer(lambda c: (_row_images(c.sigma_inv_rows),))
 
     @cached_property
     def mdsl_columns(self):
@@ -133,16 +135,16 @@ def _both_halves(rows):
     return (*rows, *(row << 8 for row in rows))
 
 
-def _bytewise(rows):
-    """Rows over four 32-bit lanes, as rows over their 16 bytes."""
-    return tuple(sum(1 << 4 * j + k for j in range(4) if row >> j & 1)
-                 for row in rows for k in range(4))
+def _bytewise(rows, per=4):
+    """Rows over lanes of `per` bytes, as rows over their bytes."""
+    return tuple(sum(1 << per * j + k for j in range(row.bit_length()) if row >> j & 1)
+                 for row in rows for k in range(per))
 
 
-def _row_images(rows, width):
+def _row_images(rows):
     """lanes.row_images, imported only when a selection set is built."""
     from ..lanes import row_images
-    return row_images(rows, width)
+    return row_images(rows)
 
 
 def _four_words(images):

@@ -15,12 +15,11 @@ Schedule (step, operation, constant):
 K(1)..K(6) key the six rounds; K(7) keys the final addition.
 
 sigma-inverse undoes sigma exactly, so step t of 5..7 walks back from
-Z(9 - t) to Z(8 - t), states the forward walk reached, with the V word
-of forward step 9 - t: the key-sliced schedule reads them from its
-forward walk; walk_schedule computes every step.
+Z(9 - t) to Z(8 - t), states the forward walk reached; walk_schedule
+computes every step all the same, as the short-setup datapath does.
 
-hc3cam.hc3.sliced runs the same schedule for a batch of keys at once on
-byte planes, one key per slice.
+hc3cam.hc3.sliced walks the same seven steps for a batch of keys at once
+on byte planes, one key per slice.
 """
 
 from __future__ import annotations

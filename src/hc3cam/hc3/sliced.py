@@ -2,8 +2,9 @@
 batch with one key per block, on byte planes (hc3cam.planes).
 
 A 64-bit word is eight planes, its most significant byte first.  In the
-schedule M_5E/M_B3, P(16) and P(32) XOR whole lanes, so they are
-gf2.apply_rows over planes at each byte offset of a lane.  In the network
+schedule each of walk_schedule's fused maps (sigma, sigma-inverse and
+F-sigma's P(16)) XORs whole bytes, so it is one gf2.apply_rows of the
+constant set's byte rows over the planes.  In the network
 a key addition is an XOR with key planes, so the planes are held as ints
 until a translate reads them; encryption folds XS's first s-box layer
 into MDS-lower.
@@ -27,33 +28,12 @@ class Hc3SlicedSchedule(NamedTuple):
     consts: Hc3Constants
 
 
-def _lane_layer(rows, planes, per: int) -> list[int]:
-    """A lane-selection layer over lanes of `per` bytes (gf2 row masks)."""
-    out = [0] * len(planes)
-    for k in range(per):
-        out[k::per] = gf2.apply_rows(rows, planes[k::per])
-    return out
-
-
-def _f_sigma_planes(x, n: int, consts: Hc3Constants) -> list[int]:
-    return _lane_layer(consts.p16_rows, [lookup(v, consts.sbox, n) for v in x], 2)
-
-
-def _sigma_planes(z, g, n: int, consts: Hc3Constants):
-    """linear.sigma on planes: the next state, as a tuple of four words,
-    and P(32) of z3 || z4, the W1 || W2 of the sigma-inverse step back."""
-    z1, z2, z3, z4 = z
-    w = _lane_layer(consts.p32_rows, z3 + z4, 4)
-    z3 = xor(_lane_layer(consts.m5e_rows, w[:8], 1), g)
-    z4 = _lane_layer(consts.m5e_rows, w[8:], 1)
-    return (z2, xor(z1, _f_sigma_planes(xor(z2, z3), n, consts)), z3, z4), w
-
-
 def key_schedule_sliced(keys: bytes) -> Hc3SlicedSchedule:
     """K(1)..K(7) of every 16-byte key in keys, on planes.
 
     Slice i holds the round keys key_schedule(keys[16 i:16 i + 16]) builds
-    in every mode.
+    in every mode: the steps and formulas are walk_schedule's, each fused
+    map one gf2.apply_rows of its byte rows.
     """
     consts = get_constants()
     k, n = key_planes(keys, "hc3")
@@ -62,24 +42,29 @@ def key_schedule_sliced(keys: bytes) -> Hc3SlicedSchedule:
     def word(value):
         return [(value >> 8 * (7 - i) & 0xFF) * one for i in range(8)]
 
-    z = [_sigma_planes((k[:8], k[8:], word(consts.pad_h3), word(consts.pad_h2)),
-                       word(consts.g0[SCHEDULE_ROWS[0].g_index]), n, consts)[0]]
-    v, w, keys_out = [None], [None], []
-    for t in range(1, T_TURN + 1):
-        prev = z[t - 1]
-        nxt, w_t = _sigma_planes(prev, word(consts.g0[SCHEDULE_ROWS[t].g_index]), n, consts)
-        vt = _f_sigma_planes(xor(prev[1], prev[2]), n, consts)
-        keys_out.append((*xor(prev[0], vt), *xor(nxt[2], vt), *xor(nxt[3], vt),
-                         *xor(prev[1], nxt[3])))
-        z.append(nxt)
-        v.append(vt)
-        w.append(w_t)
-    # step 9 - s walks back from Z(s) to Z(s - 1), with the V and the
-    # P(32) output of forward step s as its V and W1 || W2
-    for s in range(T_TURN, 1, -1):
-        prev, nxt, vt, w1, w2 = z[s], z[s - 1], v[s], w[s][:8], w[s][8:]
-        keys_out.append((*xor(nxt[0], prev[2]), *xor(w1, vt), *xor(w2, vt),
-                         *xor(prev[0], w2)))
+    def f(x):
+        return gf2.apply_rows(consts.f_sigma_rows, [lookup(v, consts.sbox, n) for v in x])
+
+    # sigma0, as pad_and_prewhiten
+    y = gf2.apply_rows(consts.sigma_rows, word(consts.pad_h3) + word(consts.pad_h2))
+    z3, z4 = xor(y[:8], word(consts.g0[SCHEDULE_ROWS[0].g_index])), y[8:]
+    z1, z2 = k[8:], xor(k[:8], f(xor(k[8:], z3)))
+    keys_out = []
+    for step, _, g_index in SCHEDULE_ROWS[1:]:
+        g = word(consts.g0[g_index])
+        if step <= T_TURN:
+            y = gf2.apply_rows(consts.sigma_rows, (*z3, *z4))
+            n3, n4 = xor(y[:8], g), y[8:]
+            v = f(xor(z2, z3))
+            keys_out.append((*xor(z1, v), *xor(n3, v), *xor(n4, v), *xor(z2, n4)))
+            z1, z2, z3, z4 = z2, xor(z1, f(xor(z2, n3))), n3, n4
+        else:
+            # y: W1 || W2 || the new z3 || the new z4
+            y = gf2.apply_rows(consts.sigma_inv_rows, (*xor(z3, g), *z4))
+            n1, n3, w2 = xor(z2, f(xor(z1, z3))), y[16:24], y[8:16]
+            v = f(xor(z1, n3))
+            keys_out.append((*xor(n1, z3), *xor(y[:8], v), *xor(w2, v), *xor(z1, w2)))
+            z1, z2, z3, z4 = n1, z1, n3, y[24:]
     return Hc3SlicedSchedule(n, tuple(keys_out), consts)
 
 

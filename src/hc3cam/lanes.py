@@ -2,9 +2,10 @@
 
 lane_map binds 8 or 16 per-byte-position tables into one function that
 XORs their lookups.  Those tables come from gf2.position_tables, which
-row_images feeds with the images of a lane-selection row set (gf2 row
-masks); HIEROCRYPT-3's MDS-lower, a matrix over GF(2^8), gets its
-images from gf256.images.
+row_images feeds with the images of a byte-selection row set (gf2 row
+masks over bytes, the one form of every selection layer's tables);
+HIEROCRYPT-3's MDS-lower, a matrix over GF(2^8), gets its images from
+gf256.images.
 
 A constant set imports this module when it first builds a lane map or
 the tables behind one: HC3's key schedule, per-block rounds and archsim
@@ -18,15 +19,15 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 
-def row_images(rows: Sequence[int], width: int) -> tuple[int, ...]:
-    """The images of the input bits under rows, for gf2.position_tables:
-    bit t of input lane j lands at bit t of each output lane whose row
-    selects j.  rows select over width-bit lanes, lane 0 the most
-    significant, and read as many lanes as their highest bit says."""
+def row_images(rows: Sequence[int]) -> tuple[int, ...]:
+    """The images of the input bits under byte rows, for
+    gf2.position_tables: bit t of input byte j lands at bit t of each
+    output byte whose row selects j.  Byte 0 is the most significant, and
+    the rows read as many bytes as their highest bit says."""
     n = len(rows)
-    lanes = [sum(1 << width * (n - 1 - i) for i, row in enumerate(rows) if row >> j & 1)
+    lanes = [sum(1 << 8 * (n - 1 - i) for i, row in enumerate(rows) if row >> j & 1)
              for j in reversed(range(max(rows).bit_length()))]
-    return tuple(lane << t for lane in lanes for t in range(width))
+    return tuple(lane << t for lane in lanes for t in range(8))
 
 
 def lane_map(tables: Sequence[Sequence[int]]) -> Callable[[bytes], int]:

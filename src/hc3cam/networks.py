@@ -1,5 +1,5 @@
 """The XOR-network route of GF(2^8) constant multiplication, and the MDS
-check of a 4x4 matrix over the field.
+check and the inverse of a 4x4 matrix over the field.
 
 Beside gf256's bit-serial multiplier (`gf_mul`, the oracle) this module
 keeps the hardware-style datapath: one XOR network per MDS_L constant
@@ -7,8 +7,8 @@ keeps the hardware-style datapath: one XOR network per MDS_L constant
 and cross-checked against the generated one when this module loads; the
 other three are generated by symbolic reduction.  No command imports
 this module: the acceptance criteria and the tests do, and
-gf256.mul_const_network, gf256.mds_l_apply and gf256.mds_check resolve
-here on first read.
+gf256.mul_const_network, gf256.mds_l_apply, gf256.mds_check and
+gf256.mds_l_inverse resolve here on first read.
 
 Bit 7 of a byte is the most significant bit throughout.
 """
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .gf256 import MDS_L, MDS_L_CONSTANTS, MdsMatrix4, gf_mul
+from . import gf2
+from .gf256 import MDS_L, MDS_L_CONSTANTS, MdsMatrix4, gf_mul, images
 
 # x C4 boolean network, one mask per output bit (index = output bit,
 # bit j of the mask = input bit j):
@@ -73,6 +74,21 @@ def matrix_apply(m: MdsMatrix4, x: tuple[int, int, int, int]) -> tuple[int, ...]
         ^ gf_mul(row[2], x[2]) ^ gf_mul(row[3], x[3])
         for row in m.entries
     )
+
+
+def mds_l_inverse(m: MdsMatrix4 = MDS_L) -> MdsMatrix4:
+    """Inverse matrix over GF(2^8), by gf2.invert on m's images as a 32x32
+    bit matrix.  The images as rows are the transpose of m's bit matrix,
+    so the inverted rows are the inverse's images, and the image of 1 at
+    input byte j holds entry (i, j) in byte i.  ArithmeticError if m is
+    singular.
+    """
+    try:
+        inv = gf2.invert(images(m))
+    except ValueError:
+        raise ArithmeticError("singular matrix passed to mds_l_inverse") from None
+    return MdsMatrix4(tuple(tuple(inv[8 * (3 - j)] >> 8 * (3 - i) & 0xFF for j in range(4))
+                            for i in range(4)))
 
 
 def mds_l_apply(x: tuple[int, int, int, int]) -> tuple[int, ...]:

@@ -830,3 +830,30 @@ def test_process_matches_main(command, code, tmp_path, capsys):
     out, err = proc.communicate(timeout=120)
     assert run(argv, capsys) == (proc.returncode, out.decode(), err.decode())
     assert proc.returncode == code
+
+
+# runs cli.run() with hc3's batch engine broken: a fault inside the program
+FAULT = """
+import sys
+from hc3cam import cli, hc3
+
+def broken(data, ks):
+    raise ValueError("internal fault")
+
+hc3.encrypt_blocks = broken
+cli.run()
+"""
+
+
+def test_process_exits_70_with_traceback_on_a_fault(tmp_path):
+    # exit 1 stays a KAT or functional mismatch; a crash is EX_SOFTWARE
+    src = tmp_path / "p.bin"
+    src.write_bytes(bytes(32))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(DATA.parent.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULT, "encrypt", "--cipher", "hc3",
+                           "--key", KEY, "--in", str(src), "--out", str(tmp_path / "c.bin")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_SOFTWARE == 70
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("ValueError: internal fault\n")

@@ -191,7 +191,7 @@ COMMANDS = {
 # kernel and archsim's profile reader left the modules every command loads.
 BEFORE = {"encrypt": 11_071, "decrypt": 9_138, "bench": 11_071, "simulate-0": 7_860,
           "simulate-1": 13_427, "usage-error": 3_571, "help": 3_571}
-NODE_BUDGET = {"kat-hc3": 8_000, "kat": 6_600, "simulate-hc3": 14_000,
+NODE_BUDGET = {"kat-hc3": 7_600, "kat": 6_600, "simulate-hc3": 14_000,
                **{command: int(1.02 * n) for command, n in BEFORE.items()}}
 BUDGETED = {**COMMANDS, "kat-hc3": lambda tmp: KAT_ARGV["hc3"],
             "simulate-hc3": lambda tmp: ["simulate", "--variant", "hc3-long", "--blocks", "1"]}

@@ -4,6 +4,7 @@ import pytest
 
 from hc3cam import gf2
 from hc3cam import lanes as lane_kernel
+from hc3cam.hc3.constants import _bytewise
 
 
 def test_identity_apply():
@@ -76,11 +77,13 @@ def test_lane_map_rejects_other_arities(arity):
 @pytest.mark.parametrize("n_rows, n_in, width", [(4, 4, 32), (16, 16, 8), (32, 16, 8),
                                                  (4, 4, 16), (8, 8, 8)])
 def test_row_images_match_apply_rows(n_rows, n_in, width):
-    # the lane count comes from the rows: 32 rows over 16 lanes give 16 tables
+    # rows over width-bit lanes become byte rows as P(32)'s and P(16)'s
+    # do (_bytewise), and the byte count comes from the rows: 32 rows over
+    # 16 lanes give 16 tables
     rng = random.Random(f"lane-tables-{n_rows}-{n_in}-{width}")
     rows = [rng.getrandbits(n_in) for _ in range(n_rows)]
     rows[0] |= 1 << n_in - 1   # the rows read the last input lane
-    tables = gf2.position_tables(lane_kernel.row_images(rows, width))
+    tables = gf2.position_tables(lane_kernel.row_images(_bytewise(rows, width // 8)))
     assert len(tables) == n_in * width // 8
     mask = (1 << width) - 1
     for _ in range(200):

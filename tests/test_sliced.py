@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hc3cam import camellia, hc3
+from hc3cam import camellia, gf2, hc3
 from test_constants_override import use_non_involution_override
 
 CIPHERS = {"hc3": hc3, "camellia": camellia}
@@ -96,10 +96,9 @@ def test_hc3_sliced_under_non_involution_override(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 300])
 def test_hc3_walk_back_under_non_involution_override(n, tmp_path, monkeypatch):
-    # steps 5-7 of the cache and sliced routes read W1 || W2 as P(32) of a
-    # state the forward walk reached, where full_precompute runs
-    # P(32)^-1 on M_B3's output: with P(32) and MDS-higher not their own
-    # inverses, the walk-back must still give the directly computed keys
+    # steps 5-7 run P(32)^-1 on M_B3's output: with P(32) and MDS-higher
+    # not their own inverses, the cached and sliced keys must still equal
+    # full_precompute's
     consts = use_non_involution_override(tmp_path, monkeypatch)
     assert consts.p32_inv_rows != consts.p32_rows
     assert consts.mds_h_inv_rows != consts.mds_h_rows
@@ -111,6 +110,28 @@ def test_hc3_walk_back_under_non_involution_override(n, tmp_path, monkeypatch):
         direct = hc3.key_schedule(key, "full_precompute").round_keys
         assert hc3.key_schedule(key, "cached_1600").round_keys == direct
         assert hc3_round_keys_at(ks, i) == direct
+
+
+def test_hc3_sliced_schedule_walks_once(monkeypatch):
+    # a batch walks the schedule as walk_schedule walks one key (see
+    # test_both_modes_walk_the_schedule_once): sigma0 and four sigma steps
+    # on sigma_rows, three sigma-inverse steps on sigma_inv_rows, one
+    # F-sigma in sigma0 and two in every step on f_sigma_rows
+    consts = hc3.get_constants()
+    row_sets = {"sigma": consts.sigma_rows, "sigma_inv": consts.sigma_inv_rows,
+                "f_sigma": consts.f_sigma_rows}
+    calls, apply_rows = [], gf2.apply_rows
+
+    def counted(rows, lanes):
+        calls.append(rows)
+        return apply_rows(rows, lanes)
+    monkeypatch.setattr(gf2, "apply_rows", counted)
+    keys = random.Random("sliced-walk-counts").randbytes(16 * 5)
+    ks = hc3.key_schedule_sliced(keys)
+    counts = {name: sum(rows is r for r in calls) for name, rows in row_sets.items()}
+    assert counts == {"sigma": 5, "sigma_inv": 3, "f_sigma": 15}
+    assert len(calls) == 23
+    assert hc3_round_keys_at(ks, 4) == hc3.key_schedule(keys[64:]).round_keys
 
 
 @pytest.mark.parametrize("cipher", sorted(CIPHERS))
