@@ -4,9 +4,15 @@ An s-box layer with its key addition is one translate per plane,
 MDS-lower one translate per (input byte, output byte) pair whose results
 XOR as big ints, and MDS-higher an XOR of whole planes.  Under one key
 the key additions are in the translate tables and the planes stay bytes
-between layers.  The program of a (schedule, direction) is built on its
-first call with data and kept for the last two, so one key's encryption
-and decryption both stay built.
+between layers, so _fold moves each byte map into the step after it: a
+second byte map, or MDS-lower's product tables.  Encryption's first
+s-box layer of every XS goes into MDS-lower and K(7)'s whitening into
+the last s-box layer; decryption's whitening and every XS's first
+inverse s-box layer go into MDS-lower's inverse.  A direction is then 17
+steps, 480 translates per call, against 24 and 592 unfolded.  The
+program of a (schedule, direction) is built on its first call with data
+and kept for the last two, so one key's encryption and decryption both
+stay built.
 """
 
 from __future__ import annotations
@@ -45,6 +51,23 @@ def _mds_l_bytes(planes, columns):
     return [v.to_bytes(n, "little") for v in products(planes, columns)]
 
 
+def _fold(steps):
+    """steps with every _sub folded into the step after it when that is a
+    _sub (the two tables of a plane composed) or MDS-lower (the plane's
+    table composed with each of its product tables)."""
+    out = []
+    for layer, arg in steps:
+        if out and out[-1][0] is _sub and layer in (_sub, _mds_l_bytes):
+            first = out.pop()[1]
+            if layer is _sub:
+                arg = tuple(t.translate(u) for t, u in zip(first, arg))
+            else:
+                arg = tuple(tuple(t.translate(table) for table in column)
+                            for t, column in zip(first, arg))
+        out.append((layer, arg))
+    return out
+
+
 def _mds_h_bytes(planes, rows):
     n = len(planes[0])
     ints = [int.from_bytes(plane, "little") for plane in planes]
@@ -62,13 +85,15 @@ def _plane_program(ks: Hc3KeySchedule, inverse: bool):
     def keyed(k, box):
         return _sub, keyed_tables(box, k.to_bytes(16, "big"), inverse)
 
+    columns *= 4
+
     def xs_steps(k12, k34):
         # decryption runs XS backwards, each key added after its s-box
         first, second = (k34, k12) if inverse else (k12, k34)
         return [keyed(first, box), (_mds_l_bytes, columns), keyed(second, box)]
 
-    return program(list(map(key_halves, ks.round_keys)), xs_steps, (_mds_h_bytes, rows),
-                   lambda k: keyed(k, IDENTITY), inverse)
+    return _fold(program(list(map(key_halves, ks.round_keys)), xs_steps,
+                         (_mds_h_bytes, rows), lambda k: keyed(k, IDENTITY), inverse))
 
 
 def _run_blocks(data: bytes, ks: Hc3KeySchedule, inverse: bool) -> bytes:

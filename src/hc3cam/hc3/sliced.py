@@ -4,7 +4,8 @@ batch with one key per block, on byte planes (hc3cam.planes).
 A 64-bit word is eight planes, its most significant byte first.  In the
 schedule each of walk_schedule's fused maps (sigma, sigma-inverse and
 F-sigma's P(16)) XORs whole bytes, so it is one gf2.apply_rows of the
-constant set's byte rows over the planes.  In the network
+constant set's byte rows over the planes; sigma0, which no key enters,
+runs once on the pad bytes.  In the network
 a key addition is an XOR with key planes, so the planes are held as ints
 until a translate reads them; encryption folds XS's first s-box layer
 into MDS-lower.
@@ -39,15 +40,20 @@ def key_schedule_sliced(keys: bytes) -> Hc3SlicedSchedule:
     k, n = key_planes(keys, "hc3")
     one = ones(n)
 
+    def octets(value):
+        return value.to_bytes(8, "big")
+
     def word(value):
-        return [(value >> 8 * (7 - i) & 0xFF) * one for i in range(8)]
+        return [b * one for b in octets(value)]
 
     def f(x):
         return gf2.apply_rows(consts.f_sigma_rows, [lookup(v, consts.sbox, n) for v in x])
 
-    # sigma0, as pad_and_prewhiten
-    y = gf2.apply_rows(consts.sigma_rows, word(consts.pad_h3) + word(consts.pad_h2))
-    z3, z4 = xor(y[:8], word(consts.g0[SCHEDULE_ROWS[0].g_index])), y[8:]
+    # sigma0, as pad_and_prewhiten: no key enters it, so it runs on the 16
+    # pad bytes once and each result byte is spread over the slices
+    y = gf2.apply_rows(consts.sigma_rows, octets(consts.pad_h3) + octets(consts.pad_h2))
+    z3 = [(b ^ g) * one for b, g in zip(y, octets(consts.g0[SCHEDULE_ROWS[0].g_index]))]
+    z4 = [b * one for b in y[8:]]
     z1, z2 = k[8:], xor(k[:8], f(xor(k[8:], z3)))
     keys_out = []
     for step, _, g_index in SCHEDULE_ROWS[1:]:
@@ -107,13 +113,14 @@ def _sliced_program(ks: Hc3SlicedSchedule, inverse: bool):
         box, rows = consts.sbox_inv, consts.mds_h_inv_rows
 
         def xs_steps(k12, k34):
-            return [(_sub_add, (k34, box)), (_mds_l, consts.mdsl_inv_columns),
+            return [(_sub_add, (k34, box)), (_mds_l, consts.mdsl_inv_columns * 4),
                     (_sub_add, (k12, box))]
     else:
         box, rows = consts.sbox, consts.mds_h_rows
 
         def xs_steps(k12, k34):
-            return [(_add, k12), (_mds_l, consts.sbox_mdsl_columns), (_add_sub, (k34, box))]
+            return [(_add, k12), (_mds_l, consts.sbox_mdsl_columns * 4),
+                    (_add_sub, (k34, box))]
 
     halves = [(rk[:16], rk[16:]) for rk in ks.round_keys]
     return [(_network, program(halves, xs_steps, (_mds_h, rows),

@@ -43,15 +43,15 @@ def xs_core(v: int, k12: int, k34: int, consts, merged: bool = False) -> bytes:
 
 
 def products(planes, columns) -> list[int]:
-    """MDS-lower of byte planes, as ints.  columns[j][i]: the product table
-    of input byte j into output byte i of a 32-bit word."""
-    out = []
-    for w in range(0, 16, 4):
-        acc = [0, 0, 0, 0]
-        for plane, column in zip(planes[w:w + 4], columns):
-            for i, table in enumerate(column):
-                acc[i] ^= int.from_bytes(plane.translate(table), "little")
-        out += acc
+    """MDS-lower of byte planes, as ints.  columns[p][i]: the product table
+    of plane p into output byte i of its 32-bit word, with any byte map run
+    on plane p before MDS-lower composed in; sixteen column sets, as
+    columns * 4 repeats one word's four when no map is."""
+    out = [0] * 16
+    for p, (plane, column) in enumerate(zip(planes, columns)):
+        for i, table in enumerate(column):
+            # p & 12 is the first output byte of plane p's word
+            out[p & 12 | i] ^= int.from_bytes(plane.translate(table), "little")
     return out
 
 

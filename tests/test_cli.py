@@ -857,3 +857,18 @@ def test_process_exits_70_with_traceback_on_a_fault(tmp_path):
     assert proc.returncode == cli.EXIT_SOFTWARE == 70
     assert proc.stderr.startswith("Traceback (most recent call last):")
     assert proc.stderr.endswith("ValueError: internal fault\n")
+
+
+def test_process_runs_under_cprofile(tmp_path):
+    # cProfile runs the module's code in globals of its own, leaving itself
+    # as __main__; the profiled command still runs.  cProfile exits 0 even
+    # when the profiled code fails, so the streams are what is checked
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(DATA.parent.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "prof"),
+                           "-m", "hc3cam.cli", "simulate", "--variant", "hc3-long",
+                           "--blocks", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert "blocks simulated: 1 (ciphertext vs functional model: OK)" in proc.stdout
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
+    assert (tmp_path / "prof").stat().st_size > 0

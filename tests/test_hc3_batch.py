@@ -46,6 +46,23 @@ def test_batch_matches_per_block():
         assert programs.cache_info()[:2] == (6, 2)
 
 
+@pytest.mark.parametrize("inverse", [False, True], ids=["encrypt", "decrypt"])
+@pytest.mark.parametrize("mode", hc3.MODES)
+def test_program_folds_every_byte_map(mode, inverse):
+    # each per-plane byte map is folded into the step after it: 6 MDS-lower
+    # product steps, 6 byte maps and 5 MDS-higher steps, 480 translate
+    # tables (one translate of a plane each) per call
+    sub, mds_l, mds_h = hc3_batch._sub, hc3_batch._mds_l_bytes, hc3_batch._mds_h_bytes
+    steps = hc3_batch._plane_program(hc3.key_schedule(bytes(range(16)), mode), inverse)
+    layers = [layer for layer, _ in steps]
+    assert len(steps) == 17
+    assert [layers.count(layer) for layer in (mds_l, sub, mds_h)] == [6, 6, 5]
+    assert not [a for a, b in zip(layers, layers[1:]) if a is sub and b in (sub, mds_l)]
+    tables = [t for layer, arg in steps if layer is sub for t in arg]
+    tables += [t for layer, arg in steps if layer is mds_l for column in arg for t in column]
+    assert len(tables) == 480 and {len(t) for t in tables} == {256}
+
+
 def test_schedules_of_two_constant_sets_alternate(tmp_path, monkeypatch):
     # under one key, schedules of the packaged and of an override set, and
     # the packaged round keys paired with the override set, each run with

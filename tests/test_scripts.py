@@ -281,3 +281,28 @@ def test_bench_summary_verdicts(tmp_path, monkeypatch):
     # lower is better: a median 30 % higher is a regression, 30 % lower a gain
     assert verdict("lower", 0.25, [1.0] * 10, [1.3] * 10) == "regression"
     assert verdict("lower", 0.25, [1.0] * 10, [0.7] * 10) == "gain"
+
+
+def test_paired_runs_the_menu_on_two_trees(monkeypatch, capsys):
+    # both sides are this checkout, at sizes that run in seconds
+    module = load_script("paired", monkeypatch)
+    runs = module.measure(ROOT, ROOT, 2, module.TINY)
+    items = [f"{c} {what}" for c in module.CIPHERS
+             for what in ("encrypt", "decrypt", "encrypt_blocks", "decrypt_blocks")]
+    assert sorted(runs) == sorted(items)
+    assert all(len(sides["parent"]) == len(sides["change"]) == 2 and min(sides["change"]) > 0
+               for metrics in runs.values() for sides in metrics.values())
+    rows = [(*item.split(), metric) for item in items
+            for metric in (("chunk_ms",) if item.endswith("_blocks") else ("wall_ms", "cpu_ms"))]
+    lines = module.report(runs)
+    assert sorted(tuple(line.split()[:3]) for line in lines[1:]) == sorted(rows)
+    assert all(line.endswith("/2") for line in lines[1:])
+    assert module.main([str(ROOT), str(ROOT), "1"], sizes=module.TINY) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(lines)
+
+
+def test_paired_refuses_a_directory_without_sources(tmp_path, monkeypatch, capsys):
+    module = load_script("paired", monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        module.main([str(tmp_path), str(ROOT), "1"], sizes=module.TINY)
+    assert exc.value.code == 2 and "holds no src/hc3cam/cli.py" in capsys.readouterr().err
