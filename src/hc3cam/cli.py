@@ -360,9 +360,8 @@ def run() -> NoReturn:
     Under `python -m hc3cam.cli` this file runs as __main__; it is also
     registered as hc3cam.cli, so hc3cam.commands, which imports that,
     shares its globals instead of compiling this file a second time.  A
-    runner that executes the module's code in globals of its own (python
-    -m cProfile -m hc3cam.cli) leaves a different module as __main__, so
-    the run is handed to the imported hc3cam.cli instead."""
+    runner that executes this code in globals of its own (python -m
+    cProfile -m hc3cam.cli) hands the run to the imported hc3cam.cli."""
     if vars(sys.modules[__name__]) is not globals():
         import_module(__spec__.name).run()
     sys.modules.setdefault(__spec__.name, sys.modules[__name__])

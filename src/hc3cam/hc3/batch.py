@@ -4,15 +4,11 @@ An s-box layer with its key addition is one translate per plane,
 MDS-lower one translate per (input byte, output byte) pair whose results
 XOR as big ints, and MDS-higher an XOR of whole planes.  Under one key
 the key additions are in the translate tables and the planes stay bytes
-between layers, so _fold moves each byte map into the step after it: a
-second byte map, or MDS-lower's product tables.  Encryption's first
-s-box layer of every XS goes into MDS-lower and K(7)'s whitening into
-the last s-box layer; decryption's whitening and every XS's first
-inverse s-box layer go into MDS-lower's inverse.  A direction is then 17
-steps, 480 translates per call, against 24 and 592 unfolded.  The
-program of a (schedule, direction) is built on its first call with data
-and kept for the last two, so one key's encryption and decryption both
-stay built.
+between layers, so _fold moves each byte map into the step after it (a
+byte map, or MDS-lower's product tables): a direction is 17 steps and 480
+translates per call, not 24 and 592.  The program of a (schedule,
+direction) is built on its first call with data and kept for the last
+two, so one key's encryption and decryption both stay built.
 """
 
 from __future__ import annotations

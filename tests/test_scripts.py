@@ -306,3 +306,19 @@ def test_paired_refuses_a_directory_without_sources(tmp_path, monkeypatch, capsy
     with pytest.raises(SystemExit) as exc:
         module.main([str(tmp_path), str(ROOT), "1"], sizes=module.TINY)
     assert exc.value.code == 2 and "holds no src/hc3cam/cli.py" in capsys.readouterr().err
+
+
+def test_paired_stops_when_the_trees_disagree(monkeypatch):
+    module = load_script("paired", monkeypatch)
+    real = module.spawn
+
+    def spawn(argv, tree, stdout):
+        # the change side's output file is corrupted after its command ran
+        timings = real(argv, tree, stdout)
+        if argv[-2] == "--out" and argv[-1].endswith("-1"):
+            Path(argv[-1]).write_bytes(b"x")
+        return timings
+
+    monkeypatch.setattr(module, "spawn", spawn)
+    with pytest.raises(SystemExit, match="hc3 encrypt outputs differ"):
+        module.measure(ROOT, ROOT, 1, module.TINY)
