@@ -45,8 +45,8 @@ def xs_core(v: int, k12: int, k34: int, consts, merged: bool = False) -> bytes:
 def products(planes, columns) -> list[int]:
     """MDS-lower of byte planes, as ints.  columns[p][i]: the product table
     of plane p into output byte i of its 32-bit word, with any byte map run
-    on plane p before MDS-lower composed in; sixteen column sets, as
-    columns * 4 repeats one word's four when no map is."""
+    on plane p before MDS-lower composed in.  With no map, one word's four
+    column sets repeated (columns * 4)."""
     out = [0] * 16
     for p, (plane, column) in enumerate(zip(planes, columns)):
         for i, table in enumerate(column):
