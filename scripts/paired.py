@@ -14,12 +14,19 @@ first side alternating from pair to pair:
 - ``<cipher> encrypt_blocks`` and ``<cipher> decrypt_blocks``: the time of
   one call on a chunk of 8,192 blocks (the CLI's chunk), the best of 15
   calls after a first one that builds the key's program, in one fresh
-  process per cipher, both directions.
+  process per cipher, both directions;
+- ``<variant> simulate`` for each of the five datapath variants:
+  ``simulate --variant <variant> --blocks N`` with its wall time and child
+  CPU, N being 1,500 for an HC3 variant and 5,000 for camellia-lu3, as
+  perfbench's simulate workload runs them;
+- ``<variant> Device.run``: the time per block of archsim.Device.run over
+  1,000 blocks, the best of 15 runs after a first block that runs setup
+  and steps the first pulse, in one fresh process per variant.
 
 The file is 2 MiB (FULL; the smoke test runs TINY).
 
-Both trees' CLI outputs must be byte-identical; a difference stops the
-run.  For every item it prints each side's median and quartiles, the
+Both trees' CLI outputs, the encrypted and decrypted files and simulate's
+standard output, must be byte-identical; a difference stops the run.  For every item it prints each side's median and quartiles, the
 parent's median over the change's (above 1: the change is faster) and in
 how many pairs the change took less time.
 """
@@ -38,6 +45,7 @@ from statistics import median, quantiles
 from typing import NamedTuple
 
 CIPHERS = ("hc3", "camellia")
+VARIANTS = ("hc3-short", "hc3-long", "hc3-verylong", "hc3-extensive", "camellia-lu3")
 COMMANDS = ("encrypt", "decrypt")
 SEED = 1
 
@@ -45,12 +53,17 @@ SEED = 1
 class Sizes(NamedTuple):
     file_bytes: int     # the seeded file the CLI items encrypt, then decrypt
     chunk_blocks: int   # blocks of one encrypt_blocks/decrypt_blocks call
-    best_of: int        # timed calls per direction in each chunk process
+    best_of: int        # timed calls per direction, or runs, in each probe process
+    sim_hc3: int        # simulate --blocks of each HC3 variant
+    sim_camellia: int   # simulate --blocks of camellia-lu3
+    device_blocks: int  # blocks of one timed run of Device.run
 
 
-FULL = Sizes(file_bytes=2 << 20, chunk_blocks=8192, best_of=15)
-# for the smoke test: the menu runs in well under a second a pair
-TINY = Sizes(file_bytes=64 * 16, chunk_blocks=64, best_of=2)
+FULL = Sizes(file_bytes=2 << 20, chunk_blocks=8192, best_of=15,
+             sim_hc3=1500, sim_camellia=5000, device_blocks=1000)
+# for the smoke test: the menu runs in a few seconds a pair
+TINY = Sizes(file_bytes=64 * 16, chunk_blocks=64, best_of=2,
+             sim_hc3=2, sim_camellia=2, device_blocks=4)
 
 # run in a fresh process: argv cipher, blocks, best_of; prints the best
 # time of each direction in ms as JSON
@@ -74,6 +87,24 @@ for name in ("encrypt_blocks", "decrypt_blocks"):
     best[name] = 1e3 * min(times)
 print(json.dumps(best))
 """ % SEED
+
+# run in a fresh process: argv variant, blocks, best_of; prints the best
+# time per block of Device.run in us as JSON
+DEVICE_CODE = """\
+import json, sys, time
+from hc3cam import archsim
+variant, blocks, best_of = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+device = archsim.Device(archsim.PROFILES[variant], bytes(range(16)))
+device.run(bytes(16))
+data = [i.to_bytes(16, "big") for i in range(blocks)]
+best = float("inf")
+for _ in range(best_of):
+    start = time.perf_counter()
+    for block in data:
+        device.run(block)
+    best = min(best, time.perf_counter() - start)
+print(json.dumps(1e6 * best / blocks))
+"""
 
 
 def env_for(tree: Path) -> dict:
@@ -125,6 +156,23 @@ def run_pair(trees, order, work: Path, key: str, sizes: Sizes) -> dict:
             best[side] = json.loads((work / "chunk.json").read_text())
         for name in ("encrypt_blocks", "decrypt_blocks"):
             out[f"{cipher} {name}"] = {"chunk_ms": [best[0][name], best[1][name]]}
+    for variant in VARIANTS:
+        blocks = sizes.sim_camellia if variant == "camellia-lu3" else sizes.sim_hc3
+        argv = ["-m", "hc3cam.cli", "simulate", "--variant", variant, "--blocks", str(blocks)]
+        item = out[f"{variant} simulate"] = {"wall_ms": [0, 0], "cpu_ms": [0, 0]}
+        outputs = [None, None]
+        for side in order:
+            stdout = work / f"simulate-{side}"
+            item["wall_ms"][side], item["cpu_ms"][side] = spawn(argv, trees[side], stdout)
+            outputs[side] = stdout.read_bytes()
+        if outputs[0] != outputs[1]:
+            raise SystemExit(f"paired: {variant} simulate outputs differ between the trees")
+        per_block = [None, None]
+        for side in order:
+            argv = ["-c", DEVICE_CODE, variant, str(sizes.device_blocks), str(sizes.best_of)]
+            spawn(argv, trees[side], work / "device.json")
+            per_block[side] = json.loads((work / "device.json").read_text())
+        out[f"{variant} Device.run"] = {"block_us": per_block}
     return out
 
 

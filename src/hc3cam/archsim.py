@@ -324,27 +324,44 @@ _CAMELLIA_LU3_OPS = (
 
 
 def _camellia_lu3_setup(cam: ModuleType, key: bytes, consts):
+    """camellia-lu3: six cycles of three Feistel rounds on two 64-bit
+    halves.  A round unpacks the eight bytes of left ^ k and XORs their
+    lookups in the constant set's f_tables (each s-box fused with P) into
+    the other half.  Setup groups the round keys three to a cycle and
+    splits each FL/FL-inverse key into its 32-bit halves, so a block applies
+    FL and FL-inverse inline and calls no F or FL function."""
     sk = cam.key_schedule(key, consts)
-    k, kl, kw = sk.k, sk.kl, sk.kw
-    f = sk.consts.f_map         # F of (x ^ k) as 8 bytes; both halves stay 64-bit
-    fl, fl_inv = cam.fl, cam.fl_inv
+    t0, t1, t2, t3, t4, t5, t6, t7 = sk.consts.f_tables
+    kw1, kw2, kw3, kw4 = sk.kw
+    # cycles 2 and 4 end with FL of the left half and FL-inverse of the
+    # right: (kl1 L, kl1 R, kl2 L, kl2 R), then the same of kl3, kl4
+    halves = [h for kl in sk.kl for h in (kl >> 32, kl & 0xFFFFFFFF)]
+    cycles = tuple(zip((sk.k[r:r + 3] for r in range(0, 18, 3)),
+                       (None, halves[:4], None, halves[4:], None, None)))
 
     def work(block: bytes) -> BlockTrace:
         m = int.from_bytes(block, "big")
-        left, right = (m >> 64) ^ kw[0], (m & ((1 << 64) - 1)) ^ kw[1]
+        left, right = (m >> 64) ^ kw1, (m & ((1 << 64) - 1)) ^ kw2
         states = []
-        for i in range(6):
-            r = 3 * i
-            left, right = right ^ f((left ^ k[r]).to_bytes(8, "big")), left
-            left, right = right ^ f((left ^ k[r + 1]).to_bytes(8, "big")), left
-            left, right = right ^ f((left ^ k[r + 2]).to_bytes(8, "big")), left
-            if i == 1 or i == 3:
-                left, right = fl(left, kl[i - 1]), fl_inv(right, kl[i])
-            elif i == 5:
-                left, right = right ^ kw[2], left ^ kw[3]
+        for keys, fl in cycles:
+            for k in keys:
+                a, b, c, d, e, f, g, h = (left ^ k).to_bytes(8, "big")
+                left, right = (right ^ t0[a] ^ t1[b] ^ t2[c] ^ t3[d]
+                               ^ t4[e] ^ t5[f] ^ t6[g] ^ t7[h]), left
+            if fl:
+                # on each half's two 32-bit words: FL sets R ^= (L & kl_L) <<< 1,
+                # then L ^= R | kl_R; FL-inverse the same two steps reversed
+                fl_l, fl_r, inv_l, inv_r = fl
+                v = left >> 32 & fl_l
+                left ^= (v << 1 | v >> 31) & 0xFFFFFFFF
+                left ^= ((left | fl_r) & 0xFFFFFFFF) << 32
+                right ^= ((right | inv_r) & 0xFFFFFFFF) << 32
+                v = right >> 32 & inv_l
+                right ^= (v << 1 | v >> 31) & 0xFFFFFFFF
             states.append(left << 64 | right)
-        return _new(BlockTrace, (_CAMELLIA_LU3_OPS, tuple(states),
-                                 states[5].to_bytes(16, "big")))
+        # the last cycle ends with the swap and post-whitening
+        ct = states[5] = (right ^ kw3) << 64 | (left ^ kw4)
+        return _new(BlockTrace, (_CAMELLIA_LU3_OPS, tuple(states), ct.to_bytes(16, "big")))
     return work
 
 
@@ -408,9 +425,10 @@ class Device:
 
     The setup ticks and the first pulse are stepped tick by tick.  That
     pulse must bring the handshake back to READY with only its counters
-    moved, so every later pulse adds its tick count and one block to them
-    instead of stepping again.  The constant set is looked up on the first
-    block: a device that runs none imports no cipher package.
+    moved, so every later pulse is counted instead of stepped, and state
+    adds the counted pulses' ticks and blocks to the last stepped state
+    when it is read.  The constant set is looked up on the first block: a
+    device that runs none imports no cipher package.
     """
 
     def __init__(self, profile: ArchProfile, key: bytes):
@@ -418,25 +436,32 @@ class Device:
         state = initial_state(profile)
         while not state.ready:
             state = step(state)
-        self.state = state
+        self._stepped = state
         self.setup_ticks = state.cycle_counter
         self._consts = None
         self._pulse_ticks: int | None = None
+        self._pulses = 0            # pulses counted since _stepped
+
+    @property
+    def state(self) -> DeviceState:
+        stepped, n = self._stepped, self._pulses
+        if not n:
+            return stepped
+        return stepped._replace(cycle_counter=stepped.cycle_counter + n * self._pulse_ticks,
+                                blocks_done=stepped.blocks_done + n)
 
     def run(self, block: bytes) -> BlockTrace:
-        if self._consts is None:
-            self._consts = getattr(_HC3CAM, self.profile.cipher).get_constants()
-        trace = run_block(self.profile, self.key, block, self._consts)
         if self._pulse_ticks is None:
+            self._consts = getattr(_HC3CAM, self.profile.cipher).get_constants()
+            trace = run_block(self.profile, self.key, block, self._consts)
             self._step_pulse()
-        else:
-            profile, phase, ready, work, cycle, blocks, idx, left = self.state
-            self.state = _new(DeviceState, (profile, phase, ready, work,
-                                            cycle + self._pulse_ticks, blocks + 1, idx, left))
+            return trace
+        trace = run_block(self.profile, self.key, block, self._consts)
+        self._pulses += 1
         return trace
 
     def _step_pulse(self) -> None:
-        before = self.state
+        before = self._stepped
         state = step(before, start_edge=True)
         while state.work:
             state = step(state)
@@ -444,7 +469,7 @@ class Device:
                 cycle_counter=state.cycle_counter, blocks_done=before.blocks_done + 1):
             raise AssertionError(f"{self.profile.variant}: a START/WORK pulse from "
                                  f"{before} ended in {state}")
-        self.state = state
+        self._stepped = state
         self._pulse_ticks = state.cycle_counter - before.cycle_counter
 
 

@@ -16,7 +16,8 @@ can never be used silently.  A parsed file keeps the digest it was
 verified against (``Ctab.sha256``).
 
 ``loader`` makes each cipher's ``load_constants``: the one place that
-decides which file a constant set comes from.
+decides which file a constant set comes from.  ``write`` is read from
+hc3cam.ctab_writer on first use, as no command writes a file.
 """
 
 from __future__ import annotations
@@ -180,15 +181,10 @@ def loader(name: str, cls):
     return load_constants
 
 
-def write(name: str, sections: list[tuple[str, bytes]], comment: str = "") -> str:
-    """Serialize sections (in order) to .ctab text with a valid checksum."""
-    lines = []
-    if comment:
-        lines.extend(f"# {c}".rstrip() for c in comment.splitlines())
-    lines.append(f"%ctab v1 {name}")
-    for sec, payload in sections:
-        lines.append(f"[{sec}]")
-        hx = payload.hex()
-        lines.extend(hx[i : i + 64] for i in range(0, len(hx), 64))
-    lines.append(f"%checksum sha256 {_digest(sections)}")
-    return "\n".join(lines) + "\n"
+def __getattr__(name: str):
+    # the writer is compiled only where a file is written:
+    # scripts/gen_constants.py and the tests
+    if name == "write":
+        from .ctab_writer import write
+        return write
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,27 +15,31 @@ first builds a lane map or P's column tables.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
 IDENTITY = bytes(range(256))
 
 
+@lru_cache(maxsize=64)
+def _lane_indices(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The input lanes each row mask selects, lowest first."""
+    return tuple(tuple(j for j in range(mask.bit_length()) if mask >> j & 1) for mask in rows)
+
+
 def apply_rows(rows: Sequence[int], lanes: Sequence[int]) -> tuple[int, ...]:
-    """XOR-combine input lanes per row mask; returns one lane per row.
+    """XOR-combine input lanes per row mask; returns one lane per row, 0
+    for a zero row.  Each row set's lane indices are worked out once.
 
     With the rows of a matrix b as the lanes, this is the product a*b,
     i.e. the map 'apply b, then a'.
     """
     out = []
-    for mask in rows:
-        acc = 0
-        j = 0
-        while mask:
-            if mask & 1:
-                acc ^= lanes[j]
-            mask >>= 1
-            j += 1
+    for picks in _lane_indices(tuple(rows)):
+        acc = lanes[picks[0]] if picks else 0
+        for j in picks[1:]:
+            acc ^= lanes[j]
         out.append(acc)
     return tuple(out)
 

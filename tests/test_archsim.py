@@ -599,8 +599,8 @@ def eager_hc3_cached(key, block, merged, merge_xs_ak):
     return cycles, x
 
 
-def eager_camellia_lu3(key, block):
-    sk = camellia.key_schedule(key)
+def eager_camellia_lu3(key, block, consts=None):
+    sk = camellia.key_schedule(key, consts)
     consts = sk.consts
     m = int.from_bytes(block, "big")
     left = (m >> 64) ^ sk.kw[0]

@@ -223,7 +223,7 @@ def test_simulate_calls_run_block_once_per_block(variant, monkeypatch, capsys):
         calls.append(args[2])
         return _real(*args, **kwargs)
     monkeypatch.setattr(archsim, "run_block", counted)
-    for n in (0, 1, 40):
+    for n in (0, 1, 3, 40):
         calls.clear()
         code, out, _ = run(["simulate", "--variant", variant, "--blocks", str(n)], capsys)
         assert code == 0 and f"blocks simulated: {n} (ciphertext vs functional model: OK)" in out

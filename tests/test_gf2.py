@@ -17,6 +17,35 @@ def test_apply_rows_xors_selected_lanes():
     assert gf2.apply_rows((0b101,), (1, 2, 4)) == (5,)
 
 
+def bit_walk(rows, lanes):
+    """apply_rows by walking each row mask bit by bit from 0."""
+    out = []
+    for mask in rows:
+        acc, j = 0, 0
+        while mask:
+            if mask & 1:
+                acc ^= lanes[j]
+            mask >>= 1
+            j += 1
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("width", [1, 8, 8 * 6000])
+def test_apply_rows_matches_the_bit_walk(width):
+    # zero rows, rows as a list as well as a tuple, small-int and plane lanes
+    rng = random.Random(f"apply-rows-{width}")
+    for _ in range(40):
+        n_in = rng.randrange(1, 17)
+        rows = [rng.getrandbits(n_in) for _ in range(rng.randrange(1, 17))]
+        rows[rng.randrange(len(rows))] = 0
+        lanes = [rng.getrandbits(width) for _ in range(n_in)]
+        want = bit_walk(rows, lanes)
+        assert gf2.apply_rows(rows, lanes) == gf2.apply_rows(tuple(rows), tuple(lanes)) == want
+    assert gf2.apply_rows((0, 0), (7, 9)) == (0, 0)
+    assert gf2.apply_rows([], (7,)) == ()
+
+
 def test_invert_roundtrip_random_matrices():
     rng = random.Random(0xA5)
     found = 0

@@ -20,6 +20,7 @@ import pytest
 from hc3cam import archsim, camellia, cli, ctab, gf2, hc3
 from hc3cam.camellia import constants as cam_constants
 from hc3cam.hc3 import constants as hc3_constants
+from test_archsim import eager_camellia_lu3
 from test_hc3_keyschedule import reference_walk
 from test_sliced import camellia_subkeys_at, hc3_round_keys_at
 
@@ -224,6 +225,20 @@ def test_camellia_engines_agree(random_camellia_set, n):
     profile = archsim.PROFILES["camellia-lu3"]
     assert b"".join(archsim.run_block(profile, key, b, consts).ciphertext
                     for b in blocks) == ct
+
+
+def test_camellia_lu3_cycles_match_the_eager_model(random_camellia_set):
+    # camellia-lu3 shares no F or FL code with the cipher: every cycle's
+    # state is held to the model that runs camellia.f_function, fl and fl_inv
+    seed, consts = random_camellia_set
+    rng = random.Random(f"camellia-lu3-cycles-{seed}")
+    profile = archsim.PROFILES["camellia-lu3"]
+    for _ in range(50):
+        key, block = rng.randbytes(16), rng.randbytes(16)
+        trace = archsim.run_block(profile, key, block, consts)
+        cycles, ct = eager_camellia_lu3(key, block, consts)
+        assert [(c.index, c.ops, c.state_hex) for c in trace.cycles] == cycles
+        assert trace.ciphertext == ct
 
 
 # what simulate --blocks 3 reports of each device: the cycle counts do not

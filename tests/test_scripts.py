@@ -289,11 +289,14 @@ def test_paired_runs_the_menu_on_two_trees(monkeypatch, capsys):
     runs = module.measure(ROOT, ROOT, 2, module.TINY)
     items = [f"{c} {what}" for c in module.CIPHERS
              for what in ("encrypt", "decrypt", "encrypt_blocks", "decrypt_blocks")]
+    items += [f"{v} {what}" for v in module.VARIANTS for what in ("simulate", "Device.run")]
     assert sorted(runs) == sorted(items)
     assert all(len(sides["parent"]) == len(sides["change"]) == 2 and min(sides["change"]) > 0
                for metrics in runs.values() for sides in metrics.values())
+    metrics = {"encrypt_blocks": ("chunk_ms",), "decrypt_blocks": ("chunk_ms",),
+               "Device.run": ("block_us",)}
     rows = [(*item.split(), metric) for item in items
-            for metric in (("chunk_ms",) if item.endswith("_blocks") else ("wall_ms", "cpu_ms"))]
+            for metric in metrics.get(item.split()[1], ("wall_ms", "cpu_ms"))]
     lines = module.report(runs)
     assert sorted(tuple(line.split()[:3]) for line in lines[1:]) == sorted(rows)
     assert all(line.endswith("/2") for line in lines[1:])
@@ -321,4 +324,21 @@ def test_paired_stops_when_the_trees_disagree(monkeypatch):
 
     monkeypatch.setattr(module, "spawn", spawn)
     with pytest.raises(SystemExit, match="hc3 encrypt outputs differ"):
+        module.measure(ROOT, ROOT, 1, module.TINY)
+
+
+def test_paired_stops_when_simulate_prints_differ(monkeypatch):
+    module = load_script("paired", monkeypatch)
+    real = module.spawn
+
+    def spawn(argv, tree, stdout):
+        # the change side's simulate of camellia-lu3 prints one more line
+        timings = real(argv, tree, stdout)
+        if "camellia-lu3" in argv and stdout.name == "simulate-1":
+            with open(stdout, "a") as fh:
+                fh.write("extra\n")
+        return timings
+
+    monkeypatch.setattr(module, "spawn", spawn)
+    with pytest.raises(SystemExit, match="camellia-lu3 simulate outputs differ"):
         module.measure(ROOT, ROOT, 1, module.TINY)
