@@ -26,9 +26,10 @@ first side alternating from pair to pair:
 The file is 2 MiB (FULL; the smoke test runs TINY).
 
 Both trees' CLI outputs, the encrypted and decrypted files and simulate's
-standard output, must be byte-identical; a difference stops the run.  For every item it prints each side's median and quartiles, the
-parent's median over the change's (above 1: the change is faster) and in
-how many pairs the change took less time.
+standard output, must be byte-identical; a difference stops the run.
+For every item it prints each side's median and quartiles, the parent's
+median over the change's (above 1: the change is faster) and in how many
+pairs the change took less time.
 """
 
 from __future__ import annotations

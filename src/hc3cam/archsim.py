@@ -20,7 +20,11 @@ Only `simulate` imports this module.  A profile file's reader and writer
 `simulate --profile-file`, the tests and the scripts import.  The HC3
 datapaths run the per-key schedule (hc3.keyschedule) and the round core
 hc3.xs_core (hc3.steps), so `simulate` of an HC3 variant compiles none of
-the per-block reference rounds (hc3.cipher, hc3.linear).
+the per-block reference rounds (hc3.cipher, hc3.linear).  camellia-lu3
+runs the per-key schedule (camellia.cipher) once, then reads the constant
+set's f_tables and holds its FL/FL-inverse keys as 32-bit halves: its
+blocks call none of the cipher's F or FL functions, which stay the tests'
+oracle for every cycle.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ def _lane_indices(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def apply_rows(rows: Sequence[int], lanes: Sequence[int]) -> tuple[int, ...]:
     """XOR-combine input lanes per row mask; returns one lane per row, 0
-    for a zero row.  Each row set's lane indices are worked out once.
+    for a zero row.  The lane indices of the 64 row sets used last are
+    kept, so a constant set's rows are walked bit by bit once.
 
     With the rows of a matrix b as the lanes, this is the product a*b,
     i.e. the map 'apply b, then a'.

@@ -332,13 +332,13 @@ def test_paired_stops_when_simulate_prints_differ(monkeypatch):
     real = module.spawn
 
     def spawn(argv, tree, stdout):
-        # the change side's simulate of camellia-lu3 prints one more line
+        # the change side's simulate of hc3-short prints one more line
         timings = real(argv, tree, stdout)
-        if "camellia-lu3" in argv and stdout.name == "simulate-1":
+        if "hc3-short" in argv and stdout.name == "simulate-1":
             with open(stdout, "a") as fh:
                 fh.write("extra\n")
         return timings
 
     monkeypatch.setattr(module, "spawn", spawn)
-    with pytest.raises(SystemExit, match="camellia-lu3 simulate outputs differ"):
+    with pytest.raises(SystemExit, match="hc3-short simulate outputs differ"):
         module.measure(ROOT, ROOT, 1, module.TINY)
