@@ -25,11 +25,18 @@ first side alternating from pair to pair:
 
 The file is 2 MiB (FULL; the smoke test runs TINY).
 
+Once per run, not paired, since it is a count, it also gives the AST
+nodes each command compiles on either tree: every command of that tree's
+own tests/test_cold_start.py BUDGETED, counted by that file's probe and
+compiled_nodes in a fresh process with the tree's sources.
+
 Both trees' CLI outputs, the encrypted and decrypted files and simulate's
 standard output, must be byte-identical; a difference stops the run.
 For every item it prints each side's median and quartiles, the parent's
 median over the change's (above 1: the change is faster) and in how many
-pairs the change took less time.
+pairs the change took less time, then each command's nodes on the two
+trees ("-" where a tree has no such command) and the change's count less
+the parent's.
 """
 
 from __future__ import annotations
@@ -105,6 +112,18 @@ for _ in range(best_of):
         device.run(block)
     best = min(best, time.perf_counter() - start)
 print(json.dumps(1e6 * best / blocks))
+"""
+
+# run in a fresh process: argv the tree's tests directory; prints the AST
+# nodes that each command of its test_cold_start.BUDGETED compiles, as JSON
+NODES_CODE = """\
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_cold_start as cold
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps({command: cold.compiled_nodes(cold.probe(argv(Path(tmp)))[1])
+                      for command, argv in cold.BUDGETED.items()}))
 """
 
 
@@ -197,6 +216,24 @@ def measure(parent: Path, change: Path, pairs: int, sizes: Sizes = FULL) -> dict
     return runs
 
 
+def node_counts(tree: Path) -> dict[str, int]:
+    """{command: AST nodes it compiles} over the tree's BUDGETED commands."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "nodes.json"
+        spawn(["-c", NODES_CODE, str(tree / "tests")], tree, out)
+        return json.loads(out.read_text())
+
+
+def node_report(parent: dict[str, int], change: dict[str, int]) -> list[str]:
+    lines = [f"{'command':<24} {'parent nodes':>12} {'change nodes':>12} {'change-parent':>14}"]
+    for command in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(command), change.get(command)
+        delta = "-" if p is None or c is None else f"{c - p:+d}"
+        lines.append(f"{command:<24} {'-' if p is None else p:>12} "
+                     f"{'-' if c is None else c:>12} {delta:>14}")
+    return lines
+
+
 def spread(values: list[float]) -> tuple[float, float, float]:
     """Median and quartiles."""
     if len(values) < 2:
@@ -232,8 +269,10 @@ def main(argv=None, sizes: Sizes = FULL) -> int:
             parser.error(f"{tree} holds no src/hc3cam/cli.py")
     if args.pairs < 1:
         parser.error("PAIRS must be at least 1")
-    runs = measure(args.parent.resolve(), args.change.resolve(), args.pairs, sizes)
-    print("\n".join(report(runs)))
+    trees = args.parent.resolve(), args.change.resolve()
+    nodes = [node_counts(tree) for tree in trees]
+    runs = measure(*trees, args.pairs, sizes)
+    print("\n".join(report(runs) + node_report(*nodes)))
     return 0
 
 

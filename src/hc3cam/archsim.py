@@ -4,11 +4,14 @@ Four HIEROCRYPT-3 projects (short setup, long setup, very long setup,
 extensive) and one loop-unrolled-by-3 Camellia project are modeled as
 two-phase devices: a setup phase that precomputes key material and a
 work phase that processes one 128-bit block in a fixed number of clock
-cycles.  Each datapath is a per-key setup function that returns the
-per-block work function, with the key material and every table it reads
-bound in; run_block keeps the last one in a one-entry key register, and
-a Device runs the blocks of one key between the handshake's setup and
-WORK pulses.  Every work cycle executes the real cipher sub-operations, so a
+cycles.  Each datapath is declared once, in _DATAPATHS: its cipher, its
+setup and work cycles' labels, and a per-key setup function that returns
+the per-block work function, with the key material and every table it
+reads bound in.  PROFILES reads its figures other than the paper's from
+there.  run_block keeps the last work function in a one-entry key
+register and builds a block's trace from the cycle states it returns; a
+Device runs the blocks of one key between the handshake's setup and WORK
+pulses.  Every work cycle executes the real cipher sub-operations, so a
 trace's ciphertext is checkable against the functional model; latencies
 and resource figures are metadata, not gate-level timing.
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import ModuleType
 from typing import Callable, NamedTuple
 
@@ -66,90 +69,6 @@ class ArchProfile(NamedTuple):
         if not math.isfinite(mhz):
             raise ValueError(f"1000 / {self.critical_path_ns:g} ns is not a finite clock")
         return mhz
-
-
-def _sigma_label(step: int) -> str:
-    g = ("G0(5)", "G0(0)", "G0(1)", "G0(2)", "G0(3)")[step]
-    kind = "pre-whitening sigma step 0" if step == 0 else f"sigma step {step}"
-    return f"{kind} ({g})"
-
-
-def _hc3_short_setup() -> tuple[MicroOp, ...]:
-    return (
-        MicroOp("load main key; pad with H3||H2"),
-        MicroOp(_sigma_label(0) + " -> Z(0)"),
-        MicroOp(_sigma_label(1) + " -> Z(1)"),
-        MicroOp("round key K(1) -> subkey buffer"),
-    )
-
-
-def _hc3_long_setup() -> tuple[MicroOp, ...]:
-    ops = [MicroOp("load main key; pad with H3||H2"),
-           MicroOp(_sigma_label(0) + "; store Z(0)")]
-    ops += [MicroOp(_sigma_label(t) + f"; store Z({t}), V({t})") for t in range(1, 5)]
-    ops.append(MicroOp("compute V(5); 1600-bit cache complete"))
-    ops.append(MicroOp("derive K(1) from cache -> subkey buffer"))
-    return tuple(ops)
-
-
-def _hc3_verylong_setup() -> tuple[MicroOp, ...]:
-    # Every sigma update is spread over three ~28 ns cycles.
-    ops = [MicroOp("load main key; pad with H3||H2")]
-    for t in range(5):
-        base = _sigma_label(t)
-        ops.append(MicroOp(f"{base} cycle 1/3: P(32) of Z1||Z2", 28.0))
-        ops.append(MicroOp(f"{base} cycle 2/3: M_5E and constant add", 28.0))
-        ops.append(MicroOp(f"{base} cycle 3/3: F_sigma and swap", 28.0))
-    ops.append(MicroOp("compute V(5); 1600-bit cache complete"))
-    ops.append(MicroOp("derive K(1) from cache -> subkey buffer"))
-    return tuple(ops)
-
-
-def _camellia_setup() -> tuple[MicroOp, ...]:
-    return (
-        MicroOp("key schedule part I: 2 rounds (sigma1, sigma2), XOR with K_L"),
-        MicroOp("key schedule part II: 2 next rounds (sigma3, sigma4) -> K_A"),
-    )
-
-
-PROFILES: dict[str, ArchProfile] = {
-    "hc3-short": ArchProfile(
-        variant="hc3-short", cipher="hc3", datapath="hc3-short",
-        work_cycles_per_block=8, setup_schedule=_hc3_short_setup(),
-        clock_mhz=8.05, paper_throughput_mbps=115.0,
-        resources="8599 LE / 48 kb EAB",
-        critical_path_label="key round",
-    ),
-    "hc3-long": ArchProfile(
-        variant="hc3-long", cipher="hc3", datapath="hc3-long",
-        work_cycles_per_block=8, setup_schedule=_hc3_long_setup(),
-        clock_mhz=11.91, paper_throughput_mbps=190.0,
-        resources="9497 LE / 48 kb EAB",
-        critical_path_label="computation of the F_sigma output",
-    ),
-    "hc3-verylong": ArchProfile(
-        variant="hc3-verylong", cipher="hc3", datapath="hc3-verylong",
-        work_cycles_per_block=7, setup_schedule=_hc3_verylong_setup(),
-        clock_mhz=15.64, paper_throughput_mbps=304.0,
-        resources="9758 LE / 48 kb EAB",
-        critical_path_label="round of encryption",
-    ),
-    "hc3-extensive": ArchProfile(
-        variant="hc3-extensive", cipher="hc3", datapath="hc3-extensive",
-        work_cycles_per_block=7, setup_schedule=_hc3_verylong_setup(),
-        clock_mhz=21.73, paper_throughput_mbps=397.0,
-        resources="25811 LE",
-        critical_path_label="round via fused sbox/MDS-lower tables",
-        critical_path_ns=46.0,
-    ),
-    "camellia-lu3": ArchProfile(
-        variant="camellia-lu3", cipher="camellia", datapath="camellia-lu3",
-        work_cycles_per_block=6, setup_schedule=_camellia_setup(),
-        clock_mhz=13.15, paper_throughput_mbps=240.0,
-        resources="2973 LE / 49152 memory bits",
-        critical_path_label="round of encryption (3 unrolled rounds)",
-    ),
-}
 
 
 # --- two-phase device handshake ------------------------------------------
@@ -243,88 +162,92 @@ class BlockTrace(NamedTuple):
                      for i, (ops, state) in enumerate(zip(self.ops, self.states), 1))
 
 
-# A datapath is its setup, setup(package, key, consts) -> work, run once
-# per key: it reads its cipher package, hc3 or cam, at call time (a
-# substituted key_schedule sees the call) and returns work(block) ->
-# BlockTrace with everything a block reads bound in.
+class Datapath(NamedTuple):
+    """A built-in datapath, declared once: its cipher, the labels of its
+    setup cycles and of each work cycle, and setup(package, key, consts)
+    -> work, run once per key.  setup reads its cipher package, hc3 or
+    cam, at call time (a substituted key_schedule sees the call); work(block)
+    returns the int state after each work cycle, the ciphertext last, with
+    everything a block reads bound in."""
 
-# Each datapath's per-cycle op labels, built once: hc3-short's cycle r + 1
-# runs round r beside the key round of schedule step r + 1 (sigma up to
-# step 4, sigma-inverse after it).
-_HC3_SHORT_OPS = (
-    ("load plaintext",),
-    *((f"rho round {r} (K({r}))",
-       f"key round: {'sigma' if r < 4 else 'sigma-inv'} step {r + 1} -> K({r + 1})")
-      for r in range(1, 6)),
-    ("XS (K(6))", "key round: sigma-inv step 7 -> K(7)"),
-    ("AK (K(7) first half)", "restore Z(0) and K(1) for next block"),
-)
+    cipher: str
+    setup_schedule: tuple[MicroOp, ...]
+    ops: tuple[tuple[str, ...], ...]
+    setup: Callable
 
 
-def _cached_ops(merged: bool, merge_xs_ak: bool) -> tuple[tuple[str, ...], ...]:
-    via = " via fused tables" if merged else ""
-    from_cache = "subkey from 1600-bit cache"
-    ops = [("load plaintext", from_cache)]
-    ops += [(f"rho round {r} (K({r})){via}", from_cache) for r in range(1, 6)]
-    if merge_xs_ak:
-        ops.append((f"XS (K(6)){via} + AK (K(7)) merged",))
-    else:
-        ops += [(f"XS (K(6)){via}",), ("AK (K(7) first half)",)]
-    return tuple(ops)
-
-
-def _hc3_setup(hc3: ModuleType, key: bytes, consts, short: bool = False,
-               merged: bool = False, merge_xs_ak: bool = False):
+def _hc3(short: bool = False, split: bool = False, merged: bool = False,
+         merge_xs_ak: bool = False) -> Datapath:
     """An HC3 datapath: five rho rounds, XS and AK on one integer state, a
     rho round being the XS core followed by the s-box-fused MDS-higher map;
     round r takes K(r) as its pair (K1 K2, K3 K4).
 
     keys() gives the seven pairs a block reads.  short holds only Z(0) and
     walks all seven from it at the start of every block; the last cycle
-    restores the round-1 state for the next one.  Otherwise the pairs are
-    derived once from the 1600-bit cache and bound in.  merged runs XS on
+    restores the round-1 state for the next one.  Otherwise setup fills the
+    1600-bit cache, split spreading each sigma update over three ~28 ns
+    cycles, and the pairs derived from it are bound in.  merged runs XS on
     the fused s-box/MDS-lower tables; merge_xs_ak runs XS and AK in one
     cycle.
     """
-    core, fused, sbox, halves = hc3.xs_core, consts.sbox_mds_h_map, consts.sbox, hc3.key_halves
+    sigma = ["pre-whitening sigma step 0 (G0(5))",
+             *(f"sigma step {t} (G0({t - 1}))" for t in range(1, 5))]
+    schedule = [MicroOp("load main key; pad with H3||H2")]
     if short:
-        ops, walk, z0 = _HC3_SHORT_OPS, hc3.walk_schedule, hc3.pad_and_prewhiten(key, consts)
-
-        def keys():
-            return [halves(rk) for rk, _, _ in walk(z0, consts)]
+        schedule += (MicroOp(sigma[0] + " -> Z(0)"), MicroOp(sigma[1] + " -> Z(1)"),
+                     MicroOp("round key K(1) -> subkey buffer"))
+        # cycle r + 1 runs round r beside the key round of schedule step
+        # r + 1 (sigma up to step 4, sigma-inverse after it)
+        ops = (("load plaintext",),
+               *((f"rho round {r} (K({r}))",
+                  f"key round: {'sigma' if r < 4 else 'sigma-inv'} step {r + 1} -> K({r + 1})")
+                 for r in range(1, 6)),
+               ("XS (K(6))", "key round: sigma-inv step 7 -> K(7)"),
+               ("AK (K(7) first half)", "restore Z(0) and K(1) for next block"))
     else:
-        ops = _cached_ops(merged, merge_xs_ak)
-        pairs = tuple(map(halves, hc3.key_schedule(key, "cached_1600", consts).round_keys))
+        if split:
+            schedule += (MicroOp(f"{s} cycle {i}/3: {what}", 28.0) for s in sigma
+                         for i, what in enumerate(("P(32) of Z1||Z2", "M_5E and constant add",
+                                                   "F_sigma and swap"), 1))
+        else:
+            schedule += (MicroOp(f"{s}; store Z({t})" + (f", V({t})" if t else ""))
+                         for t, s in enumerate(sigma))
+        schedule += (MicroOp("compute V(5); 1600-bit cache complete"),
+                     MicroOp("derive K(1) from cache -> subkey buffer"))
+        via, from_cache = " via fused tables" if merged else "", "subkey from 1600-bit cache"
+        ops = (("load plaintext", from_cache),
+               *((f"rho round {r} (K({r})){via}", from_cache) for r in range(1, 6)),
+               *([(f"XS (K(6)){via} + AK (K(7)) merged",)] if merge_xs_ak
+                 else [(f"XS (K(6)){via}",), ("AK (K(7) first half)",)]))
 
-        def keys():
-            return pairs
+    def setup(hc3: ModuleType, key: bytes, consts):
+        core, fused, sbox, halves = hc3.xs_core, consts.sbox_mds_h_map, consts.sbox, hc3.key_halves
+        if short:
+            walk, z0 = hc3.walk_schedule, hc3.pad_and_prewhiten(key, consts)
 
-    def work(block: bytes) -> BlockTrace:
-        # K(1)..K(5) key the rho rounds, K(6) XS and K(7)'s first half AK
-        (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (ak, _) = keys()
-        v0 = int.from_bytes(block, "big")
-        v1 = fused(core(v0, a1, b1, consts, merged))
-        v2 = fused(core(v1, a2, b2, consts, merged))
-        v3 = fused(core(v2, a3, b3, consts, merged))
-        v4 = fused(core(v3, a4, b4, consts, merged))
-        v5 = fused(core(v4, a5, b5, consts, merged))
-        x = int.from_bytes(core(v5, a6, b6, consts, merged).translate(sbox), "big")
-        ct = x ^ ak
-        states = (v0, v1, v2, v3, v4, v5, ct) if merge_xs_ak else (v0, v1, v2, v3, v4, v5, x, ct)
-        return _new(BlockTrace, (ops, states, ct.to_bytes(16, "big")))
-    return work
+            def keys():
+                return [halves(rk) for rk, _, _ in walk(z0, consts)]
+        else:
+            pairs = tuple(map(halves, hc3.key_schedule(key, "cached_1600", consts).round_keys))
 
+            def keys():
+                return pairs
 
-# camellia-lu3's cycle i + 1 runs rounds 3i + 1 .. 3i + 3; cycles 2 and 4
-# end with the FL layer, the last with the swap and post-whitening.
-_CAMELLIA_LU3_OPS = (
-    ("pre-whitening; rounds 1-3",),
-    ("rounds 4-6", "FL / FL-inverse layer (kl1, kl2)"),
-    ("rounds 7-9",),
-    ("rounds 10-12", "FL / FL-inverse layer (kl3, kl4)"),
-    ("rounds 13-15",),
-    ("rounds 16-18", "swap halves; post-whitening"),
-)
+        def work(block: bytes) -> tuple[int, ...]:
+            # K(1)..K(5) key the rho rounds, K(6) XS and K(7)'s first half AK
+            (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (ak, _) = keys()
+            v0 = int.from_bytes(block, "big")
+            v1 = fused(core(v0, a1, b1, consts, merged))
+            v2 = fused(core(v1, a2, b2, consts, merged))
+            v3 = fused(core(v2, a3, b3, consts, merged))
+            v4 = fused(core(v3, a4, b4, consts, merged))
+            v5 = fused(core(v4, a5, b5, consts, merged))
+            x = int.from_bytes(core(v5, a6, b6, consts, merged).translate(sbox), "big")
+            if merge_xs_ak:
+                return v0, v1, v2, v3, v4, v5, x ^ ak
+            return v0, v1, v2, v3, v4, v5, x, x ^ ak
+        return work
+    return Datapath("hc3", tuple(schedule), ops, setup)
 
 
 def _camellia_lu3_setup(cam: ModuleType, key: bytes, consts):
@@ -343,7 +266,7 @@ def _camellia_lu3_setup(cam: ModuleType, key: bytes, consts):
     cycles = tuple(zip((sk.k[r:r + 3] for r in range(0, 18, 3)),
                        (None, halves[:4], None, halves[4:], None, None)))
 
-    def work(block: bytes) -> BlockTrace:
+    def work(block: bytes) -> tuple[int, ...]:
         m = int.from_bytes(block, "big")
         left, right = (m >> 64) ^ kw1, (m & ((1 << 64) - 1)) ^ kw2
         states = []
@@ -364,19 +287,56 @@ def _camellia_lu3_setup(cam: ModuleType, key: bytes, consts):
                 right ^= (v << 1 | v >> 31) & 0xFFFFFFFF
             states.append(left << 64 | right)
         # the last cycle ends with the swap and post-whitening
-        ct = states[5] = (right ^ kw3) << 64 | (left ^ kw4)
-        return _new(BlockTrace, (_CAMELLIA_LU3_OPS, tuple(states), ct.to_bytes(16, "big")))
+        states[5] = (right ^ kw3) << 64 | (left ^ kw4)
+        return tuple(states)
     return work
 
 
-# datapath -> (cipher, setup)
-_DATAPATHS: dict[str, tuple[str, Callable]] = {
-    "hc3-short": ("hc3", partial(_hc3_setup, short=True)),
-    "hc3-long": ("hc3", _hc3_setup),
-    "hc3-verylong": ("hc3", partial(_hc3_setup, merge_xs_ak=True)),
-    "hc3-extensive": ("hc3", partial(_hc3_setup, merged=True, merge_xs_ak=True)),
-    "camellia-lu3": ("camellia", _camellia_lu3_setup),
+# Each built-in datapath, under its name; PROFILES reads its cipher, setup
+# labels and work-cycle count from here.
+_DATAPATHS: dict[str, Datapath] = {
+    "hc3-short": _hc3(short=True),
+    "hc3-long": _hc3(),
+    "hc3-verylong": _hc3(split=True, merge_xs_ak=True),
+    "hc3-extensive": _hc3(split=True, merged=True, merge_xs_ak=True),
+    # cycle i + 1 runs rounds 3i + 1 .. 3i + 3; cycles 2 and 4 end with the
+    # FL layer, the last with the swap and post-whitening
+    "camellia-lu3": Datapath(
+        "camellia",
+        (MicroOp("key schedule part I: 2 rounds (sigma1, sigma2), XOR with K_L"),
+         MicroOp("key schedule part II: 2 next rounds (sigma3, sigma4) -> K_A")),
+        (("pre-whitening; rounds 1-3",),
+         ("rounds 4-6", "FL / FL-inverse layer (kl1, kl2)"),
+         ("rounds 7-9",),
+         ("rounds 10-12", "FL / FL-inverse layer (kl3, kl4)"),
+         ("rounds 13-15",),
+         ("rounds 16-18", "swap halves; post-whitening")),
+        _camellia_lu3_setup),
 }
+
+
+def _profile(variant: str, **published) -> ArchProfile:
+    """The built-in profile of a datapath: its record's figures and the
+    paper's."""
+    dp = _DATAPATHS[variant]
+    return ArchProfile(variant, dp.cipher, variant, len(dp.ops), dp.setup_schedule, **published)
+
+
+PROFILES: dict[str, ArchProfile] = {p.variant: p for p in (
+    _profile("hc3-short", clock_mhz=8.05, paper_throughput_mbps=115.0,
+             resources="8599 LE / 48 kb EAB", critical_path_label="key round"),
+    _profile("hc3-long", clock_mhz=11.91, paper_throughput_mbps=190.0,
+             resources="9497 LE / 48 kb EAB",
+             critical_path_label="computation of the F_sigma output"),
+    _profile("hc3-verylong", clock_mhz=15.64, paper_throughput_mbps=304.0,
+             resources="9758 LE / 48 kb EAB", critical_path_label="round of encryption"),
+    _profile("hc3-extensive", clock_mhz=21.73, paper_throughput_mbps=397.0,
+             resources="25811 LE", critical_path_label="round via fused sbox/MDS-lower tables",
+             critical_path_ns=46.0),
+    _profile("camellia-lu3", clock_mhz=13.15, paper_throughput_mbps=240.0,
+             resources="2973 LE / 49152 memory bits",
+             critical_path_label="round of encryption (3 unrolled rounds)"),
+)}
 
 
 # getattr(_HC3CAM, cipher) imports that cipher's package on the first
@@ -385,13 +345,13 @@ _HC3CAM = sys.modules[__package__]
 
 
 @lru_cache(maxsize=1)
-def _key_register(datapath: str, key: bytes, consts) -> Callable[[bytes], BlockTrace]:
+def _key_register(datapath: str, key: bytes, consts) -> Callable[[bytes], tuple[int, ...]]:
     """The device's one-entry key register: the work function setup
     returned for the last (datapath, key, constant set) seen.  Both
     constants classes hash by identity, so a set loaded from another
     .ctab re-runs setup."""
-    cipher, setup = _DATAPATHS[datapath]
-    return setup(getattr(_HC3CAM, cipher), key, consts)
+    dp = _DATAPATHS[datapath]
+    return dp.setup(getattr(_HC3CAM, dp.cipher), key, consts)
 
 
 def run_block(profile: ArchProfile, key: bytes, block: bytes, consts=None) -> BlockTrace:
@@ -400,7 +360,9 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes, consts=None) -> Bl
     Setup runs once per key: the work function it returns is held in a
     one-entry register and rebuilt only when the datapath, the key or the
     constant set changes.  The set is consts, else the cipher's
-    get_constants().  Work runs for every block.
+    get_constants().  Work runs for every block and returns its cycle
+    states; the trace pairs them with the datapath's op labels, and its
+    ciphertext is the last state's 16 bytes.
     """
     dp = _DATAPATHS.get(profile.datapath)
     if dp is None:
@@ -411,70 +373,59 @@ def run_block(profile: ArchProfile, key: bytes, block: bytes, consts=None) -> Bl
     if len(block) != 16:
         raise ValueError(f"{profile.variant}: block must be 16 bytes, got {len(block)}")
     if consts is None:
-        consts = getattr(_HC3CAM, dp[0]).get_constants()
+        consts = getattr(_HC3CAM, dp.cipher).get_constants()
     # bytes(key): a bytearray key must hash for the register
-    trace = _key_register(profile.datapath, bytes(key), consts)(block)
+    states = _key_register(profile.datapath, bytes(key), consts)(block)
     want = profile.work_cycles_per_block
-    if len(trace.states) != want:
+    if len(states) != want:
         raise AssertionError(
-            f"{profile.variant}: datapath produced {len(trace.states)} cycles, "
+            f"{profile.variant}: datapath produced {len(states)} cycles, "
             f"profile says {want}"
         )
-    return trace
+    return _new(BlockTrace, (dp.ops, states, states[-1].to_bytes(16, "big")))
 
 
 class Device:
     """One device under one key: setup once, then one START/WORK pulse of
     the handshake and one run_block per block.
 
-    The setup ticks and the first pulse are stepped tick by tick.  That
-    pulse must bring the handshake back to READY with only its counters
-    moved, so every later pulse is counted instead of stepped, and state
-    adds the counted pulses' ticks and blocks to the last stepped state
+    Building it steps the setup ticks, then one pulse from READY on a
+    copy.  That pulse must bring the handshake back to READY with only its
+    counters moved, so each block's pulse is counted instead of stepped,
+    and state adds the counted pulses' ticks and blocks to the READY state
     when it is read.  The constant set is looked up on the first block: a
     device that runs none imports no cipher package.
     """
 
     def __init__(self, profile: ArchProfile, key: bytes):
         self.profile, self.key = profile, bytes(key)
-        state = initial_state(profile)
-        while not state.ready:
-            state = step(state)
-        self._stepped = state
-        self.setup_ticks = state.cycle_counter
+        ready = initial_state(profile)
+        while not ready.ready:
+            ready = step(ready)
+        self.setup_ticks = ready.cycle_counter
+        pulse = step(ready, start_edge=True)
+        while pulse.work:
+            pulse = step(pulse)
+        if ready.phase != READY or pulse != ready._replace(
+                cycle_counter=pulse.cycle_counter, blocks_done=ready.blocks_done + 1):
+            raise AssertionError(f"{profile.variant}: a START/WORK pulse from "
+                                 f"{ready} ended in {pulse}")
+        self._ready, self._pulse_ticks = ready, pulse.cycle_counter - ready.cycle_counter
         self._consts = None
-        self._pulse_ticks: int | None = None
-        self._pulses = 0            # pulses counted since _stepped
+        self._pulses = 0            # blocks run
 
     @property
     def state(self) -> DeviceState:
-        stepped, n = self._stepped, self._pulses
-        if not n:
-            return stepped
-        return stepped._replace(cycle_counter=stepped.cycle_counter + n * self._pulse_ticks,
-                                blocks_done=stepped.blocks_done + n)
+        ready, n = self._ready, self._pulses
+        return ready._replace(cycle_counter=ready.cycle_counter + n * self._pulse_ticks,
+                              blocks_done=ready.blocks_done + n)
 
     def run(self, block: bytes) -> BlockTrace:
-        if self._pulse_ticks is None:
+        if self._consts is None:
             self._consts = getattr(_HC3CAM, self.profile.cipher).get_constants()
-            trace = run_block(self.profile, self.key, block, self._consts)
-            self._step_pulse()
-            return trace
         trace = run_block(self.profile, self.key, block, self._consts)
         self._pulses += 1
         return trace
-
-    def _step_pulse(self) -> None:
-        before = self._stepped
-        state = step(before, start_edge=True)
-        while state.work:
-            state = step(state)
-        if not (before.phase == READY and before.ready) or state != before._replace(
-                cycle_counter=state.cycle_counter, blocks_done=before.blocks_done + 1):
-            raise AssertionError(f"{self.profile.variant}: a START/WORK pulse from "
-                                 f"{before} ended in {state}")
-        self._stepped = state
-        self._pulse_ticks = state.cycle_counter - before.cycle_counter
 
 
 # --- throughput model and report ------------------------------------------

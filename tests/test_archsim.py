@@ -101,16 +101,12 @@ def test_key_register_follows_constants(variant, tmp_path, monkeypatch):
 
 
 def test_run_block_refuses_a_datapath_that_drops_a_cycle(monkeypatch):
-    cipher, setup = archsim._DATAPATHS["hc3-long"]
+    dp = archsim._DATAPATHS["hc3-long"]
 
     def dropping_setup(package, key, consts):
-        work = setup(package, key, consts)
-
-        def dropping(block):
-            trace = work(block)
-            return trace._replace(states=trace.states[:-1])
-        return dropping
-    monkeypatch.setitem(archsim._DATAPATHS, "hc3-long", (cipher, dropping_setup))
+        work = dp.setup(package, key, consts)
+        return lambda block: work(block)[:-1]
+    monkeypatch.setitem(archsim._DATAPATHS, "hc3-long", dp._replace(setup=dropping_setup))
     profile = PROFILES["hc3-long"]._replace(variant="my-board")
     archsim._key_register.cache_clear()
     try:
@@ -178,6 +174,24 @@ def test_setup_traces():
     assert "2 next rounds" in cam_setup[1].label
     short = PROFILES["hc3-short"].setup_schedule
     assert "K(1)" in short[-1].label and "subkey buffer" in short[-1].label
+
+
+# sha256 of format_profile of each built-in profile, recorded when each
+# datapath's setup labels came from a builder of their own.  The text holds
+# every setup label and 28 ns latency; simulate prints only their count.
+PROFILE_DIGESTS = {
+    "camellia-lu3": "8826394d00118745ecd81fba4d8be4a7f6f8b898af4cb8464ae2a369bef9cc37",
+    "hc3-extensive": "11a1e943e4277e0aa2c74c78d370aaf18a3c377ce16a8021aa7a4cb53d43275d",
+    "hc3-long": "88f54ac4410450133e70a9c3abc78001943d9b94cb546f034a546cc43a7e6771",
+    "hc3-short": "2eb50c6cdc37a62ea6ed05ecc37616f143d198f45e12cd5c922d66277624a6c7",
+    "hc3-verylong": "d3895a47e0830227effaaf0840ee80bc1c653df98cb1b82a0a62da7f74dac26e",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PROFILES))
+def test_builtin_profile_text_pinned(variant):
+    text = format_profile(PROFILES[variant])
+    assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_DIGESTS[variant]
 
 
 def test_extensive_critical_path_bounds_clock():
@@ -292,14 +306,29 @@ def test_device_replay_matches_stepping(profile):
         assert device.state == stepped(profile, n), n
 
 
+@pytest.mark.parametrize("variant", sorted(PROFILES))
+def test_device_steps_its_setup_and_one_pulse_whatever_it_runs(variant, monkeypatch):
+    # the setup ticks, one START tick and the WORK ticks, all when the
+    # device is built: running blocks and reading state step nothing
+    profile = PROFILES[variant]
+    real, calls = archsim.step, []
+    monkeypatch.setattr(archsim, "step", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for n in (0, 1, 40):
+        calls.clear()
+        device = Device(profile, bytes(range(16)))
+        for i in range(n):
+            device.run(i.to_bytes(16, "big"))
+        assert device.state.blocks_done == n
+        assert len(calls) == len(profile.setup_schedule) + profile.work_cycles_per_block + 1, n
+
+
 def test_device_rejects_a_pulse_that_does_not_return_to_ready(monkeypatch):
-    # the replay rests on the first pulse ending where it started
-    device = Device(PROFILES["hc3-long"], bytes(16))
+    # the replay rests on the stepped pulse ending where it started
     real = archsim.step
     monkeypatch.setattr(archsim, "step", lambda st, *a, **k: real(st, *a, **k)._replace(
         setup_index=st.setup_index + 1))
     with pytest.raises(AssertionError, match="START/WORK pulse"):
-        device.run(bytes(16))
+        Device(PROFILES["hc3-long"], bytes(16))
 
 
 def test_run_block_takes_a_constant_set(tmp_path, monkeypatch):
@@ -560,7 +589,7 @@ def eager_hc3_short(key, block):
     steps = ((row.step, hc3.RoundKey256(*k))
              for row, (k, _, _) in zip(hc3.SCHEDULE_ROWS[1:], hc3.walk_schedule(z0, consts)))
     keys = dict([next(steps)])
-    ops = archsim._HC3_SHORT_OPS
+    ops = archsim._DATAPATHS["hc3-short"].ops
     x = block
     cycles = [(1, ops[0], x.hex())]
     for r in range(1, 6):
@@ -575,10 +604,10 @@ def eager_hc3_short(key, block):
     return cycles, x
 
 
-def eager_hc3_cached(key, block, merged, merge_xs_ak):
+def eager_hc3_cached(key, block, variant, merged, merge_xs_ak):
     consts = hc3.get_constants()
     keys = hc3.key_schedule(key, "cached_1600", consts).round_keys
-    ops = archsim._cached_ops(merged, merge_xs_ak)
+    ops = archsim._DATAPATHS[variant].ops
     x = block
     cycles = [(1, ops[0], x.hex())]
     for r in range(1, 6):
@@ -636,9 +665,9 @@ def eager_camellia_lu3(key, block, consts=None):
 
 EAGER = {
     "hc3-short": eager_hc3_short,
-    "hc3-long": lambda k, b: eager_hc3_cached(k, b, merged=False, merge_xs_ak=False),
-    "hc3-verylong": lambda k, b: eager_hc3_cached(k, b, merged=False, merge_xs_ak=True),
-    "hc3-extensive": lambda k, b: eager_hc3_cached(k, b, merged=True, merge_xs_ak=True),
+    "hc3-long": lambda k, b: eager_hc3_cached(k, b, "hc3-long", False, False),
+    "hc3-verylong": lambda k, b: eager_hc3_cached(k, b, "hc3-verylong", False, True),
+    "hc3-extensive": lambda k, b: eager_hc3_cached(k, b, "hc3-extensive", True, True),
     "camellia-lu3": eager_camellia_lu3,
 }
 

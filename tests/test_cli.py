@@ -284,16 +284,17 @@ def test_simulate_checks_in_chunks(bad, monkeypatch, capsys):
 def test_simulate_catches_device_fault(variant, monkeypatch, capsys):
     # a datapath that gets one block wrong fails the run
     from hc3cam import archsim
-    cipher, setup = archsim._DATAPATHS[variant]
+    dp = archsim._DATAPATHS[variant]
 
     def faulty_setup(package, key, consts):
-        work = setup(package, key, consts)
+        work = dp.setup(package, key, consts)
 
         def faulty(block):
-            trace = work(block)
-            return trace._replace(ciphertext=flip_block(trace.ciphertext, block, 5))
+            # the last state is the ciphertext
+            *states, ct = work(block)
+            return (*states, int.from_bytes(flip_block(ct.to_bytes(16, "big"), block, 5), "big"))
         return faulty
-    monkeypatch.setitem(archsim._DATAPATHS, variant, (cipher, faulty_setup))
+    monkeypatch.setitem(archsim._DATAPATHS, variant, dp._replace(setup=faulty_setup))
     # the key register holds work functions: drop the sound one an earlier
     # run left there, and the faulty one this run leaves
     archsim._key_register.cache_clear()

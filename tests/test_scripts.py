@@ -301,7 +301,16 @@ def test_paired_runs_the_menu_on_two_trees(monkeypatch, capsys):
     assert sorted(tuple(line.split()[:3]) for line in lines[1:]) == sorted(rows)
     assert all(line.endswith("/2") for line in lines[1:])
     assert module.main([str(ROOT), str(ROOT), "1"], sizes=module.TINY) == 0
-    assert len(capsys.readouterr().out.splitlines()) == len(lines)
+    out = capsys.readouterr().out.splitlines()
+    # then, once, each budgeted command's nodes, counted by the tree's own
+    # tests/test_cold_start.py: level, as both sides are this checkout
+    import test_cold_start as cold
+    nodes = module.node_counts(ROOT)
+    assert sorted(nodes) == sorted(cold.BUDGETED)
+    assert nodes["help"] == cold.compiled_nodes(cold.probe(["--help"])[1])
+    assert out[len(lines):] == module.node_report(nodes, nodes)
+    assert [line.split()[1:] for line in out[len(lines) + 1:]] == [
+        [str(nodes[command]), str(nodes[command]), "+0"] for command in sorted(nodes)]
 
 
 def test_paired_refuses_a_directory_without_sources(tmp_path, monkeypatch, capsys):
